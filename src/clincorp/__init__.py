@@ -10,7 +10,6 @@ checks, k-fold splits).
 """
 from .agreement import (
     LAYERS,
-    AgreementConfig,
     AgreementReport,
     CorpusAgreement,
     MatchPolicy,
@@ -20,7 +19,6 @@ from .agreement import (
     corpus_agreement,
     entity_counts,
     macro_average,
-    micro_report,
     prf,
     relation_counts,
     score_trees,
@@ -30,7 +28,6 @@ from .agreement import (
 from .annio import (
     BundlePaths,
     discover,
-    load_annotation_set,
     load_corpus,
     load_document,
     parse_ann,
@@ -60,14 +57,12 @@ from .groups import (
 )
 from .model import (
     DOC_TYPES,
-    AnnotationSet,
     Chunk,
     DocAnnotations,
     Document,
     Entity,
     EntityGroup,
     Relation,
-    Section,
     Sentence,
     Token,
 )
@@ -117,8 +112,6 @@ from .validate import (
     validate_annotations,
     validate_chunks,
     validate_document,
-    validate_sections,
-    validate_set,
     validate_tokens,
     validate_trees,
 )

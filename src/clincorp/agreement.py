@@ -18,23 +18,12 @@ from dataclasses import dataclass
 
 from .errors import LengthMismatchError
 from .groups import expand_all, relation_match_key
-from .model import AnnotationSet, Chunk, DocAnnotations, Document, Sentence
+from .model import Chunk, DocAnnotations, Document, Sentence
 from .numfmt import round_half_up
 from .parseval import EvalParams, ParseTree, match_counts, score_corpus
 from .tagsets import normalize_syn_tag
 
 LAYERS = ("seg", "pos", "chunk", "tree", "entity", "relation")
-
-
-@dataclass(frozen=True, slots=True)
-class AgreementConfig:
-    """Weighting of precision against recall in the F measure."""
-
-    beta: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,11 +209,6 @@ def relation_counts(
 
 # ------------------------------------------------------------ aggregation ---
 
-def micro_report(per_doc: list[Counts], beta: float = 1.0) -> AgreementReport:
-    """Pool counts over documents, then compute one report."""
-    return prf(*add_counts(*per_doc), beta=beta) if per_doc else prf(0, 0, 0, beta=beta)
-
-
 def macro_average(reports: list[AgreementReport]) -> tuple[float, float, float]:
     """Unweighted mean of per-document precision, recall, and F.  Vacuous
     documents count as perfect agreement."""
@@ -262,26 +246,24 @@ class CorpusAgreement:
     def doc_reports(self, beta: float = 1.0) -> dict[str, AgreementReport]:
         return {d: prf(*c, beta=beta) for d, c in self.per_doc.items()}
 
-    def macro(self, beta: float = 1.0) -> tuple[float, float, float]:
-        return macro_average(list(self.doc_reports(beta).values()))
-
 
 def _empty_doc(doc_id: str) -> Document:
     return Document(doc_id=doc_id, text="")
 
 
 def corpus_agreement(
-    set_a: AnnotationSet,
-    set_b: AnnotationSet,
+    corpus_a: dict[str, Document],
+    corpus_b: dict[str, Document],
     layer: str,
     *,
     policy: MatchPolicy = MatchPolicy.SPAN_TYPE,
     mode: RelationMode = RelationMode.ONE_TO_ONE,
     params: EvalParams = EvalParams(),
 ) -> CorpusAgreement:
-    """Score one layer across two annotation sets, document by document.
+    """Score one layer across two corpora, document by document.
 
-    The document universe is the union of both sets' ids; a document missing
+    Each corpus maps document ids to Documents, as load_corpus returns.  The
+    document universe is the union of both corpora's ids; a document missing
     from one side counts as empty there.  Documents whose tree or chunk
     layers have incompatible shapes are excluded and reported, never silently
     dropped or silently kept.
@@ -289,9 +271,9 @@ def corpus_agreement(
     if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; expected one of {LAYERS}")
     result = CorpusAgreement(layer, {}, [], {})
-    for doc_id in sorted(set(set_a.documents) | set(set_b.documents)):
-        da = set_a.documents.get(doc_id) or _empty_doc(doc_id)
-        db = set_b.documents.get(doc_id) or _empty_doc(doc_id)
+    for doc_id in sorted(set(corpus_a) | set(corpus_b)):
+        da = corpus_a.get(doc_id) or _empty_doc(doc_id)
+        db = corpus_b.get(doc_id) or _empty_doc(doc_id)
         try:
             if layer == "seg":
                 counts = token_counts(da.sentences, db.sentences, labeled=False)

@@ -10,21 +10,24 @@ A document bundle is a set of sibling files sharing one stem:
                 (token indices), blank line terminating each sentence block
     <doc>.ann   standoff entity layer: T/A/G/R lines
 
-Lines starting with '#' are comments everywhere.  Serializers produce a
-canonical form: entity lines sorted by span, assertion ids renumbered in
-entity order, group and relation lines sorted by their resolved spans, so
-serialize(parse(serialize(x))) is byte-identical to serialize(x).
+Only a line feed ends a line, and one carriage return at the end of a line
+is dropped, so CRLF files read like LF files.  Lines starting with '#' are
+comments everywhere.  Serializers produce a canonical form: entity lines
+sorted by span, assertion ids renumbered in entity order, group and relation
+lines sorted by their resolved spans, so serialize(parse(serialize(x))) is
+byte-identical to serialize(x).
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, ResolutionError
+from .groups import endpoint_entities
 from .model import (
     DOC_TYPES,
-    AnnotationSet,
     Chunk,
     DocAnnotations,
     Document,
@@ -66,6 +69,20 @@ def read_text_file(path: str | Path) -> str:
         ) from None
 
 
+def numbered_lines(content: str) -> Iterator[tuple[int, str]]:
+    """The lines of a text file with their 1-based numbers.  Only a line feed
+    ends a line: str.splitlines() would also split at vertical tab, form
+    feed, U+001C-U+001E, U+0085, U+2028, U+2029 and a lone carriage return,
+    all of which may occur inside a surface.  One carriage return at the end
+    of each line is dropped, and a final line feed adds no empty line."""
+    lines = content.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "\r" in content:  # most files are LF-only and skip this pass
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return enumerate(lines, start=1)
+
+
 def _is_comment(line: str) -> bool:
     return line.lstrip().startswith("#")
 
@@ -92,7 +109,7 @@ def parse_tok(content: str, *, path: str | None = None) -> list[Sentence]:
         sentences.append(Sentence(start=sent_start, tokens=tokens))
         block.clear()
 
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in numbered_lines(content):
         if _is_comment(line):
             continue
         if not line.strip():
@@ -132,7 +149,7 @@ def serialize_tok(sentences: list[Sentence]) -> str:
     for sent in sentences:
         lines = []
         for tok in sent.tokens:
-            if "\t" in tok.surface or "\n" in tok.surface:
+            if any(c in tok.surface for c in "\t\n\r"):
                 raise InputError(
                     f"token surface {tok.surface!r} cannot be written to the "
                     "tab-separated token format"
@@ -150,7 +167,7 @@ def serialize_tok(sentences: list[Sentence]) -> str:
 
 def parse_ptb(content: str, *, path: str | None = None) -> list[ParseTree]:
     trees: list[ParseTree] = []
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in numbered_lines(content):
         if _is_comment(line) or not line.strip():
             continue
         trees.append(parse_tree(line, path=path, line=lineno))
@@ -170,7 +187,7 @@ def parse_chk(content: str, *, path: str | None = None) -> list[list[Chunk]]:
     blocks: list[list[Chunk]] = []
     block: list[Chunk] = []
     open_block = False
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in numbered_lines(content):
         if _is_comment(line):
             continue
         if not line.strip():
@@ -225,8 +242,7 @@ def parse_ann(
     ann = DocAnnotations(doc_id=doc_id, text=text)
     assertions: list[tuple[int, str, str, str]] = []  # (line, aid, label, target)
     ref_lines: dict[str, int] = {}  # group/relation id -> source line
-    for lineno, raw in enumerate(content.splitlines(), start=1):
-        line = raw.rstrip("\r")
+    for lineno, line in numbered_lines(content):
         if _is_comment(line) or not line.strip():
             continue
         kind = line[0]
@@ -331,25 +347,18 @@ def _entity_sort_key(e: Entity) -> tuple:
 
 def _resolved_span(ann: DocAnnotations, ref: str) -> tuple:
     """Span-based sort key for a T or G reference; dangling refs sort last."""
-    if ref in ann.entities:
-        e = ann.entities[ref]
-        return ((e.start, e.end),)
-    if ref in ann.groups:
-        spans = sorted(
-            (ann.entities[m].start, ann.entities[m].end)
-            for m in ann.groups[ref].members
-            if m in ann.entities
-        )
-        if spans:
-            return tuple(spans)
-    return ((1 << 62, 1 << 62),)
+    try:
+        spans = tuple(sorted(e.span for e in endpoint_entities(ann, ref)))
+    except ResolutionError:
+        spans = ()
+    return spans or ((1 << 62, 1 << 62),)
 
 
 def serialize_ann(ann: DocAnnotations) -> str:
     lines: list[str] = [HEADERS["ann"]]
     entities = sorted(ann.entities.values(), key=_entity_sort_key)
     for e in entities:
-        if "\n" in e.surface or "\t" in e.surface:
+        if any(c in e.surface for c in "\t\n\r"):
             raise InputError(
                 f"entity surface {e.surface!r} cannot be written to the "
                 "standoff format"
@@ -446,16 +455,9 @@ def load_document(paths: BundlePaths) -> Document:
             read_text_file(paths.ann), doc_id=paths.doc_id, text=text,
             path=str(paths.ann),
         )
-        doc.annotations.doc_type = paths.doc_type
     return doc
 
 
 def load_corpus(root: str | Path) -> dict[str, Document]:
     return {doc_id: load_document(bp) for doc_id, bp in discover(root).items()}
 
-
-def load_annotation_set(root: str | Path, group_id: str = "") -> AnnotationSet:
-    """Load a directory tree as one annotator group's annotation set."""
-    return AnnotationSet(
-        group_id=group_id or str(root), documents=load_corpus(root)
-    )

@@ -15,21 +15,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import annio, stats, workflow
 from .agreement import (
-    AgreementReport,
+    LAYERS,
     CorpusAgreement,
     MatchPolicy,
     RelationMode,
     corpus_agreement,
+    macro_average,
 )
 from .errors import ClincorpError, InputError, ParseError
 from .groups import expand_all
-from .model import DOC_TYPES
+from .model import DOC_TYPES, Document
 from .numfmt import fmt_metric, fmt_percent
 from .parseval import EvalParams
 from .segadvice import advise_chain, load_lexicon
@@ -68,46 +71,56 @@ def _pick(flag_value, config: dict, key: str, default):
 
 # -------------------------------------------------------------- rendering ---
 
-def _report_json(report: AgreementReport) -> str:
-    """Fixed-format JSON so identical inputs yield identical bytes."""
-    return (
-        "{\n"
-        f'  "agreed": {report.agreed},\n'
-        f'  "count_a": {report.count_a},\n'
-        f'  "count_b": {report.count_b},\n'
-        f'  "precision": {fmt_metric(report.precision)},\n'
-        f'  "recall": {fmt_metric(report.recall)},\n'
-        f'  "f": {fmt_metric(report.f)},\n'
-        f'  "vacuous": {"true" if report.vacuous else "false"}\n'
-        "}\n"
-    )
+def _text(value, fmt_float=fmt_percent, *, quote: bool = False) -> str:
+    """Fixed-format text of one report value: floats at fixed decimals,
+    booleans as JSON, strings JSON-quoted only when `quote` is set."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt_float(value)
+    if isinstance(value, str) and quote:
+        return json.dumps(value, ensure_ascii=False)
+    return str(value)
+
+
+def _json_object(
+    members: dict, fmt_float=fmt_percent, *, one_line: bool = False
+) -> str:
+    """Fixed-format JSON so identical inputs yield identical bytes: one member
+    per line and a final newline, or everything on one line."""
+    items = [f'"{k}": {_text(v, fmt_float, quote=True)}' for k, v in members.items()]
+    if one_line:
+        return "{" + ", ".join(items) + "}"
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 def _detail_table(corpus: CorpusAgreement, beta: float) -> str:
+    reports = corpus.doc_reports(beta)
     lines = ["doc_id\tagreed\tcount_a\tcount_b\tprecision\trecall\tf"]
-    for doc_id in sorted(corpus.per_doc):
-        r = corpus.doc_reports(beta)[doc_id]
+    for doc_id in sorted(reports):
+        r = reports[doc_id]
         lines.append(
             f"{doc_id}\t{r.agreed}\t{r.count_a}\t{r.count_b}\t"
             f"{fmt_metric(r.precision)}\t{fmt_metric(r.recall)}\t{fmt_metric(r.f)}"
         )
-    p, r, f = corpus.macro(beta)
+    p, r, f = macro_average(list(reports.values()))
     lines.append(
         f"macro\t-\t-\t-\t{fmt_metric(p)}\t{fmt_metric(r)}\t{fmt_metric(f)}"
     )
     return "\n".join(lines) + "\n"
 
 
-def _json_str(value: str) -> str:
-    return json.dumps(value, ensure_ascii=False)
-
-
 # ------------------------------------------------------------- subcommand ---
 
-def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
-    corpus = annio.load_corpus(args.directory)
+def _load_corpus(directory: str) -> dict[str, Document]:
+    corpus = annio.load_corpus(directory)
     if not corpus:
-        raise InputError(f"no document bundles under {args.directory}")
+        raise InputError(f"no document bundles under {directory}")
+    return corpus
+
+
+def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
+    corpus = _load_corpus(args.directory)
     lines = []
     for doc_id in sorted(corpus):
         lines.extend(d.render() for d in validate_document(corpus[doc_id]))
@@ -121,7 +134,16 @@ def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
 def _agreement_args(args: argparse.Namespace, config: dict):
     policy = _POLICIES[_pick(args.policy, config, "policy", "span_type")]
     mode = _MODES[_pick(args.mode, config, "mode", "one2one")]
-    beta = float(_pick(args.beta, config, "beta", 1.0))
+    raw_beta = _pick(args.beta, config, "beta", 1.0)
+    try:
+        beta = float(raw_beta)
+    except (TypeError, ValueError):
+        beta = math.nan
+    if not (math.isfinite(beta) and beta > 0):
+        where = "--beta" if args.beta is not None else "config key 'beta'"
+        raise InputError(
+            f"{where} must be a finite number greater than 0, got {raw_beta!r}"
+        )
     params = EvalParams(
         labeled=_pick(
             False if args.unlabeled else None, config, "labeled", True
@@ -136,14 +158,15 @@ def _agreement_args(args: argparse.Namespace, config: dict):
     return policy, mode, beta, params
 
 
-def _run_agreement(args: argparse.Namespace, config: dict, names: tuple[str, str]) -> int:
+def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
+    # For score, gold (dir_a) plays the reference (recall) role and the
+    # predictions (dir_b) the response role.
     policy, mode, beta, params = _agreement_args(args, config)
-    set_a = annio.load_annotation_set(args.dir_a, group_id=names[0])
-    set_b = annio.load_annotation_set(args.dir_b, group_id=names[1])
     corpus = corpus_agreement(
-        set_a, set_b, args.layer, policy=policy, mode=mode, params=params
+        _load_corpus(args.dir_a), _load_corpus(args.dir_b), args.layer,
+        policy=policy, mode=mode, params=params,
     )
-    out = _report_json(corpus.report(beta))
+    out = _json_object(corpus.report(beta).to_dict(rounded=False), fmt_metric)
     if args.details:
         sys.stderr.write(_detail_table(corpus, beta))
     for doc_id in corpus.excluded_docs:
@@ -153,15 +176,6 @@ def _run_agreement(args: argparse.Namespace, config: dict, names: tuple[str, str
         print(f"excluded sentences in {doc_id}: {idx}", file=sys.stderr)
     sys.stdout.write(out)
     return 1 if corpus.has_exclusions else 0
-
-
-def _cmd_iaa(args: argparse.Namespace, config: dict) -> int:
-    return _run_agreement(args, config, ("AG1", "AG2"))
-
-
-def _cmd_score(args: argparse.Namespace, config: dict) -> int:
-    # Gold plays the reference (recall) role, predictions the response role.
-    return _run_agreement(args, config, ("gold", "pred"))
 
 
 def _cmd_expand(args: argparse.Namespace, config: dict) -> int:
@@ -196,59 +210,35 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
         raise InputError(
             f"unknown doc type {args.doc_type!r}; expected one of {DOC_TYPES}"
         )
-    corpus = annio.load_corpus(args.directory)
-    if not corpus:
-        raise InputError(f"no document bundles under {args.directory}")
+    corpus = _load_corpus(args.directory)
     docs = [corpus[k] for k in sorted(corpus)]
     fmt = _pick(args.format, config, "format", "tsv")
 
     if args.report == "length":
         tokens, sentences = stats.token_and_sentence_counts(docs, args.doc_type)
-        avg = stats.avg_sentence_length(docs, args.doc_type)
+        values = {
+            "tokens": tokens,
+            "sentences": sentences,
+            "avg_tokens_per_sentence": stats.avg_sentence_length(docs, args.doc_type),
+        }
         if fmt == "tsv":
-            out = (
-                f"tokens\t{tokens}\n"
-                f"sentences\t{sentences}\n"
-                f"avg_tokens_per_sentence\t{fmt_percent(avg)}\n"
-            )
+            out = "".join(f"{k}\t{_text(v)}\n" for k, v in values.items())
         else:
-            out = (
-                "{\n"
-                f'  "tokens": {tokens},\n'
-                f'  "sentences": {sentences},\n'
-                f'  "avg_tokens_per_sentence": {fmt_percent(avg)}\n'
-                "}\n"
-            )
+            out = _json_object(values)
         sys.stdout.write(out)
         return 0
 
-    rows = _stats_rows(args, docs)
-    if args.report in ("pos", "syn"):
-        header = "label\tcount\tpct"
-        tsv = [
-            f"{r.label}\t{r.count}\t{fmt_percent(r.pct)}" for r in rows
-        ]
-        json_rows = [
-            f'  {{"label": {_json_str(r.label)}, "count": {r.count}, '
-            f'"pct": {fmt_percent(r.pct)}}}'
-            for r in rows
-        ]
-    else:
-        header = "label\tcount\tpct_within\tpct_all"
-        tsv = [
-            f"{r.label}\t{r.count}\t{fmt_percent(r.pct_within)}\t{fmt_percent(r.pct_all)}"
-            for r in rows
-        ]
-        json_rows = [
-            f'  {{"label": {_json_str(r.label)}, "count": {r.count}, '
-            f'"pct_within": {fmt_percent(r.pct_within)}, '
-            f'"pct_all": {fmt_percent(r.pct_all)}}}'
-            for r in rows
-        ]
+    row_type = stats.DistributionRow if args.report in ("pos", "syn") else stats.CrossRow
+    names = [f.name for f in fields(row_type)]
+    rows = [{n: getattr(r, n) for n in names} for r in _stats_rows(args, docs)]
     if fmt == "tsv":
-        out = "".join(line + "\n" for line in [header, *tsv])
+        lines = ["\t".join(names)] + ["\t".join(map(_text, r.values())) for r in rows]
+        out = "".join(line + "\n" for line in lines)
+    elif rows:
+        objects = ("  " + _json_object(r, one_line=True) for r in rows)
+        out = "[\n" + ",\n".join(objects) + "\n]\n"
     else:
-        out = "[\n" + ",\n".join(json_rows) + "\n]\n" if json_rows else "[]\n"
+        out = "[]\n"
     sys.stdout.write(out)
     return 0
 
@@ -358,7 +348,7 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
 def _add_agreement_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--layer", required=True,
-        choices=("seg", "pos", "chunk", "tree", "entity", "relation"),
+        choices=LAYERS,
     )
     sub.add_argument("--policy", choices=sorted(_POLICIES), default=None,
                      help="entity match policy")
@@ -393,13 +383,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_agreement_flags(p)
     p.add_argument("dir_a")
     p.add_argument("dir_b")
-    p.set_defaults(func=_cmd_iaa)
+    p.set_defaults(func=_cmd_agreement)
 
     p = subs.add_parser("score", help="score predictions against gold (same math as iaa)")
     _add_agreement_flags(p)
     p.add_argument("dir_a", metavar="gold_dir")
     p.add_argument("dir_b", metavar="pred_dir")
-    p.set_defaults(func=_cmd_score)
+    p.set_defaults(func=_cmd_agreement)
 
     p = subs.add_parser("expand", help="expand grouped relations to entity pairs")
     p.add_argument("ann_file")

@@ -42,20 +42,6 @@ class Sentence:
     def abs_span(self, token: Token) -> tuple[int, int]:
         return (self.start + token.start, self.start + token.end)
 
-    def abs_token_spans(self) -> list[tuple[int, int]]:
-        return [self.abs_span(t) for t in self.tokens]
-
-
-@dataclass(frozen=True, slots=True)
-class Section:
-    """A named document region.  The name vocabulary is configuration, not a
-    closed set; sentence spans are absolute offsets within the document."""
-
-    name: str
-    start: int
-    end: int
-    sentence_spans: tuple[tuple[int, int], ...] = ()
-
 
 @dataclass(frozen=True, slots=True)
 class Chunk:
@@ -116,7 +102,6 @@ class DocAnnotations:
     entities: dict[str, Entity] = field(default_factory=dict)
     groups: dict[str, EntityGroup] = field(default_factory=dict)
     relations: dict[str, Relation] = field(default_factory=dict)
-    doc_type: str | None = None
 
     def resolve(self, ref: str) -> Entity | EntityGroup | None:
         """Look up an entity or group by id; None if absent."""
@@ -138,23 +123,7 @@ class Document:
     chunks: list[list[Chunk]] = field(default_factory=list)
     trees: list["object"] = field(default_factory=list)
     annotations: DocAnnotations | None = None
-    sections: list[Section] = field(default_factory=list)
     doc_type: str | None = None
 
     def sentence_spans(self) -> list[tuple[int, int]]:
         return [(s.start, s.end) for s in self.sentences]
-
-    def sentence_index_of(self, start: int, end: int) -> int | None:
-        """Index of the sentence containing [start, end), or None."""
-        for i, s in enumerate(self.sentences):
-            if s.start <= start and end <= s.end:
-                return i
-        return None
-
-
-@dataclass(slots=True)
-class AnnotationSet:
-    """One annotator group's layered annotations over a document collection."""
-
-    group_id: str
-    documents: dict[str, Document] = field(default_factory=dict)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .annio import numbered_lines
 from .errors import LexiconError, ParseError
 
 MAX_EXPANSION_DEPTH = 3
@@ -135,7 +136,7 @@ def load_lexicon(content: str, *, path: str | None = None) -> dict[str, TermEntr
     Duplicate surfaces and invariant violations are errors.
     """
     lexicon: dict[str, TermEntry] = {}
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in numbered_lines(content):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

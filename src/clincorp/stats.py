@@ -174,10 +174,7 @@ def avg_sentence_length(
     docs: Iterable[Document], doc_type: str | None = None
 ) -> float:
     """Mean tokens per sentence, to two decimals."""
-    tokens = sentences = 0
-    for doc in _filtered(docs, doc_type):
-        sentences += len(doc.sentences)
-        tokens += sum(len(s.tokens) for s in doc.sentences)
+    tokens, sentences = token_and_sentence_counts(docs, doc_type)
     if sentences == 0:
         raise InputError("corpus has no sentences")
     return round_half_up(tokens / sentences, 2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .model import AnnotationSet, DocAnnotations, Document, Entity
+from .model import DocAnnotations, Document, Entity
 from .tagsets import (
     POS_TAG_SET,
     VALID_ASSERTIONS,
@@ -34,42 +34,6 @@ class Diagnostic:
         where = f" [{self.location}]" if self.location else ""
         doc = f"{self.doc_id}: " if self.doc_id else ""
         return f"{doc}{self.layer}: {self.rule}{where}: {self.message}"
-
-
-def validate_sections(doc: Document) -> list[Diagnostic]:
-    """Sections must be ordered and disjoint; their sentence spans must stay
-    inside the section and must not overlap."""
-    out: list[Diagnostic] = []
-    prev_end = 0
-    for i, sec in enumerate(doc.sections):
-        loc = f"section {i} ({sec.name})"
-        if sec.end < sec.start or sec.end > len(doc.text) or sec.start < 0:
-            out.append(Diagnostic(
-                "span-out-of-range",
-                f"section span [{sec.start}, {sec.end}) is invalid for text "
-                f"of length {len(doc.text)}", "section", doc.doc_id, loc,
-            ))
-        if sec.start < prev_end:
-            out.append(Diagnostic(
-                "section-overlap", "section overlaps the previous section",
-                "section", doc.doc_id, loc,
-            ))
-        prev_end = max(prev_end, sec.end)
-        last = sec.start
-        for s0, s1 in sec.sentence_spans:
-            if s0 < sec.start or s1 > sec.end:
-                out.append(Diagnostic(
-                    "span-out-of-range",
-                    f"sentence [{s0}, {s1}) leaves the section", "section",
-                    doc.doc_id, loc,
-                ))
-            if s0 < last:
-                out.append(Diagnostic(
-                    "sentence-order", f"sentence [{s0}, {s1}) overlaps or "
-                    "precedes the previous one", "section", doc.doc_id, loc,
-                ))
-            last = max(last, s1)
-    return out
 
 
 def validate_tokens(doc: Document) -> list[Diagnostic]:
@@ -348,8 +312,7 @@ def validate_document(doc: Document) -> list[Diagnostic]:
     Raises InputError when attached annotations carry a different document
     id; that is a wiring mistake, not an annotation finding.
     """
-    out = validate_sections(doc)
-    out.extend(validate_tokens(doc))
+    out = validate_tokens(doc)
     out.extend(validate_chunks(doc))
     out.extend(validate_trees(doc))
     if doc.annotations is not None:
@@ -359,15 +322,6 @@ def validate_document(doc: Document) -> list[Diagnostic]:
                 f"be validated against document {doc.doc_id!r}"
             )
         spans = doc.sentence_spans() if doc.sentences else None
-        if spans is None and doc.sections:
-            spans = [s for sec in doc.sections for s in sec.sentence_spans] or None
         out.extend(validate_annotations(doc.annotations, spans))
     return out
 
-
-def validate_set(annset: AnnotationSet) -> list[Diagnostic]:
-    """Validate every document of an annotation set, in document-id order."""
-    out: list[Diagnostic] = []
-    for doc_id in sorted(annset.documents):
-        out.extend(validate_document(annset.documents[doc_id]))
-    return out

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import InputError, ParseError
-from .model import AnnotationSet, DocAnnotations, Entity
+from .model import DocAnnotations, Document, Entity
 
 GROUP_A = "AG1"
 GROUP_B = "AG2"
@@ -274,7 +274,7 @@ def _diff_keyed(
 
 
 def diff_report(
-    set_a: AnnotationSet, set_b: AnnotationSet, layer: str
+    corpus_a: dict[str, Document], corpus_b: dict[str, Document], layer: str
 ) -> list[Disagreement]:
     """Itemized disagreements for adjudication.
 
@@ -285,9 +285,9 @@ def diff_report(
     """
     if layer not in ("entity", "group", "relation"):
         raise InputError(f"diff supports entity/group/relation, not {layer!r}")
-    if set(set_a.documents) != set(set_b.documents):
-        only_a = sorted(set(set_a.documents) - set(set_b.documents))
-        only_b = sorted(set(set_b.documents) - set(set_a.documents))
+    if set(corpus_a) != set(corpus_b):
+        only_a = sorted(set(corpus_a) - set(corpus_b))
+        only_b = sorted(set(corpus_b) - set(corpus_a))
         raise InputError(
             "annotation sets cover different documents "
             f"(only in a: {only_a}; only in b: {only_b})"
@@ -295,9 +295,9 @@ def diff_report(
     from .groups import endpoint_key
 
     out: list[Disagreement] = []
-    for doc_id in sorted(set_a.documents):
-        ann_a = set_a.documents[doc_id].annotations or DocAnnotations(doc_id, "")
-        ann_b = set_b.documents[doc_id].annotations or DocAnnotations(doc_id, "")
+    for doc_id in sorted(corpus_a):
+        ann_a = corpus_a[doc_id].annotations or DocAnnotations(doc_id, "")
+        ann_b = corpus_b[doc_id].annotations or DocAnnotations(doc_id, "")
         if layer == "entity":
             out.extend(_diff_entities(ann_a, ann_b, doc_id))
             continue

@@ -33,10 +33,9 @@ from clincorp.annio import (
     serialize_ptb,
     serialize_tok,
 )
-from clincorp.errors import ParseError
+from clincorp.errors import InputError, ParseError
 from clincorp.groups import expand_relation
 from clincorp.model import (
-    AnnotationSet,
     DocAnnotations,
     Document,
     Entity,
@@ -349,8 +348,8 @@ def document_pair(rng: random.Random, doc_id: str = "d") -> tuple[Document, Docu
     return doc_a, doc_b
 
 
-def as_set(name: str, doc: Document) -> AnnotationSet:
-    return AnnotationSet(group_id=name, documents={doc.doc_id: doc})
+def as_set(doc: Document) -> dict[str, Document]:
+    return {doc.doc_id: doc}
 
 
 _POLICIES = (MatchPolicy.SPAN, MatchPolicy.SPAN_TYPE, MatchPolicy.SPAN_TYPE_ASSERTION)
@@ -377,7 +376,7 @@ def test_c01_agreement_equations_match_brute_force_oracle():
         }
         for layer, (items_a, items_b) in oracle_items.items():
             corpus = corpus_agreement(
-                as_set("a", doc_a), as_set("b", doc_b), layer,
+                as_set(doc_a), as_set(doc_b), layer,
                 policy=policy, mode=mode,
             )
             assert not corpus.has_exclusions
@@ -403,11 +402,11 @@ def test_c02_swapping_annotators_swaps_precision_and_recall():
         mode = _MODES[i % 2]
         for layer in LAYERS:
             forward = corpus_agreement(
-                as_set("a", doc_a), as_set("b", doc_b), layer,
+                as_set(doc_a), as_set(doc_b), layer,
                 policy=policy, mode=mode,
             ).report()
             reverse = corpus_agreement(
-                as_set("b", doc_b), as_set("a", doc_a), layer,
+                as_set(doc_b), as_set(doc_a), layer,
                 policy=policy, mode=mode,
             ).report()
             assert forward.precision == reverse.recall
@@ -697,6 +696,26 @@ def test_c09_round_trip_identity_and_fuzz_never_crashes(tmp_path):
         ann = serialize_ann(doc.annotations)
         assert parse_ann(ann, doc_id=doc.doc_id, text=doc.text) == doc.annotations
         assert serialize_ann(parse_ann(ann)) == ann
+
+    # Surfaces holding characters that str.splitlines() treats as line breaks.
+    for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029":
+        surface = f"发{ch}热"
+        sents = [Sentence(0, (Token(0, 3, surface, "NN"), Token(3, 4, ch, "PU")))]
+        tok = serialize_tok(sents)
+        assert parse_tok(tok) == sents
+        assert serialize_tok(parse_tok(tok)) == tok
+        entities = {"T1": Entity("T1", EntityType.TEST, 0, 3, surface)}
+        doc_ann = DocAnnotations("d", surface + ch, entities=entities)
+        ann = serialize_ann(doc_ann)
+        assert parse_ann(ann, doc_id="d", text=surface + ch) == doc_ann
+        assert serialize_ann(parse_ann(ann)) == ann
+    # A carriage return is a line ending, so no surface may hold one.
+    for bad in ("发\r", "发\r热"):
+        with pytest.raises(InputError):
+            serialize_tok([Sentence(0, (Token(0, len(bad), bad, "NN"),))])
+        with pytest.raises(InputError):
+            serialize_ann(DocAnnotations("d", bad, entities={
+                "T1": Entity("T1", EntityType.TEST, 0, len(bad), bad)}))
 
     # The same identity through actual files.
     disk_rng = random.Random(9010)

@@ -5,14 +5,13 @@ import random
 import pytest
 
 from clincorp.agreement import (
-    AgreementConfig,
     MatchPolicy,
     RelationMode,
+    add_counts,
     chunk_counts,
     corpus_agreement,
     entity_counts,
     macro_average,
-    micro_report,
     prf,
     relation_counts,
     score_trees,
@@ -21,7 +20,6 @@ from clincorp.agreement import (
 )
 from clincorp.errors import LengthMismatchError
 from clincorp.model import (
-    AnnotationSet,
     Chunk,
     DocAnnotations,
     Document,
@@ -60,8 +58,6 @@ def test_prf_validates_counts():
         prf(5, 4, 4)
     with pytest.raises(ValueError):
         prf(-1, 0, 0)
-    with pytest.raises(ValueError):
-        AgreementConfig(beta=0.0)
 
 
 def test_prf_beta_weighting():
@@ -204,7 +200,7 @@ def test_singleton_group_equals_bare_entity():
 
 def test_micro_and_macro_aggregation():
     per_doc = [(1, 2, 2), (0, 0, 0), (3, 3, 4)]
-    micro = micro_report(per_doc)
+    micro = prf(*add_counts(*per_doc))
     assert (micro.agreed, micro.count_a, micro.count_b) == (4, 5, 6)
     reports = [prf(*c) for c in per_doc]
     p, r, f = macro_average(reports)
@@ -218,8 +214,8 @@ def test_swap_symmetry_random_documents():
     for i in range(20):
         da = random_document(rng, "d")
         db = random_document(rng, "d")
-        set_a = AnnotationSet("A", {"d": da})
-        set_b = AnnotationSet("B", {"d": db})
+        set_a = {"d": da}
+        set_b = {"d": db}
         for layer in ("seg", "pos", "entity", "relation"):
             ab = corpus_agreement(set_a, set_b, layer).report()
             ba = corpus_agreement(set_b, set_a, layer).report()
@@ -231,8 +227,8 @@ def test_swap_symmetry_random_documents():
 def test_corpus_agreement_union_of_documents():
     da = random_document(random.Random(5), "only_a")
     db = random_document(random.Random(6), "only_b")
-    set_a = AnnotationSet("A", {"only_a": da})
-    set_b = AnnotationSet("B", {"only_b": db})
+    set_a = {"only_a": da}
+    set_b = {"only_b": db}
     corpus = corpus_agreement(set_a, set_b, "seg")
     assert sorted(corpus.per_doc) == ["only_a", "only_b"]
     report = corpus.report()
@@ -244,7 +240,7 @@ def test_corpus_agreement_tree_exclusions_reported():
     doc_a = Document("d", "ab", trees=[parse_tree("(IP (NN a) (NN b))")])
     doc_b = Document("d", "ab", trees=[parse_tree("(IP (NN a))")])
     corpus = corpus_agreement(
-        AnnotationSet("A", {"d": doc_a}), AnnotationSet("B", {"d": doc_b}), "tree"
+        {"d": doc_a}, {"d": doc_b}, "tree"
     )
     assert corpus.excluded_sentences == {"d": [0]}
     assert corpus.has_exclusions
@@ -255,7 +251,7 @@ def test_corpus_agreement_chunk_shape_mismatch_excludes_doc():
     doc_a = Document("d", "ab", chunks=[[Chunk(0, 1, "NP")]])
     doc_b = Document("d", "ab", chunks=[[Chunk(0, 1, "NP")], []])
     corpus = corpus_agreement(
-        AnnotationSet("A", {"d": doc_a}), AnnotationSet("B", {"d": doc_b}), "chunk"
+        {"d": doc_a}, {"d": doc_b}, "chunk"
     )
     assert corpus.excluded_docs == ["d"]
     assert corpus.has_exclusions
@@ -264,8 +260,8 @@ def test_corpus_agreement_chunk_shape_mismatch_excludes_doc():
 def test_identical_sets_agree_perfectly():
     rng = random.Random(31)
     docs = {f"d{i}": random_document(rng, f"d{i}") for i in range(5)}
-    set_a = AnnotationSet("A", docs)
-    set_b = AnnotationSet("B", dict(docs))
+    set_a = docs
+    set_b = dict(docs)
     for layer in ("seg", "pos", "chunk", "tree", "entity", "relation"):
         report = corpus_agreement(
             set_a, set_b, layer,

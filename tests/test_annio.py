@@ -226,3 +226,16 @@ def test_comments_ignored_everywhere():
     assert parse_chk("# c\n0\t1\tNP\n") == [[Chunk(0, 1, "NP")]]
     assert parse_ann("# c\n" + ANN).entities.keys() == {"T1", "T2", "T3"}
     assert len(parse_ptb("# c\n(IP (NN a))\n")) == 1
+
+
+def test_crlf_reads_like_lf():
+    doc = random_document(random.Random(17), "d")
+    for parse, content in (
+        (parse_tok, serialize_tok(doc.sentences)),
+        (parse_ptb, serialize_ptb(doc.trees)),
+        (parse_chk, serialize_chk(doc.chunks)),
+        (parse_ann, serialize_ann(doc.annotations)),
+    ):
+        assert parse(content.replace("\n", "\r\n")) == parse(content)
+    # A blank CRLF line still ends a chunk block; no empty line after the end.
+    assert parse_chk("0\t1\tNP\r\n\r\n\r\n") == [[Chunk(0, 1, "NP")], []]

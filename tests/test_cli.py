@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: outputs, exit codes, configuration."""
+import hashlib
 import json
 import random
 
@@ -115,6 +116,37 @@ def test_iaa_exclusions_exit_1(tmp_path, capsys):
     assert code == 1
     assert "excluded" in captured.err
     assert json.loads(captured.out)["vacuous"] is True
+
+
+def test_iaa_rejects_bad_beta(tmp_path, capsys):
+    root = make_corpus(tmp_path, "a", seed=14, n_docs=1)
+    for beta in ("0", "-2", "nan", "inf"):
+        for cmd in ("iaa", "score"):
+            argv = [cmd, "--layer", "seg", "--beta", beta, str(root), str(root)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: --beta must be")
+            assert "Traceback" not in captured.err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": "x"}), encoding="utf-8")
+    argv = ["--config", str(cfg), "iaa", "--layer", "seg", str(root), str(root)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config key 'beta' must be")
+
+
+def test_iaa_rejects_directory_without_bundles(tmp_path, capsys):
+    root = make_corpus(tmp_path, "a", seed=15, n_docs=1)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for cmd in ("iaa", "score"):
+        for a, b in ((empty, root), (root, empty), (empty, empty)):
+            assert main([cmd, "--layer", "entity", str(a), str(b)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: no document bundles under {empty}\n"
 
 
 def test_score_roles_gold_recall(tmp_path, capsys):
@@ -305,3 +337,61 @@ def test_config_rejects_malformed(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]", encoding="utf-8")
     assert main(["--config", str(cfg), "kfold", "--k", "2", "--seed", "1", "x"]) == 2
+
+
+def _pinned_pair(tmp_path):
+    """Corpus A: four documents under both doc-type directories.  Corpus B:
+    A's first two documents unchanged, a different doc2, no doc3."""
+    rng = random.Random(12)
+    docs = [random_document(rng, f"doc{i}") for i in range(4)]
+    subdirs = ["discharge_summary", "progress_note"] * 2
+    for doc, sub in zip(docs, subdirs):
+        write_bundle(tmp_path / "a", doc, subdir=sub)
+    for doc, sub in zip(docs[:2], subdirs):
+        write_bundle(tmp_path / "b", doc, subdir=sub)
+    other = random_document(random.Random(13), "doc2")
+    write_bundle(tmp_path / "b", other, subdir=subdirs[2])
+    return tmp_path / "a", tmp_path / "b"
+
+
+# sha256 of (stdout, stderr) for each rendered report on _pinned_pair.
+_PINNED_OUTPUT = {
+    ("stats", "pos", "tsv"):
+        "f1e052c3de4f769264ea0f42ccfd4c89f16098b6bc54fbc1ba56e9ad81bc61e4",
+    ("stats", "pos", "json"):
+        "01d711530fd2b4fb6fcbd92410410e68d31353487acba2fb51cac370322f768a",
+    ("stats", "syn", "tsv"):
+        "8692e3c47943d316ed4f29321855e2249596778c1316c08490900f6e57d46871",
+    ("stats", "syn", "json"):
+        "f4c5098e79028fedbb594746b9b07fd966874fdd14c6887aa3fe213aea8f79fb",
+    ("stats", "entity", "tsv"):
+        "334dcbaa643b6aa84906b1e61df5f617e64e28b691d327b851b7f2d8d0d144a4",
+    ("stats", "entity", "json"):
+        "6367e00e2499575cae05876eed963274140de6676660f050fafa9c036b5e8964",
+    ("stats", "relation", "tsv"):
+        "f99eda78a52c2eb06155403f2477461fc46d39fbdd02b8d07ff9dec1dcd67be8",
+    ("stats", "relation", "json"):
+        "689cfda2e2451ef799544a3efee7d0c7ebeb0d8870503100a176e4ebb40dcc39",
+    ("stats", "length", "tsv"):
+        "971f2a414cbb370028faa690cf54e16bac60e27c2acf73787e9dc51b62b0203a",
+    ("stats", "length", "json"):
+        "d03f9ea325a6f57d94a9d9824e63d69929a9e42229e65338311d1219faabed93",
+    ("iaa", "entity", "--details"):
+        "09ff2fb82fb602a82e1dba9bd23daad5e433a3431ecba81924cf54c3f8cce12d",
+    ("iaa", "relation", "--beta=2"):
+        "dec0a36051523dd042e66c552dc19d3c657ed84a3b9e81e9d55ccc64857694ea",
+}
+
+
+def test_rendered_reports_are_pinned(tmp_path, capsys):
+    a, b = _pinned_pair(tmp_path)
+    for key, digest in _PINNED_OUTPUT.items():
+        cmd, arg, opt = key
+        if cmd == "stats":
+            argv = ["stats", "--report", arg, "--format", opt, str(a)]
+        else:
+            argv = ["iaa", "--layer", arg, opt, str(a), str(b)]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        got = hashlib.sha256(f"{out}\0{err}".encode("utf-8")).hexdigest()
+        assert got == digest, f"{key} changed:\n{out}{err}"

@@ -11,7 +11,6 @@ from clincorp.model import (
     Entity,
     EntityGroup,
     Relation,
-    Section,
     Sentence,
     Token,
 )
@@ -21,7 +20,6 @@ from clincorp.validate import (
     validate_annotations,
     validate_chunks,
     validate_document,
-    validate_sections,
     validate_tokens,
     validate_trees,
 )
@@ -49,9 +47,6 @@ def test_sentence_absolute_spans():
     s2 = doc.sentences[1]
     assert s2.end == 10
     assert s2.abs_span(s2.tokens[1]) == (7, 10)
-    assert doc.sentence_index_of(5, 7) == 1
-    assert doc.sentence_index_of(0, 4) == 0
-    assert doc.sentence_index_of(3, 7) is None
 
 
 def test_entity_key_and_resolve():
@@ -134,19 +129,6 @@ def test_tree_validation():
         parse_tree("(IP (VV 复查) (NN 血液))"),
     ]
     assert "tree-token-mismatch" in rules(validate_trees(doc))
-
-
-def test_section_validation():
-    doc = make_doc()
-    doc.sections = [
-        Section("history", 0, 4, ((0, 4),)),
-        Section("plan", 5, 10, ((5, 10),)),
-    ]
-    assert validate_sections(doc) == []
-    doc.sections = [Section("a", 0, 6), Section("b", 4, 10)]
-    assert "section-overlap" in rules(validate_sections(doc))
-    doc.sections = [Section("a", 0, 99)]
-    assert "span-out-of-range" in rules(validate_sections(doc))
 
 
 def entity(eid, etype, start, end, surface, assertion=None):

@@ -7,7 +7,6 @@ import pytest
 
 from clincorp.errors import InputError, ParseError
 from clincorp.model import (
-    AnnotationSet,
     DocAnnotations,
     Document,
     Entity,
@@ -200,9 +199,9 @@ def diff_fixture():
         "R5", RelationType.SYMPTOM_INDICATES_DISEASE, "T1", "T9"
     )
 
-    set_a = AnnotationSet("AG1", {"d": Document("d", text, annotations=ann_a)})
-    set_b = AnnotationSet("AG2", {"d": Document("d", text, annotations=ann_b)})
-    return set_a, set_b
+    corpus_a = {"d": Document("d", text, annotations=ann_a)}
+    corpus_b = {"d": Document("d", text, annotations=ann_b)}
+    return corpus_a, corpus_b
 
 
 def test_diff_report_entities():
@@ -239,7 +238,7 @@ def test_diff_report_relations_group_preserved():
 
 def test_diff_report_requires_same_documents():
     set_a, set_b = diff_fixture()
-    set_b.documents["extra"] = Document("extra", "")
+    set_b["extra"] = Document("extra", "")
     with pytest.raises(InputError, match="different documents"):
         diff_report(set_a, set_b, "entity")
     with pytest.raises(InputError):
