@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Collection, Iterator
 
 from .errors import InputError, ParseError, ResolutionError
 from .groups import endpoint_entities
@@ -45,7 +45,8 @@ from .tagsets import (
     parse_relation_type,
 )
 
-LAYER_SUFFIXES = (".txt", ".tok", ".ptb", ".chk", ".ann")
+# The optional layer files; the .txt file roots every bundle and is always read.
+LAYER_FILES = ("tok", "ptb", "chk", "ann")
 
 # First line of every serialized layer file; parsers skip all '#' lines, so
 # an empty layer serializes to the header alone.
@@ -412,52 +413,63 @@ def discover(root: str | Path) -> dict[str, BundlePaths]:
     for txt in sorted(root.rglob("*.txt")):
         doc_id = str(txt.relative_to(root).with_suffix("")).replace("\\", "/")
         bp = BundlePaths(doc_id=doc_id, txt=txt)
-        for suffix, attr in ((".tok", "tok"), (".ptb", "ptb"), (".chk", "chk"), (".ann", "ann")):
-            sib = txt.with_suffix(suffix)
+        for layer in LAYER_FILES:
+            sib = txt.with_suffix("." + layer)
             if sib.exists():
-                setattr(bp, attr, sib)
+                setattr(bp, layer, sib)
         if txt.parent.name in DOC_TYPES:
             bp.doc_type = txt.parent.name
         bundles[doc_id] = bp
     return bundles
 
 
-def load_document(paths: BundlePaths) -> Document:
-    """Read every present layer of a bundle into a Document.
+def load_document(
+    paths: BundlePaths, layers: Collection[str] = LAYER_FILES
+) -> Document:
+    """Read a bundle's .txt file and those of `layers` that are present into a
+    Document.  A layer left out stays empty: no sentences, trees or chunks,
+    no annotations.
 
-    Tree and token layers must agree sentence-for-sentence on leaf counts;
-    a mismatch means the files describe different segmentations and is a
-    format error, not a validation finding.
+    When both are loaded, tree and token layers must agree sentence-for-
+    sentence on leaf counts; a mismatch means the files describe different
+    segmentations and is a format error, not a validation finding.
     """
+    unknown = set(layers) - set(LAYER_FILES)
+    if unknown:
+        raise ValueError(f"unknown layers {sorted(unknown)}; expected some of {LAYER_FILES}")
+    tok, ptb, chk, ann = (
+        getattr(paths, layer) if layer in layers else None for layer in LAYER_FILES
+    )
     text = read_text_file(paths.txt)
     doc = Document(doc_id=paths.doc_id, text=text, doc_type=paths.doc_type)
-    if paths.tok is not None:
-        doc.sentences = parse_tok(read_text_file(paths.tok), path=str(paths.tok))
-    if paths.ptb is not None:
-        doc.trees = parse_ptb(read_text_file(paths.ptb), path=str(paths.ptb))
-    if paths.chk is not None:
-        doc.chunks = parse_chk(read_text_file(paths.chk), path=str(paths.chk))
+    if tok is not None:
+        doc.sentences = parse_tok(read_text_file(tok), path=str(tok))
+    if ptb is not None:
+        doc.trees = parse_ptb(read_text_file(ptb), path=str(ptb))
+    if chk is not None:
+        doc.chunks = parse_chk(read_text_file(chk), path=str(chk))
     if doc.trees and doc.sentences:
         if len(doc.trees) != len(doc.sentences):
             raise ParseError(
                 f"{len(doc.trees)} trees for {len(doc.sentences)} sentences",
-                path=str(paths.ptb),
+                path=str(ptb),
             )
         for i, (tree, sent) in enumerate(zip(doc.trees, doc.sentences)):
             n_leaves = len(tree.leaves())
             if n_leaves != len(sent.tokens):
                 raise ParseError(
                     f"sentence {i}: tree has {n_leaves} leaves but the token "
-                    f"layer has {len(sent.tokens)} tokens", path=str(paths.ptb),
+                    f"layer has {len(sent.tokens)} tokens", path=str(ptb),
                 )
-    if paths.ann is not None:
+    if ann is not None:
         doc.annotations = parse_ann(
-            read_text_file(paths.ann), doc_id=paths.doc_id, text=text,
-            path=str(paths.ann),
+            read_text_file(ann), doc_id=paths.doc_id, text=text, path=str(ann),
         )
     return doc
 
 
-def load_corpus(root: str | Path) -> dict[str, Document]:
-    return {doc_id: load_document(bp) for doc_id, bp in discover(root).items()}
-
+def load_corpus(
+    root: str | Path, layers: Collection[str] = LAYER_FILES
+) -> dict[str, Document]:
+    """Every bundle under `root`, keyed by doc id, read as load_document does."""
+    return {doc_id: load_document(bp, layers) for doc_id, bp in discover(root).items()}

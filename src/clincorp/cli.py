@@ -44,6 +44,15 @@ CONFIG_ENV = "CLINCORP_CONFIG"
 _POLICIES = {p.value: p for p in MatchPolicy}
 _MODES = {"group": RelationMode.GROUP_PRESERVED, "one2one": RelationMode.ONE_TO_ONE}
 
+# The layer files each agreement layer or stats report reads, besides the .txt
+# file every bundle has.  Only validate reads every layer.
+_LAYER_FILES = {
+    "seg": ("tok",), "pos": ("tok",), "length": ("tok",),
+    "chunk": ("chk",),
+    "tree": ("ptb",), "syn": ("ptb",),
+    "entity": ("ann",), "relation": ("ann",),
+}
+
 
 def _load_config(explicit: str | None) -> dict:
     path = explicit or os.environ.get(CONFIG_ENV)
@@ -112,28 +121,51 @@ def _detail_table(corpus: CorpusAgreement, beta: float) -> str:
 
 # ------------------------------------------------------------- subcommand ---
 
-def _load_corpus(directory: str) -> dict[str, Document]:
-    corpus = annio.load_corpus(directory)
+def _no_bundles(directory: str) -> InputError:
+    return InputError(f"no document bundles under {directory}")
+
+
+def _load_corpus(directory: str, report: str) -> dict[str, Document]:
+    corpus = annio.load_corpus(directory, _LAYER_FILES[report])
     if not corpus:
-        raise InputError(f"no document bundles under {directory}")
+        raise _no_bundles(directory)
     return corpus
 
 
 def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
-    corpus = _load_corpus(args.directory)
-    lines = []
-    for doc_id in sorted(corpus):
-        lines.extend(d.render() for d in validate_document(corpus[doc_id]))
+    # One document at a time, in discover order, keeping only the rendered
+    # findings: the corpus is never held in memory.
+    bundles = annio.discover(args.directory)
+    if not bundles:
+        raise _no_bundles(args.directory)
+    findings: dict[str, list[str]] = {}
+    for doc_id, paths in bundles.items():
+        rendered = [d.render() for d in validate_document(annio.load_document(paths))]
+        if rendered:
+            findings[doc_id] = rendered
+    lines = [line for doc_id in sorted(findings) for line in findings[doc_id]]
     sys.stdout.write("".join(line + "\n" for line in lines))
     print(
-        f"{len(lines)} finding(s) in {len(corpus)} document(s)", file=sys.stderr
+        f"{len(lines)} finding(s) in {len(bundles)} document(s)", file=sys.stderr
     )
     return 1 if lines else 0
 
 
+def _choice(flag_value, config: dict, key: str, choices: dict, default):
+    """The member of `choices` named by the flag, the config file or the
+    default.  argparse checks the flag, so a bad name comes from the file."""
+    name = _pick(flag_value, config, key, default)
+    if not isinstance(name, str) or name not in choices:
+        raise InputError(
+            f"config key {key!r} must be one of {', '.join(sorted(choices))}, "
+            f"got {name!r}"
+        )
+    return choices[name]
+
+
 def _agreement_args(args: argparse.Namespace, config: dict):
-    policy = _POLICIES[_pick(args.policy, config, "policy", "span_type")]
-    mode = _MODES[_pick(args.mode, config, "mode", "one2one")]
+    policy = _choice(args.policy, config, "policy", _POLICIES, "span_type")
+    mode = _choice(args.mode, config, "mode", _MODES, "one2one")
     raw_beta = _pick(args.beta, config, "beta", 1.0)
     try:
         beta = float(raw_beta)
@@ -163,8 +195,8 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     # predictions (dir_b) the response role.
     policy, mode, beta, params = _agreement_args(args, config)
     corpus = corpus_agreement(
-        _load_corpus(args.dir_a), _load_corpus(args.dir_b), args.layer,
-        policy=policy, mode=mode, params=params,
+        _load_corpus(args.dir_a, args.layer), _load_corpus(args.dir_b, args.layer),
+        args.layer, policy=policy, mode=mode, params=params,
     )
     out = _json_object(corpus.report(beta).to_dict(rounded=False), fmt_metric)
     if args.details:
@@ -210,7 +242,7 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
         raise InputError(
             f"unknown doc type {args.doc_type!r}; expected one of {DOC_TYPES}"
         )
-    corpus = _load_corpus(args.directory)
+    corpus = _load_corpus(args.directory, args.report)
     docs = [corpus[k] for k in sorted(corpus)]
     fmt = _pick(args.format, config, "format", "tsv")
 
@@ -246,7 +278,7 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
 def _cmd_kfold(args: argparse.Namespace, config: dict) -> int:
     doc_ids = sorted(annio.discover(args.directory))
     if not doc_ids:
-        raise InputError(f"no document bundles under {args.directory}")
+        raise _no_bundles(args.directory)
     manifest = workflow.kfold(doc_ids, args.k, args.seed)
     sys.stdout.write(manifest.to_json())
     return 0
@@ -268,7 +300,7 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
         if args.pool_from:
             pool = sorted(annio.discover(args.pool_from))
             if not pool:
-                raise InputError(f"no document bundles under {args.pool_from}")
+                raise _no_bundles(args.pool_from)
         else:
             pool = list(args.pool or [])
         if not pool:
@@ -306,6 +338,8 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
     if args.action == "record-iaa":
         if args.task is None or args.value is None:
             raise InputError("round record-iaa needs --task and --value")
+        if not math.isfinite(args.value):
+            raise InputError(f"--value must be a finite number, got {args.value!r}")
         history = state.iaa_history.setdefault(args.task, [])
         history.append(args.value)
         workflow.save_state(state, args.state)

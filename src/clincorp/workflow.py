@@ -70,7 +70,7 @@ class RoundState:
                 "assignments": self.assignments,
                 "iaa_history": self.iaa_history,
             },
-            ensure_ascii=False, indent=2, sort_keys=True,
+            ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False,
         ) + "\n"
 
     @classmethod
@@ -84,15 +84,43 @@ class RoundState:
             raise ParseError(
                 f"state file must hold exactly the keys {sorted(required)}", path=path
             )
-        state = cls(
-            round_index=data["round_index"],
-            pool=list(data["pool"]),
-            assignments={k: list(v) for k, v in data["assignments"].items()},
+        round_index = data["round_index"]
+        if type(round_index) is not int or round_index < 1:
+            raise ParseError("round_index must be an integer >= 1", path=path)
+        if not _is_list_of(data["pool"], _is_str):
+            raise ParseError("pool must be a list of strings", path=path)
+        for key, what, item_ok in (
+            ("assignments", "lists of strings", _is_str),
+            ("iaa_history", "lists of finite numbers", _is_finite_number),
+        ):
+            if not isinstance(data[key], dict) or not all(
+                _is_list_of(v, item_ok) for v in data[key].values()
+            ):
+                raise ParseError(f"{key} must map names to {what}", path=path)
+        return cls(
+            round_index=round_index,
+            pool=data["pool"],
+            assignments=data["assignments"],
             iaa_history={k: list(map(float, v)) for k, v in data["iaa_history"].items()},
         )
-        if not isinstance(state.round_index, int) or state.round_index < 1:
-            raise ParseError("round_index must be an integer >= 1", path=path)
-        return state
+
+
+def _is_list_of(value, item_ok) -> bool:
+    return isinstance(value, list) and all(item_ok(x) for x in value)
+
+
+def _is_str(x) -> bool:
+    return isinstance(x, str)
+
+
+def _is_finite_number(x) -> bool:
+    """A JSON number other than true/false that a float holds finitely."""
+    if type(x) not in (int, float):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def load_state(path: str | Path) -> RoundState:

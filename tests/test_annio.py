@@ -195,6 +195,33 @@ def test_discover_and_load(tmp_path):
     assert loaded.doc_type == "discharge_summary"
 
 
+def test_load_document_reads_only_the_named_layers(tmp_path):
+    doc = random_document(random.Random(23), "d")
+    write_bundle(tmp_path, doc)
+    bundle = discover(tmp_path)["d"]
+    loaded = load_document(bundle, layers=("ann",))
+    assert loaded.text == doc.text
+    assert loaded.sentences == [] and loaded.trees == [] and loaded.chunks == []
+    assert loaded.annotations.entities == doc.annotations.entities
+    loaded = load_document(bundle, layers=("tok", "chk"))
+    assert loaded.sentences == doc.sentences and loaded.chunks == doc.chunks
+    assert loaded.trees == [] and loaded.annotations is None
+    assert load_corpus(tmp_path, layers=())["d"].text == doc.text
+    with pytest.raises(ValueError, match="unknown layers"):
+        load_document(bundle, layers=("txt",))
+
+
+def test_leaf_check_needs_both_layers(tmp_path):
+    (tmp_path / "d.txt").write_text("发热", encoding="utf-8")
+    (tmp_path / "d.tok").write_text("0\t2\t发热\tNN\n", encoding="utf-8")
+    (tmp_path / "d.ptb").write_text("(IP (NN 发) (NN 热))\n", encoding="utf-8")
+    bundle = discover(tmp_path)["d"]
+    assert len(load_document(bundle, layers=("ptb",)).trees) == 1
+    assert len(load_document(bundle, layers=("tok",)).sentences) == 1
+    with pytest.raises(ParseError, match="leaves"):
+        load_document(bundle, layers=("tok", "ptb"))
+
+
 def test_load_document_rejects_tree_token_misalignment(tmp_path):
     (tmp_path / "d.txt").write_text("发热", encoding="utf-8")
     (tmp_path / "d.tok").write_text("0\t2\t发热\tNN\n", encoding="utf-8")

@@ -11,7 +11,7 @@ from helpers import random_document, write_bundle
 CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
 
 
-def test_traced_child_records_spans(tmp_path):
+def _traced_span_names(tmp_path, *argv: str) -> set[str]:
     rng = random.Random(21)
     corpus = tmp_path / "corpus"
     for i in range(2):
@@ -19,9 +19,19 @@ def test_traced_child_records_spans(tmp_path):
     result = tmp_path / "result.json"
     proc = subprocess.run(
         [sys.executable, str(CHILD), str(result), "trace", "0",
-         "stats", "--report", "length", str(corpus)],
+         *(str(corpus) if arg == "CORPUS" else arg for arg in argv)],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(result.read_text(encoding="utf-8"))["spans"]}
+    return {span[0] for span in json.loads(result.read_text(encoding="utf-8"))["spans"]}
+
+
+def test_traced_child_records_spans(tmp_path):
+    names = _traced_span_names(tmp_path, "stats", "--report", "length", "CORPUS")
     assert {"annio.load_corpus", "stats"} <= names
+
+
+def test_entity_agreement_parses_only_the_entity_layer(tmp_path):
+    names = _traced_span_names(tmp_path, "iaa", "--layer", "entity", "CORPUS", "CORPUS")
+    assert {"annio.load_corpus", "annio.parse_ann"} <= names
+    assert not names & {"annio.parse_tok", "annio.parse_ptb", "annio.parse_chk"}

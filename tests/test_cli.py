@@ -395,3 +395,116 @@ def test_rendered_reports_are_pinned(tmp_path, capsys):
         out, err = capsys.readouterr()
         got = hashlib.sha256(f"{out}\0{err}".encode("utf-8")).hexdigest()
         assert got == digest, f"{key} changed:\n{out}{err}"
+
+
+def test_config_rejects_unknown_policy_and_mode(tmp_path, capsys):
+    root = make_corpus(tmp_path, "a", seed=16, n_docs=1)
+    cfg = tmp_path / "cfg.json"
+    for key, value, allowed in (
+        ("policy", "nope", "span, span_type, span_type_assertion"),
+        ("policy", ["span"], "span, span_type, span_type_assertion"),
+        ("mode", "nope", "group, one2one"),
+        ("mode", 1, "group, one2one"),
+    ):
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        for cmd in ("iaa", "score"):
+            argv = ["--config", str(cfg), cmd, "--layer", "relation", str(root), str(root)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: config key {key!r} must be one of {allowed}, got {value!r}\n"
+            )
+
+
+def test_record_iaa_rejects_non_finite_value(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert main(["round", "new", "--state", str(state), "--pool", "d1"]) == 0
+    before = state.read_bytes()
+    capsys.readouterr()
+    for value in ("nan", "inf", "-inf"):
+        argv = ["round", "record-iaa", "--state", str(state), "--task", "seg",
+                f"--value={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --value must be a finite number")
+        assert state.read_bytes() == before
+
+
+def test_round_rejects_mistyped_state_file(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    for field, value in (("pool", 5), ("iaa_history", {"seg": ["x"]})):
+        state.write_text(json.dumps({
+            "round_index": 1, "pool": ["d1"], "assignments": {}, "iaa_history": {},
+            field: value,
+        }), encoding="utf-8")
+        assert main(["round", "status", "--state", str(state)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {state}:{field} must ")
+        assert "Traceback" not in captured.err
+
+
+def _break_tok(root, stem: str) -> str:
+    """Make the second line of a bundle's token file unparseable; returns the
+    error location the parser reports."""
+    tok = root / f"{stem}.tok"
+    lines = tok.read_text(encoding="utf-8").split("\n")
+    lines[1] = "x\ty\tz"
+    tok.write_text("\n".join(lines), encoding="utf-8")
+    return f"{tok}:line 2: "
+
+
+def test_agreement_skips_layers_it_does_not_use(tmp_path, capsys):
+    a = make_corpus(tmp_path, "a", seed=17)
+    b = make_corpus(tmp_path, "b", seed=18)
+    clean = {}
+    for layer in ("entity", "relation", "chunk", "tree"):
+        assert main(["iaa", "--layer", layer, "--details", str(a), str(b)]) in (0, 1)
+        clean[layer] = capsys.readouterr()
+    where = _break_tok(b, "doc1")
+    for layer in ("entity", "relation", "chunk", "tree"):
+        code = main(["iaa", "--layer", layer, "--details", str(a), str(b)])
+        assert code in (0, 1)
+        assert capsys.readouterr() == clean[layer]
+    assert main(["stats", "--report", "entity", str(b)]) == 0
+    capsys.readouterr()
+    for layer in ("seg", "pos"):
+        assert main(["iaa", "--layer", layer, str(a), str(b)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {where}offsets must be integers")
+    assert main(["stats", "--report", "length", str(b)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+
+
+def test_validate_stops_at_first_malformed_bundle(tmp_path, capsys):
+    root = make_corpus(tmp_path, "a", seed=19, n_docs=4)
+    # doc0 has a finding, so stdout stays empty only because of the error.
+    (root / "doc0.ann").write_text("T1\tdisease 0 1\tx\n", encoding="utf-8")
+    (root / "doc0.txt").write_text("x", encoding="utf-8")
+    for suffix in (".tok", ".ptb", ".chk"):
+        (root / f"doc0{suffix}").unlink()
+    assert main(["validate", str(root)]) == 1
+    assert "assertion-missing" in capsys.readouterr().out
+    where = _break_tok(root, "doc1")
+    _break_tok(root, "doc3")
+    assert main(["validate", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {where}offsets must be integers\n"
+
+
+def test_validate_reports_tree_token_leaf_mismatch(tmp_path, capsys):
+    root = tmp_path / "c"
+    root.mkdir()
+    (root / "d.txt").write_text("发热", encoding="utf-8")
+    (root / "d.tok").write_text("0\t2\t发热\tNN\n", encoding="utf-8")
+    (root / "d.ptb").write_text("(IP (NN 发) (NN 热))\n", encoding="utf-8")
+    assert main(["validate", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {root / 'd.ptb'}:sentence 0: tree has 2 leaves but the token "
+        "layer has 1 tokens\n"
+    )

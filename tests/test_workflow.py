@@ -144,6 +144,64 @@ def test_round_state_rejects_malformed(tmp_path, content):
         load_state(path)
 
 
+VALID_STATE = {"round_index": 1, "pool": ["d1"], "assignments": {}, "iaa_history": {}}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("round_index", True),
+        ("round_index", 1.0),
+        ("round_index", "1"),
+        ("pool", 5),
+        ("pool", "d1"),
+        ("pool", ["d1", 2]),
+        ("assignments", []),
+        ("assignments", {"d1": "AG1"}),
+        ("assignments", {"d1": ["AG1", None]}),
+        ("iaa_history", []),
+        ("iaa_history", {"seg": 0.9}),
+        ("iaa_history", {"seg": ["x"]}),
+        ("iaa_history", {"seg": [True]}),
+        ("iaa_history", {"seg": [0.9, None]}),
+        ("iaa_history", {"seg": [10 ** 400]}),
+    ],
+)
+def test_round_state_checks_field_types(tmp_path, field, value):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**VALID_STATE, field: value}), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_state(path)
+    assert err.value.path == str(path)
+    assert str(err.value).startswith(f"{path}:{field} must ")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_round_state_rejects_non_finite_history(tmp_path, token):
+    path = tmp_path / "state.json"
+    path.write_text(
+        json.dumps({**VALID_STATE, "iaa_history": {"seg": [0.5]}}).replace("0.5", token),
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match="iaa_history must map names to lists of finite"):
+        load_state(path)
+
+
+def test_round_state_accepts_integer_history(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(
+        json.dumps({**VALID_STATE, "iaa_history": {"seg": [1, 0.5]}}), encoding="utf-8"
+    )
+    assert load_state(path).iaa_history == {"seg": [1.0, 0.5]}
+
+
+def test_save_state_refuses_non_finite_values(tmp_path):
+    path = tmp_path / "state.json"
+    with pytest.raises(ValueError):
+        save_state(RoundState(pool=["d1"], iaa_history={"seg": [math.nan]}), path)
+    assert not path.exists()
+
+
 def test_kfold_sizes_and_partition():
     ids = [f"d{i:03}" for i in range(992)]
     manifest = kfold(ids, 10, seed=7)
