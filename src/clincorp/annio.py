@@ -19,6 +19,7 @@ byte-identical to serialize(x).
 """
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +61,8 @@ HEADERS = {
 
 def read_text_file(path: str | Path) -> str:
     """Read a UTF-8 file; decode failures report the offending line."""
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -391,36 +393,89 @@ def serialize_ann(ann: DocAnnotations) -> str:
 
 @dataclass(slots=True)
 class BundlePaths:
-    """Filesystem locations of one document's layer files."""
+    """Filesystem locations of one document's layer files, each the string
+    str(Path(root) / relative_path) gives."""
 
     doc_id: str
-    txt: Path
-    tok: Path | None = None
-    ptb: Path | None = None
-    chk: Path | None = None
-    ann: Path | None = None
+    txt: str
+    tok: str | None = None
+    ptb: str | None = None
+    chk: str | None = None
+    ann: str | None = None
     doc_type: str | None = None
 
 
 def discover(root: str | Path) -> dict[str, BundlePaths]:
-    """Find document bundles under a directory tree.  Every *.txt file roots a
+    """Find document bundles under a directory tree.  Every *.txt entry roots a
     bundle; sibling files with the same stem fill in the layers.  A parent
-    directory named after a known document type tags the bundle."""
+    directory named after a known document type tags the bundle.
+
+    The bundles are those sorted(Path(root).rglob("*.txt")) yields, in that
+    order: hidden names count, a symlinked directory is not entered, an
+    unreadable one is skipped.  Each directory is listed once and a sibling
+    is looked up in that listing; only a symlinked sibling is stat'ed, so a
+    broken link counts as absent."""
     root = Path(root)
     if not root.is_dir():
         raise InputError(f"not a directory: {root}")
+    base = str(root)
+    if base == ".":
+        base = ""
+    elif not base.endswith("/"):
+        base += "/"
     bundles: dict[str, BundlePaths] = {}
-    for txt in sorted(root.rglob("*.txt")):
-        doc_id = str(txt.relative_to(root).with_suffix("")).replace("\\", "/")
-        bp = BundlePaths(doc_id=doc_id, txt=txt)
-        for layer in LAYER_FILES:
-            sib = txt.with_suffix("." + layer)
-            if sib.exists():
-                setattr(bp, layer, sib)
-        if txt.parent.name in DOC_TYPES:
-            bp.doc_type = txt.parent.name
-        bundles[doc_id] = bp
+    _discover_dir(base, "", root.name, bundles)
     return bundles
+
+
+def _discover_dir(
+    prefix: str, rel: str, dir_name: str, bundles: dict[str, BundlePaths]
+) -> None:
+    """Add the bundles of the directory `prefix` names (empty for the
+    current directory) and of its subdirectories, in sorted path order.
+    `rel` is the directory relative to the root, with a trailing slash."""
+    present: set[str] = set()  # every name but the symlinks
+    links: set[str] = set()
+    subdirs: set[str] = set()
+    names: list[str] = []  # .txt names and subdirectories, to visit in order
+    try:
+        with os.scandir(prefix or ".") as it:
+            for entry in it:
+                name = entry.name
+                if entry.is_symlink():
+                    links.add(name)
+                else:
+                    present.add(name)
+                    try:
+                        if entry.is_dir():
+                            subdirs.add(name)
+                            names.append(name)
+                            continue
+                    except OSError:
+                        pass
+                if name.endswith(".txt"):
+                    names.append(name)
+    except PermissionError:
+        return
+    names.sort()
+    doc_type = dir_name if dir_name in DOC_TYPES else None
+    for name in names:
+        if name.endswith(".txt"):
+            # As Path.with_suffix has it, a bare ".txt" has no suffix.
+            stem = name if name == ".txt" else name[:-4]
+            layer_paths = []
+            for layer in LAYER_FILES:
+                sib = f"{stem}.{layer}"
+                if sib in present or (sib in links and os.path.exists(prefix + sib)):
+                    layer_paths.append(prefix + sib)
+                else:
+                    layer_paths.append(None)
+            doc_id = (rel + stem).replace("\\", "/")
+            bundles[doc_id] = BundlePaths(
+                doc_id, prefix + name, *layer_paths, doc_type=doc_type
+            )
+        if name in subdirs:
+            _discover_dir(prefix + name + "/", rel + name + "/", name, bundles)
 
 
 def load_document(
@@ -443,27 +498,27 @@ def load_document(
     text = read_text_file(paths.txt)
     doc = Document(doc_id=paths.doc_id, text=text, doc_type=paths.doc_type)
     if tok is not None:
-        doc.sentences = parse_tok(read_text_file(tok), path=str(tok))
+        doc.sentences = parse_tok(read_text_file(tok), path=tok)
     if ptb is not None:
-        doc.trees = parse_ptb(read_text_file(ptb), path=str(ptb))
+        doc.trees = parse_ptb(read_text_file(ptb), path=ptb)
     if chk is not None:
-        doc.chunks = parse_chk(read_text_file(chk), path=str(chk))
+        doc.chunks = parse_chk(read_text_file(chk), path=chk)
     if doc.trees and doc.sentences:
         if len(doc.trees) != len(doc.sentences):
             raise ParseError(
                 f"{len(doc.trees)} trees for {len(doc.sentences)} sentences",
-                path=str(ptb),
+                path=ptb,
             )
         for i, (tree, sent) in enumerate(zip(doc.trees, doc.sentences)):
             n_leaves = len(tree.leaves())
             if n_leaves != len(sent.tokens):
                 raise ParseError(
                     f"sentence {i}: tree has {n_leaves} leaves but the token "
-                    f"layer has {len(sent.tokens)} tokens", path=str(ptb),
+                    f"layer has {len(sent.tokens)} tokens", path=ptb,
                 )
     if ann is not None:
         doc.annotations = parse_ann(
-            read_text_file(ann), doc_id=paths.doc_id, text=text, path=str(ann),
+            read_text_file(ann), doc_id=paths.doc_id, text=text, path=ann,
         )
     return doc
 

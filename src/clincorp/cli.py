@@ -163,6 +163,15 @@ def _choice(flag_value, config: dict, key: str, choices: dict, default):
     return choices[name]
 
 
+def _number(flag_value, flag: str, config: dict, key: str, default):
+    """A finite number from the flag, the config file or the default."""
+    value = _pick(flag_value, config, key, default)
+    if not workflow.is_finite_number(value):
+        where = flag if flag_value is not None else f"config key {key!r}"
+        raise InputError(f"{where} must be a finite number, got {value!r}")
+    return value
+
+
 def _agreement_args(args: argparse.Namespace, config: dict):
     policy = _choice(args.policy, config, "policy", _POLICIES, "span_type")
     mode = _choice(args.mode, config, "mode", _MODES, "one2one")
@@ -242,9 +251,9 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
         raise InputError(
             f"unknown doc type {args.doc_type!r}; expected one of {DOC_TYPES}"
         )
+    fmt = _choice(args.format, config, "format", {"tsv": "tsv", "json": "json"}, "tsv")
     corpus = _load_corpus(args.directory, args.report)
     docs = [corpus[k] for k in sorted(corpus)]
-    fmt = _pick(args.format, config, "format", "tsv")
 
     if args.report == "length":
         tokens, sentences = stats.token_and_sentence_counts(docs, args.doc_type)
@@ -315,8 +324,9 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
     if args.action == "sample":
         if args.n is None or args.seed is None:
             raise InputError("round sample needs --n and --seed")
-        fraction = float(
-            _pick(args.duplicate_fraction, config, "duplicate_fraction", 1 / 3)
+        fraction = _number(
+            args.duplicate_fraction, "--duplicate-fraction", config,
+            "duplicate_fraction", 1 / 3,
         )
         new_state, sampled = workflow.sample_round(state, args.n, args.seed)
         assignments = workflow.assign_duplicates(sampled, fraction, args.seed)
@@ -352,14 +362,22 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
         return 0
 
     # status
-    window = int(_pick(args.window, config, "window", 3))
+    window = _pick(args.window, config, "window", 3)
+    if type(window) is not int or window < 1:
+        where = "--window" if args.window is not None else "config key 'window'"
+        raise InputError(f"{where} must be an integer >= 1, got {window!r}")
     tau_map = config.get("tau", {})
     if not isinstance(tau_map, dict):
         raise InputError("config key 'tau' must map task names to thresholds")
+    for task, tau in tau_map.items():
+        if not workflow.is_finite_number(tau):
+            raise InputError(
+                f"config key 'tau' must map {task!r} to a finite number, got {tau!r}"
+            )
     policy = ConvergencePolicy(
         window=window,
         tau={k: float(v) for k, v in tau_map.items()},
-        default_tau=float(_pick(args.tau, config, "default_tau", 0.9)),
+        default_tau=float(_number(args.tau, "--tau", config, "default_tau", 0.9)),
     )
     lines = ["task\trounds\tthreshold\tconverged"]
     all_converged = bool(state.iaa_history)

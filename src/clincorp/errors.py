@@ -13,11 +13,11 @@ class ParseError(ClincorpError):
     def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
         self.path = path
         self.line = line
-        prefix = ""
-        if path is not None:
-            prefix += f"{path}:"
+        prefix = "" if path is None else f"{path}:"
         if line is not None:
             prefix += f"line {line}: "
+        elif path is not None:
+            prefix += " "
         super().__init__(prefix + message)
 
 

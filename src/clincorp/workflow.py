@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -91,7 +92,7 @@ class RoundState:
             raise ParseError("pool must be a list of strings", path=path)
         for key, what, item_ok in (
             ("assignments", "lists of strings", _is_str),
-            ("iaa_history", "lists of finite numbers", _is_finite_number),
+            ("iaa_history", "lists of finite numbers", is_finite_number),
         ):
             if not isinstance(data[key], dict) or not all(
                 _is_list_of(v, item_ok) for v in data[key].values()
@@ -113,7 +114,7 @@ def _is_str(x) -> bool:
     return isinstance(x, str)
 
 
-def _is_finite_number(x) -> bool:
+def is_finite_number(x) -> bool:
     """A JSON number other than true/false that a float holds finitely."""
     if type(x) not in (int, float):
         return False
@@ -128,7 +129,12 @@ def load_state(path: str | Path) -> RoundState:
 
 
 def save_state(state: RoundState, path: str | Path) -> None:
-    Path(path).write_text(state.to_json(), encoding="utf-8")
+    """Write the state next to `path` and rename it over `path`, so a failed
+    write leaves the old file whole.  No fsync: this guards against a crash
+    of the process, not of the machine."""
+    tmp = f"{path}.tmp"
+    Path(tmp).write_text(state.to_json(), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def sample_round(

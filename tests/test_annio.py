@@ -1,10 +1,13 @@
 """File formats: parsing, canonical serialization, bundle loading."""
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from clincorp.annio import (
     HEADERS,
+    LAYER_FILES,
     discover,
     load_corpus,
     load_document,
@@ -17,8 +20,8 @@ from clincorp.annio import (
     serialize_ptb,
     serialize_tok,
 )
-from clincorp.errors import ParseError
-from clincorp.model import Chunk, Sentence, Token
+from clincorp.errors import InputError, ParseError
+from clincorp.model import DOC_TYPES, Chunk, Sentence, Token
 from clincorp.tagsets import AssertionType, EntityType
 from helpers import random_document, write_bundle
 
@@ -193,6 +196,113 @@ def test_discover_and_load(tmp_path):
     assert loaded.trees == doc.trees
     assert loaded.annotations.entities == doc.annotations.entities
     assert loaded.doc_type == "discharge_summary"
+
+
+def _rglob_bundles(root):
+    """The bundle list discover gave when it walked rglob("*.txt") and
+    checked every sibling with Path.exists: one tuple of strings per bundle."""
+    root = Path(root)
+    out = {}
+    for txt in sorted(root.rglob("*.txt")):
+        doc_id = str(txt.relative_to(root).with_suffix("")).replace("\\", "/")
+        sibs = [txt.with_suffix("." + layer) for layer in LAYER_FILES]
+        doc_type = txt.parent.name if txt.parent.name in DOC_TYPES else None
+        out[doc_id] = (
+            doc_id, str(txt), *(str(s) if s.exists() else None for s in sibs), doc_type
+        )
+    return list(out.values())
+
+
+def _bundle_tuples(bundles):
+    return [
+        (bp.doc_id, bp.txt, bp.tok, bp.ptb, bp.chk, bp.ann, bp.doc_type)
+        for bp in bundles.values()
+    ]
+
+
+def _touch(path):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("x", encoding="utf-8")
+
+
+@pytest.fixture
+def awkward_tree(tmp_path):
+    """A corpus tree with every case the rglob walk treated specially."""
+    d = tmp_path / "d"
+    for rel in (
+        "a.txt", "a.tok", "a.ann", "a-b.txt", "a-b.chk", "a/z.txt", "a/z.ptb",
+        ".hidden.txt", ".hidden.tok", ".hid/x.txt", ".txt", ".txt.tok",
+        "..txt", "..tok", "b.txt", "b.chk", "upper.TXT",
+        "discharge_summary/n1.txt", "discharge_summary/n1.tok",
+        "discharge_summary/n1.ptb", "discharge_summary/n1.chk",
+        "discharge_summary/n1.ann", "progress_note/deep/n2.txt",
+        "progress_note/n3.txt", "dir.txt/inner.txt", "dir.txt/inner.ann",
+    ):
+        _touch(d / rel)
+    (d / "dir.tok").mkdir()  # a directory sibling exists, as Path.exists says
+    _touch(tmp_path / "outside" / "q.txt")
+    (d / "linked").symlink_to(tmp_path / "outside", target_is_directory=True)
+    (d / "b.tok").symlink_to(d / "missing.tok")  # broken: absent
+    (d / "b.ptb").symlink_to(d / "a.tok")  # live: present
+    (d / "link.txt").symlink_to(d / "a-b.txt")
+    return tmp_path
+
+
+@pytest.mark.parametrize("root", ["d", "d/", "./d", ".", "absolute", "d/../d"])
+def test_discover_matches_rglob_walk(awkward_tree, monkeypatch, root):
+    monkeypatch.chdir(awkward_tree)
+    if root == ".":
+        monkeypatch.chdir(awkward_tree / "d")
+    elif root == "absolute":
+        root = str(awkward_tree / "d")
+    expected = _rglob_bundles(root)
+    assert _bundle_tuples(discover(root)) == expected
+    assert _bundle_tuples(discover(Path(root))) == expected
+    ids = [t[0] for t in expected]
+    assert ids.index("a/z") < ids.index("a-b") < ids.index("a")
+    assert {"dir", "dir.txt/inner", ".hid/x", ".hidden", ".txt", "."} <= set(ids)
+    assert not any(i.startswith("linked") for i in ids)
+    bundles = discover(root)
+    assert bundles["b"].tok is None and bundles["b"].ptb and bundles["b"].chk
+    assert bundles["dir"].tok and bundles["link"].txt
+
+
+def test_discover_rejects_a_non_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _touch(tmp_path / "f.txt")
+    for root in ("f.txt", "./missing/"):
+        with pytest.raises(InputError) as err:
+            discover(root)
+        assert str(err.value) == f"not a directory: {Path(root)}"
+
+
+def test_discover_makes_no_stat_per_bundle(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("stat", "lstat"):
+        monkeypatch.setattr(os, name, counting(name, getattr(os, name)))
+    monkeypatch.setattr(os.path, "exists", counting("exists", os.path.exists))
+    monkeypatch.setattr(Path, "exists", counting("Path.exists", Path.exists))
+
+    def count_for(n):
+        root = tmp_path / str(n)
+        for i in range(n):
+            for sub in ("discharge_summary", "progress_note"):
+                for suffix in (".txt",) + tuple("." + s for s in LAYER_FILES):
+                    _touch(root / sub / f"doc{i}{suffix}")
+        calls.clear()
+        assert len(discover(root)) == 2 * n
+        return list(calls)
+
+    few, many = count_for(2), count_for(40)
+    assert few == many
+    assert len(many) <= 1  # the root's is_dir check
 
 
 def test_load_document_reads_only_the_named_layers(tmp_path):

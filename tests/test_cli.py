@@ -297,6 +297,111 @@ def test_round_rejects_bad_state_file(tmp_path, capsys):
     assert main(["round", "status", "--state", str(state)]) == 2
 
 
+def _round_with_history(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert main(["round", "new", "--state", str(state), "--pool", "d1", "d2"]) == 0
+    argv = ["round", "record-iaa", "--state", str(state), "--task", "seg", "--value", "1"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    return state
+
+
+def _assert_round_rejects(state, capsys, cfg_data, argv, message):
+    cfg = state.parent / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data), encoding="utf-8")
+    before = state.read_bytes()
+    assert main(["--config", str(cfg), "round", *argv, "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert state.read_bytes() == before
+
+
+@pytest.mark.parametrize("value", ["x", True, 0, -1, 2.0, None])
+def test_round_status_checks_window(tmp_path, capsys, value):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {"window": value}, ["status"],
+        f"config key 'window' must be an integer >= 1, got {value!r}",
+    )
+
+
+def test_round_status_checks_window_flag(tmp_path, capsys):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {"window": 2}, ["status", "--window", "0"],
+        "--window must be an integer >= 1, got 0",
+    )
+
+
+@pytest.mark.parametrize(
+    "value", ["x", "0.5", False, None, [0.5], pytest.param(10 ** 400, id="huge")]
+)
+def test_round_sample_checks_duplicate_fraction(tmp_path, capsys, value):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {"duplicate_fraction": value}, ["sample", "--n", "1", "--seed", "1"],
+        f"config key 'duplicate_fraction' must be a finite number, got {value!r}",
+    )
+    _assert_round_rejects(
+        state, capsys, {}, ["sample", "--n", "1", "--seed", "1", "--duplicate-fraction=nan"],
+        "--duplicate-fraction must be a finite number, got nan",
+    )
+
+
+@pytest.mark.parametrize("value", ["x", True, None, {"seg": 0.9}])
+def test_round_status_checks_default_tau(tmp_path, capsys, value):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {"default_tau": value}, ["status"],
+        f"config key 'default_tau' must be a finite number, got {value!r}",
+    )
+    _assert_round_rejects(
+        state, capsys, {}, ["status", "--tau=inf"],
+        "--tau must be a finite number, got inf",
+    )
+
+
+@pytest.mark.parametrize("value", ["x", True, None, [0.9]])
+def test_round_status_checks_tau_values(tmp_path, capsys, value):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {"tau": {"entity": 0.9, "seg": value}}, ["status"],
+        f"config key 'tau' must map 'seg' to a finite number, got {value!r}",
+    )
+
+
+def test_round_status_accepts_numeric_config(tmp_path, capsys):
+    state = _round_with_history(tmp_path, capsys)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"window": 1, "default_tau": 1, "tau": {"seg": 0.5}}), encoding="utf-8"
+    )
+    assert main(["--config", str(cfg), "round", "status", "--state", str(state)]) == 0
+    assert capsys.readouterr().out == (
+        "task\trounds\tthreshold\tconverged\nseg\t1\t0.500\ttrue\n"
+    )
+
+
+def test_stats_rejects_unknown_config_format(tmp_path, capsys):
+    root = make_corpus(tmp_path, "a", seed=19, n_docs=1)
+    cfg = tmp_path / "cfg.json"
+    for value in ("xml", 1):
+        cfg.write_text(json.dumps({"format": value}), encoding="utf-8")
+        for report in ("pos", "length"):
+            assert main(["--config", str(cfg), "stats", "--report", report, str(root)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: config key 'format' must be one of json, tsv, got {value!r}\n"
+            )
+    cfg.write_text(json.dumps({"format": "json"}), encoding="utf-8")
+    assert main(["--config", str(cfg), "stats", "--report", "length", str(root)]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {
+        "tokens", "sentences", "avg_tokens_per_sentence",
+    }
+
+
 def test_seg_advise(tmp_path, capsys):
     lex = tmp_path / "lex.tsv"
     lex.write_text(
@@ -441,7 +546,7 @@ def test_round_rejects_mistyped_state_file(tmp_path, capsys):
         }), encoding="utf-8")
         assert main(["round", "status", "--state", str(state)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {state}:{field} must ")
+        assert captured.err.startswith(f"error: {state}: {field} must ")
         assert "Traceback" not in captured.err
 
 
@@ -505,6 +610,6 @@ def test_validate_reports_tree_token_leaf_mismatch(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: {root / 'd.ptb'}:sentence 0: tree has 2 leaves but the token "
+        f"error: {root / 'd.ptb'}: sentence 0: tree has 2 leaves but the token "
         "layer has 1 tokens\n"
     )

@@ -2,6 +2,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -173,7 +174,7 @@ def test_round_state_checks_field_types(tmp_path, field, value):
     with pytest.raises(ParseError) as err:
         load_state(path)
     assert err.value.path == str(path)
-    assert str(err.value).startswith(f"{path}:{field} must ")
+    assert str(err.value).startswith(f"{path}: {field} must ")
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
@@ -200,6 +201,28 @@ def test_save_state_refuses_non_finite_values(tmp_path):
     with pytest.raises(ValueError):
         save_state(RoundState(pool=["d1"], iaa_history={"seg": [math.nan]}), path)
     assert not path.exists()
+
+
+def test_save_state_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    old = RoundState(pool=["d1", "d2"], iaa_history={"seg": [0.5]})
+    save_state(old, path)
+    before = path.read_bytes()
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError):
+        save_state(RoundState(round_index=2, pool=["d2"]), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert load_state(path) == old
+    save_state(RoundState(round_index=2, pool=["d2"]), path)
+    assert load_state(path) == RoundState(round_index=2, pool=["d2"])
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
 
 def test_kfold_sizes_and_partition():
