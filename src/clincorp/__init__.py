@@ -7,128 +7,79 @@ formats, validates every layer, measures inter-annotator agreement, computes
 corpus statistics against bundled reference tables, and drives the iterative
 annotation workflow (sampling rounds, duplicate assignment, convergence
 checks, k-fold splits).
-"""
-from .agreement import (
-    LAYERS,
-    AgreementReport,
-    CorpusAgreement,
-    MatchPolicy,
-    RelationMode,
-    add_counts,
-    chunk_counts,
-    corpus_agreement,
-    entity_counts,
-    macro_average,
-    prf,
-    relation_counts,
-    score_trees,
-    token_counts,
-    tree_counts,
-)
-from .annio import (
-    BundlePaths,
-    discover,
-    load_corpus,
-    load_document,
-    parse_ann,
-    parse_chk,
-    parse_ptb,
-    parse_tok,
-    serialize_ann,
-    serialize_chk,
-    serialize_ptb,
-    serialize_tok,
-)
-from .errors import (
-    ClincorpError,
-    InputError,
-    LengthMismatchError,
-    LexiconError,
-    ParseError,
-    ResolutionError,
-)
-from .groups import (
-    OneToOne,
-    endpoint_entities,
-    endpoint_key,
-    expand_all,
-    expand_relation,
-    relation_match_key,
-)
-from .model import (
-    DOC_TYPES,
-    Chunk,
-    DocAnnotations,
-    Document,
-    Entity,
-    EntityGroup,
-    Relation,
-    Sentence,
-    Token,
-)
-from .numfmt import fmt_metric, fmt_percent, round_half_up
-from .parseval import (
-    EvalParams,
-    ParseTree,
-    TreeScore,
-    brackets,
-    match_counts,
-    parse_tree,
-    score_corpus,
-)
-from .segadvice import (
-    MAX_EXPANSION_DEPTH,
-    SegDecision,
-    TermEntry,
-    advise,
-    advise_chain,
-    load_lexicon,
-)
-from .stats import (
-    CrossRow,
-    Deviation,
-    DistributionRow,
-    assertion_cross_table,
-    avg_sentence_length,
-    compare_reference,
-    distribution,
-    reference_column,
-    relation_table,
-    token_and_sentence_counts,
-)
-from .tagsets import (
-    POS_TAGS,
-    SYN_TAGS,
-    VALID_ASSERTIONS,
-    AssertionType,
-    EntityType,
-    RelationType,
-    assertion_valid,
-    normalize_syn_tag,
-    relation_signature,
-)
-from .validate import (
-    Diagnostic,
-    validate_annotations,
-    validate_chunks,
-    validate_document,
-    validate_tokens,
-    validate_trees,
-)
-from .workflow import (
-    ConvergencePolicy,
-    Disagreement,
-    FoldManifest,
-    RoundState,
-    SplitMix64,
-    assign_duplicates,
-    check_convergence,
-    diff_report,
-    kfold,
-    load_state,
-    sample_round,
-    save_state,
-    seeded_shuffle,
-)
 
+Every name in `__all__` can be taken from the package root, as in
+`from clincorp import corpus_agreement`.  It resolves on first access
+(PEP 562) by importing the one submodule that defines it, so
+`import clincorp` by itself loads no submodule.
+"""
+import importlib
+
+# The public names, by the submodule that defines each.
+_EXPORTS = {
+    "agreement": (
+        "AgreementReport", "CorpusAgreement", "add_counts", "chunk_counts",
+        "corpus_agreement", "entity_counts", "macro_average", "prf",
+        "relation_counts", "score_trees", "token_counts", "tree_counts",
+    ),
+    "annio": (
+        "BundlePaths", "discover", "load_corpus", "load_document", "parse_ann",
+        "parse_chk", "parse_ptb", "parse_tok", "serialize_ann",
+        "serialize_chk", "serialize_ptb", "serialize_tok",
+    ),
+    "errors": (
+        "ClincorpError", "InputError", "LengthMismatchError", "LexiconError",
+        "ParseError", "ResolutionError",
+    ),
+    "groups": (
+        "OneToOne", "endpoint_entities", "endpoint_key", "expand_all",
+        "expand_relation", "relation_match_key",
+    ),
+    "model": (
+        "DOC_TYPES", "Chunk", "DocAnnotations", "Document", "Entity",
+        "EntityGroup", "Relation", "Sentence", "Token",
+    ),
+    "numfmt": ("fmt_metric", "fmt_percent", "round_half_up"),
+    "parseval": (
+        "EvalParams", "ParseTree", "TreeScore", "brackets", "match_counts",
+        "parse_tree", "score_corpus",
+    ),
+    "segadvice": (
+        "MAX_EXPANSION_DEPTH", "SegDecision", "TermEntry", "advise",
+        "advise_chain", "load_lexicon",
+    ),
+    "stats": (
+        "CrossRow", "Deviation", "DistributionRow", "assertion_cross_table",
+        "avg_sentence_length", "compare_reference", "distribution",
+        "reference_column", "relation_table", "token_and_sentence_counts",
+    ),
+    "tagsets": (
+        "LAYERS", "POS_TAGS", "SYN_TAGS", "VALID_ASSERTIONS", "AssertionType",
+        "EntityType", "MatchPolicy", "RelationMode", "RelationType",
+        "assertion_valid", "normalize_syn_tag", "relation_signature",
+    ),
+    "validate": (
+        "Diagnostic", "validate_annotations", "validate_chunks",
+        "validate_document", "validate_tokens", "validate_trees",
+    ),
+    "workflow": (
+        "ConvergencePolicy", "Disagreement", "FoldManifest", "RoundState",
+        "SplitMix64", "assign_duplicates", "check_convergence", "diff_report",
+        "kfold", "load_state", "sample_round", "save_state", "seeded_shuffle",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -12,7 +12,6 @@ flagged vacuous.
 """
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import dataclass
 
@@ -21,9 +20,7 @@ from .groups import expand_all, relation_match_key
 from .model import Chunk, DocAnnotations, Document, Sentence
 from .numfmt import round_half_up
 from .parseval import EvalParams, ParseTree, match_counts, score_corpus
-from .tagsets import normalize_syn_tag
-
-LAYERS = ("seg", "pos", "chunk", "tree", "entity", "relation")
+from .tagsets import LAYERS, MatchPolicy, RelationMode, normalize_syn_tag
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,14 +146,6 @@ def score_trees(
     return prf(agreed, ca, cb, beta=beta)
 
 
-class MatchPolicy(enum.Enum):
-    """What must coincide for two entity annotations to agree."""
-
-    SPAN = "span"
-    SPAN_TYPE = "span_type"
-    SPAN_TYPE_ASSERTION = "span_type_assertion"
-
-
 def entity_counts(
     ann_a: DocAnnotations,
     ann_b: DocAnnotations,
@@ -178,19 +167,6 @@ def entity_counts(
         return c
 
     return _match(keys(ann_a), keys(ann_b))
-
-
-class RelationMode(enum.Enum):
-    """How relation arguments are compared.
-
-    GROUP_PRESERVED requires the two annotators to agree on the grouping
-    itself: each endpoint matches as a whole member set.  ONE_TO_ONE first
-    expands every relation to entity pairs and compares those, so different
-    groupings of the same underlying pairs still agree.
-    """
-
-    GROUP_PRESERVED = "group_preserved"
-    ONE_TO_ONE = "one_to_one"
 
 
 def relation_counts(

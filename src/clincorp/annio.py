@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterator
 
-from .errors import InputError, ParseError, ResolutionError
+from .errors import InputError, ParseError, ResolutionError, read_text_file
 from .groups import endpoint_entities
 from .model import (
     DOC_TYPES,
@@ -38,7 +38,7 @@ from .model import (
     Sentence,
     Token,
 )
-from .parseval import ParseTree, parse_tree
+from .parseval import LEAF_BREAK_RE, ParseTree, parse_tree
 from .tagsets import (
     POS_TAG_SET,
     parse_assertion_type,
@@ -57,19 +57,6 @@ HEADERS = {
     "chk": "# chunks: first\tlast_exclusive\tlabel; blank line ends each sentence",
     "ann": "# standoff: T entity / A assertion / G group / R relation lines",
 }
-
-
-def read_text_file(path: str | Path) -> str:
-    """Read a UTF-8 file; decode failures report the offending line."""
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data[: exc.start].count(b"\n") + 1
-        raise ParseError(
-            f"invalid UTF-8 at byte offset {exc.start}", path=str(path), line=line
-        ) from None
 
 
 def numbered_lines(content: str) -> Iterator[tuple[int, str]]:
@@ -178,6 +165,13 @@ def parse_ptb(content: str, *, path: str | None = None) -> list[ParseTree]:
 
 
 def serialize_ptb(trees: list[ParseTree]) -> str:
+    for tree in trees:
+        for _, surface in tree.leaves():
+            if not surface or LEAF_BREAK_RE.search(surface):
+                raise InputError(
+                    f"leaf surface {surface!r} cannot be written to the "
+                    "bracketed tree format"
+                )
     return HEADERS["ptb"] + "\n" + "".join(t.to_string() + "\n" for t in trees)
 
 

@@ -14,32 +14,53 @@ environment variable; explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import annio, stats, workflow
-from .agreement import (
-    LAYERS,
-    CorpusAgreement,
-    MatchPolicy,
-    RelationMode,
-    corpus_agreement,
-    macro_average,
-)
-from .errors import ClincorpError, InputError, ParseError
-from .groups import expand_all
-from .model import DOC_TYPES, Document
+from . import workflow
+from .errors import ClincorpError, InputError, ParseError, read_text_file
 from .numfmt import fmt_metric, fmt_percent
-from .parseval import EvalParams
-from .segadvice import advise_chain, load_lexicon
-from .validate import validate_document
-from .workflow import ConvergencePolicy, RoundState
+from .tagsets import LAYERS, MatchPolicy, RelationMode
+
+if TYPE_CHECKING:
+    from .agreement import CorpusAgreement
+    from .model import Document
 
 CONFIG_ENV = "CLINCORP_CONFIG"
+
+# Each subcommand imports the library modules it runs, so that a short
+# command such as `round status` starts without the scoring code.  Handlers
+# look the functions below up in this module's globals instead, importing
+# each on first use (see _library): a caller that replaced one here, for
+# instance to time it, has its replacement run.
+_LIBRARY = {
+    "corpus_agreement": "agreement",
+    "expand_all": "groups",
+    "load_lexicon": "segadvice",
+    "validate_document": "validate",
+}
+
+
+def __getattr__(name: str):
+    """Import a _LIBRARY function on first access and bind it here."""
+    module = _LIBRARY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _library(name: str):
+    """The _LIBRARY function `name` as bound here, replaced or not."""
+    return globals().get(name) or __getattr__(name)
+
 
 _POLICIES = {p.value: p for p in MatchPolicy}
 _MODES = {"group": RelationMode.GROUP_PRESERVED, "one2one": RelationMode.ONE_TO_ONE}
@@ -59,7 +80,7 @@ def _load_config(explicit: str | None) -> dict:
     if not path:
         return {}
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_text_file(path))
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
@@ -104,6 +125,8 @@ def _json_object(
 
 
 def _detail_table(corpus: CorpusAgreement, beta: float) -> str:
+    from .agreement import macro_average
+
     reports = corpus.doc_reports(beta)
     lines = ["doc_id\tagreed\tcount_a\tcount_b\tprecision\trecall\tf"]
     for doc_id in sorted(reports):
@@ -126,6 +149,8 @@ def _no_bundles(directory: str) -> InputError:
 
 
 def _load_corpus(directory: str, report: str) -> dict[str, Document]:
+    from . import annio
+
     corpus = annio.load_corpus(directory, _LAYER_FILES[report])
     if not corpus:
         raise _no_bundles(directory)
@@ -135,6 +160,9 @@ def _load_corpus(directory: str, report: str) -> dict[str, Document]:
 def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
     # One document at a time, in discover order, keeping only the rendered
     # findings: the corpus is never held in memory.
+    from . import annio
+
+    validate_document = _library("validate_document")
     bundles = annio.discover(args.directory)
     if not bundles:
         raise _no_bundles(args.directory)
@@ -163,12 +191,26 @@ def _choice(flag_value, config: dict, key: str, choices: dict, default):
     return choices[name]
 
 
-def _number(flag_value, flag: str, config: dict, key: str, default):
-    """A finite number from the flag, the config file or the default."""
+def _number(
+    flag_value, flag: str, config: dict, key: str, default, *, unit: bool = False
+):
+    """A finite number from the flag, the config file or the default; with
+    `unit`, one in [0, 1], as agreement values and thresholds are."""
     value = _pick(flag_value, config, key, default)
+    where = flag if flag_value is not None else f"config key {key!r}"
     if not workflow.is_finite_number(value):
-        where = flag if flag_value is not None else f"config key {key!r}"
         raise InputError(f"{where} must be a finite number, got {value!r}")
+    if unit and not 0 <= value <= 1:
+        raise InputError(f"{where} must be in [0, 1], got {value!r}")
+    return value
+
+
+def _switch(flag_set: bool, config: dict, key: str) -> bool:
+    """False when the flag that turns `key` off is given, else the config
+    file's JSON true or false, else True."""
+    value = False if flag_set else config.get(key, True)
+    if not isinstance(value, bool):
+        raise InputError(f"config key {key!r} must be true or false, got {value!r}")
     return value
 
 
@@ -177,7 +219,7 @@ def _agreement_args(args: argparse.Namespace, config: dict):
     mode = _choice(args.mode, config, "mode", _MODES, "one2one")
     raw_beta = _pick(args.beta, config, "beta", 1.0)
     try:
-        beta = float(raw_beta)
+        beta = math.nan if isinstance(raw_beta, bool) else float(raw_beta)
     except (TypeError, ValueError):
         beta = math.nan
     if not (math.isfinite(beta) and beta > 0):
@@ -185,16 +227,12 @@ def _agreement_args(args: argparse.Namespace, config: dict):
         raise InputError(
             f"{where} must be a finite number greater than 0, got {raw_beta!r}"
         )
+    from .parseval import EvalParams
+
     params = EvalParams(
-        labeled=_pick(
-            False if args.unlabeled else None, config, "labeled", True
-        ),
-        include_root=_pick(
-            False if args.exclude_root else None, config, "include_root", True
-        ),
-        ignore_punct=_pick(
-            False if args.keep_punct else None, config, "ignore_punct", True
-        ),
+        labeled=_switch(args.unlabeled, config, "labeled"),
+        include_root=_switch(args.exclude_root, config, "include_root"),
+        ignore_punct=_switch(args.keep_punct, config, "ignore_punct"),
     )
     return policy, mode, beta, params
 
@@ -203,7 +241,7 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     # For score, gold (dir_a) plays the reference (recall) role and the
     # predictions (dir_b) the response role.
     policy, mode, beta, params = _agreement_args(args, config)
-    corpus = corpus_agreement(
+    corpus = _library("corpus_agreement")(
         _load_corpus(args.dir_a, args.layer), _load_corpus(args.dir_b, args.layer),
         args.layer, policy=policy, mode=mode, params=params,
     )
@@ -220,6 +258,8 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_expand(args: argparse.Namespace, config: dict) -> int:
+    from . import annio
+
     path = Path(args.ann_file)
     ann = annio.parse_ann(annio.read_text_file(path), doc_id=path.stem, path=str(path))
     tid_by_key: dict[tuple, str] = {}
@@ -228,7 +268,7 @@ def _cmd_expand(args: argparse.Namespace, config: dict) -> int:
         if best is None or int(tid[1:]) < int(best[1:]):
             tid_by_key[ent.key()] = tid
     lines = ["# one-to-one expansion of grouped relations"]
-    pairs = sorted(expand_all(ann), key=lambda p: p.key)
+    pairs = sorted(_library("expand_all")(ann), key=lambda p: p.key)
     for i, pair in enumerate(pairs, start=1):
         a1, a2 = tid_by_key[pair.arg1], tid_by_key[pair.arg2]
         lines.append(f"R{i}\t{pair.rtype.value} Arg1:{a1} Arg2:{a2}")
@@ -237,6 +277,8 @@ def _cmd_expand(args: argparse.Namespace, config: dict) -> int:
 
 
 def _stats_rows(args: argparse.Namespace, docs) -> list:
+    from . import stats
+
     if args.report == "pos":
         return stats.distribution(docs, "pos", doc_type=args.doc_type)
     if args.report == "syn":
@@ -247,6 +289,9 @@ def _stats_rows(args: argparse.Namespace, docs) -> list:
 
 
 def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
+    from . import stats
+    from .model import DOC_TYPES
+
     if args.doc_type is not None and args.doc_type not in DOC_TYPES:
         raise InputError(
             f"unknown doc type {args.doc_type!r}; expected one of {DOC_TYPES}"
@@ -285,6 +330,8 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_kfold(args: argparse.Namespace, config: dict) -> int:
+    from . import annio
+
     doc_ids = sorted(annio.discover(args.directory))
     if not doc_ids:
         raise _no_bundles(args.directory)
@@ -294,7 +341,10 @@ def _cmd_kfold(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_seg_advise(args: argparse.Namespace, config: dict) -> int:
-    lexicon = load_lexicon(
+    from . import annio
+    from .segadvice import advise_chain
+
+    lexicon = _library("load_lexicon")(
         annio.read_text_file(args.lexicon), path=str(args.lexicon)
     )
     trail = advise_chain(lexicon, args.term)
@@ -307,6 +357,8 @@ def _cmd_seg_advise(args: argparse.Namespace, config: dict) -> int:
 def _cmd_round(args: argparse.Namespace, config: dict) -> int:
     if args.action == "new":
         if args.pool_from:
+            from . import annio
+
             pool = sorted(annio.discover(args.pool_from))
             if not pool:
                 raise _no_bundles(args.pool_from)
@@ -314,7 +366,7 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
             pool = list(args.pool or [])
         if not pool:
             raise InputError("round new needs --pool-from or --pool")
-        state = RoundState(round_index=1, pool=pool)
+        state = workflow.RoundState(round_index=1, pool=pool)
         workflow.save_state(state, args.state)
         sys.stdout.write(state.to_json())
         return 0
@@ -350,6 +402,8 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
             raise InputError("round record-iaa needs --task and --value")
         if not math.isfinite(args.value):
             raise InputError(f"--value must be a finite number, got {args.value!r}")
+        if not 0 <= args.value <= 1:
+            raise InputError(f"--value must be in [0, 1], got {args.value!r}")
         history = state.iaa_history.setdefault(args.task, [])
         history.append(args.value)
         workflow.save_state(state, args.state)
@@ -374,10 +428,16 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
             raise InputError(
                 f"config key 'tau' must map {task!r} to a finite number, got {tau!r}"
             )
-    policy = ConvergencePolicy(
+        if not 0 <= tau <= 1:
+            raise InputError(
+                f"config key 'tau' must map {task!r} to a number in [0, 1], got {tau!r}"
+            )
+    policy = workflow.ConvergencePolicy(
         window=window,
         tau={k: float(v) for k, v in tau_map.items()},
-        default_tau=float(_number(args.tau, "--tau", config, "default_tau", 0.9)),
+        default_tau=float(
+            _number(args.tau, "--tau", config, "default_tau", 0.9, unit=True)
+        ),
     )
     lines = ["task\trounds\tthreshold\tconverged"]
     all_converged = bool(state.iaa_history)

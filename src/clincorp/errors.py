@@ -1,5 +1,8 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one reader of text
+files, which turns undecodable bytes into a located ParseError."""
 from __future__ import annotations
+
+import os
 
 
 class ClincorpError(Exception):
@@ -36,3 +39,16 @@ class ResolutionError(InputError):
 
 class LexiconError(ClincorpError):
     """A term lexicon violates its own invariants."""
+
+
+def read_text_file(path: str | os.PathLike) -> str:
+    """Read a UTF-8 file; decode failures report the offending line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise ParseError(
+            f"invalid UTF-8 at byte offset {exc.start}", path=str(path), line=line
+        ) from None

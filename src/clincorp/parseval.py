@@ -18,6 +18,8 @@ from .tagsets import POS_TAG_SET, SYN_TAG_ALIASES, SYN_TAG_SET
 PUNCT_POS = "PU"
 
 _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
+# A character _TOKEN_RE splits at, which a leaf surface therefore cannot hold.
+LEAF_BREAK_RE = re.compile(r"[\s()]")
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,11 +3,38 @@
 Part-of-speech and phrase tags follow the Chinese Treebank inventory as
 adapted for clinical narrative; entity, assertion, and relation labels follow
 the clinical entity-group guidelines.  All sets are closed: parsers and
-validators reject anything outside them.
+validators reject anything outside them.  The agreement layers and the
+entity and relation comparison choices live here too, so that naming them
+(as the command line does) needs no scoring code.
 """
 from __future__ import annotations
 
 import enum
+
+# The annotation layers agreement is measured on.
+LAYERS = ("seg", "pos", "chunk", "tree", "entity", "relation")
+
+
+class MatchPolicy(enum.Enum):
+    """What must coincide for two entity annotations to agree."""
+
+    SPAN = "span"
+    SPAN_TYPE = "span_type"
+    SPAN_TYPE_ASSERTION = "span_type_assertion"
+
+
+class RelationMode(enum.Enum):
+    """How relation arguments are compared.
+
+    GROUP_PRESERVED requires the two annotators to agree on the grouping
+    itself: each endpoint matches as a whole member set.  ONE_TO_ONE first
+    expands every relation to entity pairs and compares those, so different
+    groupings of the same underlying pairs still agree.
+    """
+
+    GROUP_PRESERVED = "group_preserved"
+    ONE_TO_ONE = "one_to_one"
+
 
 # 33 part-of-speech labels, in canonical (frequency-table) order.
 POS_TAGS: tuple[str, ...] = (

@@ -18,9 +18,12 @@ import math
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .errors import InputError, ParseError
-from .model import DocAnnotations, Document, Entity
+from .errors import InputError, ParseError, read_text_file
+
+if TYPE_CHECKING:  # diff_report imports model when it runs
+    from .model import DocAnnotations, Document, Entity
 
 GROUP_A = "AG1"
 GROUP_B = "AG2"
@@ -125,7 +128,7 @@ def is_finite_number(x) -> bool:
 
 
 def load_state(path: str | Path) -> RoundState:
-    return RoundState.from_json(Path(path).read_text(encoding="utf-8"), path=str(path))
+    return RoundState.from_json(read_text_file(path), path=str(path))
 
 
 def save_state(state: RoundState, path: str | Path) -> None:
@@ -327,6 +330,7 @@ def diff_report(
             f"(only in a: {only_a}; only in b: {only_b})"
         )
     from .groups import endpoint_key
+    from .model import DocAnnotations
 
     out: list[Disagreement] = []
     for doc_id in sorted(corpus_a):

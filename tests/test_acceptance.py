@@ -717,6 +717,29 @@ def test_c09_round_trip_identity_and_fuzz_never_crashes(tmp_path):
             serialize_ann(DocAnnotations("d", bad, entities={
                 "T1": Entity("T1", EntityType.TEST, 0, len(bad), bad)}))
 
+    # Tree leaves: a surface holding a bracket or a character the tree
+    # reader splits at (every code point Python's `\s` matches) is refused;
+    # any other non-empty surface round-trips.
+    leaf_breaks = set(
+        "()\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2028\u2029\u202f\u205f\u3000"
+    ) | {chr(c) for c in range(0x2000, 0x200B)}
+    ordinary = "发热+-/（）[]\u200b\ufeff"
+    alphabet = sorted(leaf_breaks) + list(ordinary)
+    tree_rng = random.Random(9013)
+    surfaces = ["", "(+)", "a　b"] + [
+        "".join(tree_rng.choices(alphabet, k=tree_rng.randint(1, 4))) for _ in range(2000)
+    ]
+    for surface in surfaces:
+        tree = ParseTree("IP", (ParseTree("NN", surface=surface),
+                                ParseTree("PU", surface="。")))
+        if not surface or leaf_breaks & set(surface):
+            with pytest.raises(InputError):
+                serialize_ptb([tree])
+        else:
+            ptb = serialize_ptb([tree])
+            assert parse_ptb(ptb) == [tree]
+            assert serialize_ptb(parse_ptb(ptb)) == ptb
+
     # The same identity through actual files.
     disk_rng = random.Random(9010)
     root = tmp_path / "bundles"

@@ -371,6 +371,42 @@ def test_round_status_checks_tau_values(tmp_path, capsys, value):
     )
 
 
+@pytest.mark.parametrize("value", [-1, 1.5, -0.001])
+def test_round_status_checks_default_tau_range(tmp_path, capsys, value):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {"default_tau": value}, ["status"],
+        f"config key 'default_tau' must be in [0, 1], got {value!r}",
+    )
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5"])
+def test_round_status_checks_tau_flag_range(tmp_path, capsys, value):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {"default_tau": 0.5}, ["status", f"--tau={value}"],
+        f"--tau must be in [0, 1], got {float(value)!r}",
+    )
+
+
+@pytest.mark.parametrize("value", [-1, 1.01, 7])
+def test_round_status_checks_tau_value_range(tmp_path, capsys, value):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {"tau": {"entity": 0.9, "seg": value}}, ["status"],
+        f"config key 'tau' must map 'seg' to a number in [0, 1], got {value!r}",
+    )
+
+
+@pytest.mark.parametrize("value", ["7", "-3", "1.0001"])
+def test_record_iaa_checks_value_range(tmp_path, capsys, value):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {}, ["record-iaa", "--task", "seg", f"--value={value}"],
+        f"--value must be in [0, 1], got {float(value)!r}",
+    )
+
+
 def test_round_status_accepts_numeric_config(tmp_path, capsys):
     state = _round_with_history(tmp_path, capsys)
     cfg = tmp_path / "cfg.json"
@@ -520,6 +556,36 @@ def test_config_rejects_unknown_policy_and_mode(tmp_path, capsys):
             assert captured.err == (
                 f"error: config key {key!r} must be one of {allowed}, got {value!r}\n"
             )
+
+
+@pytest.mark.parametrize("key", ["labeled", "include_root", "ignore_punct"])
+@pytest.mark.parametrize("value", ["no", 0, 1, None, "false"])
+def test_config_switches_must_be_json_booleans(tmp_path, capsys, key, value):
+    root = make_corpus(tmp_path, "a", seed=16, n_docs=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    for cmd in ("iaa", "score"):
+        argv = ["--config", str(cfg), cmd, "--layer", "tree", str(root), str(root)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: config key {key!r} must be true or false, got {value!r}\n"
+    cfg.write_text(json.dumps({key: False}), encoding="utf-8")
+    assert main(["--config", str(cfg), "iaa", "--layer", "tree", str(root), str(root)]) == 0
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_config_beta_must_not_be_a_boolean(tmp_path, capsys, value):
+    root = make_corpus(tmp_path, "a", seed=16, n_docs=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": value}), encoding="utf-8")
+    argv = ["--config", str(cfg), "iaa", "--layer", "entity", str(root), str(root)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: config key 'beta' must be a finite number greater than 0, got {value!r}\n"
+    )
 
 
 def test_record_iaa_rejects_non_finite_value(tmp_path, capsys):

@@ -1,0 +1,98 @@
+"""Import scope: the package root loads nothing eagerly, and each command
+loads only the library modules it runs.  Each check runs in a fresh
+interpreter, since this test process has imported everything already."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import clincorp
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Modules a command that does not score, parse layer files or compute
+# statistics must not load.
+NOT_FOR_ROUND = {"agreement", "annio", "parseval", "groups", "model", "stats",
+                 "refdata", "validate", "segadvice"}
+NOT_FOR_KFOLD = {"agreement", "stats", "refdata", "validate", "segadvice"}
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The clincorp submodules in sys.modules after `code` runs in a fresh
+    interpreter."""
+    script = code + (
+        "\nimport sys, json"
+        "\nprint(json.dumps(sorted(m[len('clincorp.'):] for m in sys.modules"
+        " if m.startswith('clincorp.'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("CLINCORP_CONFIG", None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _loaded_by_command(*argv: str) -> set[str]:
+    return _loaded_after(
+        "import contextlib, io\n"
+        "from clincorp import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({list(argv)!r})\n"
+        "assert code in (0, 1), code\n"
+    )
+
+
+def test_import_package_loads_no_submodule():
+    assert _loaded_after("import clincorp") == set()
+
+
+def test_round_commands_skip_the_library(tmp_path):
+    state = str(tmp_path / "state.json")
+    assert _loaded_by_command("round", "new", "--state", state, "--pool", "d1", "d2") \
+        & NOT_FOR_ROUND == set()
+    for argv in (
+        ("round", "record-iaa", "--state", state, "--task", "seg", "--value", "0.5"),
+        ("round", "status", "--state", state),
+        ("round", "sample", "--state", state, "--n", "1", "--seed", "3"),
+    ):
+        loaded = _loaded_by_command(*argv)
+        assert "workflow" in loaded
+        assert loaded & NOT_FOR_ROUND == set(), argv
+
+
+def test_kfold_skips_scoring_and_statistics(tmp_path):
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.txt").write_text("x", encoding="utf-8")
+    loaded = _loaded_by_command("kfold", "--k", "2", "--seed", "1", str(tmp_path))
+    assert "annio" in loaded
+    assert loaded & NOT_FOR_KFOLD == set()
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    names = clincorp.__all__
+    assert len(names) == len(set(names)) == 102
+    listed = dir(clincorp)
+    for name in names:
+        value = getattr(clincorp, name)
+        module = importlib.import_module(f"clincorp.{clincorp._MODULE_OF[name]}")
+        assert value is getattr(module, name), name
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+        assert name in listed
+    from clincorp import MatchPolicy
+    from clincorp.agreement import MatchPolicy as policy_from_agreement
+    assert MatchPolicy is policy_from_agreement
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError):
+        clincorp.no_such_name
+    with pytest.raises(ImportError):
+        from clincorp import no_such_name  # noqa: F401
+    from clincorp import cli
+    with pytest.raises(AttributeError):
+        cli.no_such_name
