@@ -73,6 +73,16 @@ def numbered_lines(content: str) -> Iterator[tuple[int, str]]:
     return enumerate(lines, start=1)
 
 
+# The first characters a comment or blank line can start with: '#', each
+# character str.strip() removes, and "" for an empty line.  Any other first
+# character makes a data line, so one set lookup settles most lines and only
+# the rest are tested with _is_comment and str.strip().
+_MAY_SKIP = frozenset([
+    "", "#", *"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+    "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000",
+])
+
+
 def _is_comment(line: str) -> bool:
     return line.lstrip().startswith("#")
 
@@ -85,34 +95,30 @@ def parse_tok(content: str, *, path: str | None = None) -> list[Sentence]:
     Unknown part-of-speech labels and non-monotonic spans are format errors
     and raise with the line number."""
     sentences: list[Sentence] = []
-    block: list[tuple[int, int, str, str | None]] = []
-    prev_end = 0
-
-    def flush() -> None:
-        if not block:
-            return
-        sent_start = block[0][0]
-        tokens = tuple(
-            Token(start=s - sent_start, end=e - sent_start, surface=surf, pos=pos)
-            for s, e, surf, pos in block
-        )
-        sentences.append(Sentence(start=sent_start, tokens=tokens))
-        block.clear()
-
+    block: list[Token] = []
+    sent_start = prev_end = 0
     for lineno, line in numbered_lines(content):
-        if _is_comment(line):
-            continue
-        if not line.strip():
-            flush()
-            continue
+        if line[:1] in _MAY_SKIP:
+            if _is_comment(line):
+                continue
+            if not line.strip():
+                if block:
+                    sentences.append(Sentence(sent_start, tuple(block)))
+                    block = []
+                continue
         fields = line.split("\t")
-        if len(fields) not in (3, 4):
+        if len(fields) == 3:
+            start_field, end_field, surface = fields
+            pos = None
+        elif len(fields) == 4:
+            start_field, end_field, surface, pos = fields
+        else:
             raise ParseError(
                 f"expected 3 or 4 tab-separated fields, got {len(fields)}",
                 path=path, line=lineno,
             )
         try:
-            start, end = int(fields[0]), int(fields[1])
+            start, end = int(start_field), int(end_field)
         except ValueError:
             raise ParseError("offsets must be integers", path=path, line=lineno) from None
         if end <= start:
@@ -123,14 +129,15 @@ def parse_tok(content: str, *, path: str | None = None) -> list[Sentence]:
                 f"the previous token ends at {prev_end}", path=path, line=lineno,
             )
         prev_end = end
-        surface = fields[2]
         if not surface:
             raise ParseError("empty surface", path=path, line=lineno)
-        pos = fields[3] if len(fields) == 4 else None
         if pos is not None and pos not in POS_TAG_SET:
             raise ParseError(f"unknown-pos-label {pos!r}", path=path, line=lineno)
-        block.append((start, end, surface, pos))
-    flush()
+        if not block:
+            sent_start = start
+        block.append(Token(start - sent_start, end - sent_start, surface, pos))
+    if block:
+        sentences.append(Sentence(sent_start, tuple(block)))
     return sentences
 
 
@@ -158,7 +165,7 @@ def serialize_tok(sentences: list[Sentence]) -> str:
 def parse_ptb(content: str, *, path: str | None = None) -> list[ParseTree]:
     trees: list[ParseTree] = []
     for lineno, line in numbered_lines(content):
-        if _is_comment(line) or not line.strip():
+        if line[:1] in _MAY_SKIP and (_is_comment(line) or not line.strip()):
             continue
         trees.append(parse_tree(line, path=path, line=lineno))
     return trees
@@ -183,32 +190,31 @@ def parse_chk(content: str, *, path: str | None = None) -> list[list[Chunk]]:
     terminator is tolerated."""
     blocks: list[list[Chunk]] = []
     block: list[Chunk] = []
-    open_block = False
     for lineno, line in numbered_lines(content):
-        if _is_comment(line):
-            continue
-        if not line.strip():
-            blocks.append(block)
-            block = []
-            open_block = False
-            continue
+        if line[:1] in _MAY_SKIP:
+            if _is_comment(line):
+                continue
+            if not line.strip():
+                blocks.append(block)
+                block = []
+                continue
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(
                 f"expected 3 tab-separated fields, got {len(fields)}",
                 path=path, line=lineno,
             )
+        first_field, last_field, label = fields
         try:
-            first, last = int(fields[0]), int(fields[1])
+            first, last = int(first_field), int(last_field)
         except ValueError:
             raise ParseError("token indices must be integers", path=path, line=lineno) from None
         if last <= first or first < 0:
             raise ParseError(f"bad token range [{first}, {last})", path=path, line=lineno)
-        if not fields[2]:
+        if not label:
             raise ParseError("empty chunk label", path=path, line=lineno)
-        block.append(Chunk(first=first, last_exclusive=last, label=fields[2]))
-        open_block = True
-    if open_block:
+        block.append(Chunk(first, last, label))
+    if block:
         blocks.append(block)
     return blocks
 
@@ -240,7 +246,7 @@ def parse_ann(
     assertions: list[tuple[int, str, str, str]] = []  # (line, aid, label, target)
     ref_lines: dict[str, int] = {}  # group/relation id -> source line
     for lineno, line in numbered_lines(content):
-        if _is_comment(line) or not line.strip():
+        if line[:1] in _MAY_SKIP and (_is_comment(line) or not line.strip()):
             continue
         kind = line[0]
         if kind == "T":
@@ -253,9 +259,7 @@ def parse_ann(
                 raise ParseError(f"unknown entity type {label!r}", path=path, line=lineno)
             if tid in ann.entities:
                 raise ParseError(f"duplicate entity id {tid}", path=path, line=lineno)
-            ann.entities[tid] = Entity(
-                eid=tid, etype=etype, start=int(start), end=int(end), surface=surface
-            )
+            ann.entities[tid] = Entity(tid, etype, int(start), int(end), surface)
         elif kind == "A":
             m = _A_RE.match(line)
             if not m:
@@ -309,8 +313,7 @@ def parse_ann(
         seen_targets.add(target)
         old = ann.entities[target]
         ann.entities[target] = Entity(
-            eid=old.eid, etype=old.etype, start=old.start, end=old.end,
-            surface=old.surface, assertion=parse_assertion_type(label),
+            old.eid, old.etype, old.start, old.end, old.surface, parse_assertion_type(label)
         )
     for g in ann.groups.values():
         for m in g.members:
@@ -504,7 +507,7 @@ def load_document(
                 path=ptb,
             )
         for i, (tree, sent) in enumerate(zip(doc.trees, doc.sentences)):
-            n_leaves = len(tree.leaves())
+            n_leaves = tree.leaf_count()
             if n_leaves != len(sent.tokens):
                 raise ParseError(
                     f"sentence {i}: tree has {n_leaves} leaves but the token "

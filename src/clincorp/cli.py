@@ -217,16 +217,11 @@ def _switch(flag_set: bool, config: dict, key: str) -> bool:
 def _agreement_args(args: argparse.Namespace, config: dict):
     policy = _choice(args.policy, config, "policy", _POLICIES, "span_type")
     mode = _choice(args.mode, config, "mode", _MODES, "one2one")
-    raw_beta = _pick(args.beta, config, "beta", 1.0)
-    try:
-        beta = math.nan if isinstance(raw_beta, bool) else float(raw_beta)
-    except (TypeError, ValueError):
-        beta = math.nan
-    if not (math.isfinite(beta) and beta > 0):
+    beta = _pick(args.beta, config, "beta", 1.0)
+    if not (workflow.is_finite_number(beta) and beta > 0):
         where = "--beta" if args.beta is not None else "config key 'beta'"
-        raise InputError(
-            f"{where} must be a finite number greater than 0, got {raw_beta!r}"
-        )
+        raise InputError(f"{where} must be a finite number greater than 0, got {beta!r}")
+    beta = float(beta)
     from .parseval import EvalParams
 
     params = EvalParams(

@@ -12,14 +12,41 @@ from dataclasses import dataclass, field
 from .tagsets import AssertionType, EntityType, RelationType
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Record:
+    """Base of the records built once per token, chunk or tree node: plain
+    `__slots__` classes, which cost about a third of a frozen dataclass to
+    construct.  They keep a dataclass's value equality (only with the same
+    type), hash and repr, but do not refuse assignment: treat them as
+    immutable, as their hash assumes."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Token(Record):
     """One segmented token.  start/end are relative to the enclosing sentence."""
 
-    start: int
-    end: int
-    surface: str
-    pos: str | None = None
+    __slots__ = ("start", "end", "surface", "pos")
+
+    def __init__(self, start: int, end: int, surface: str, pos: str | None = None):
+        self.start = start
+        self.end = end
+        self.surface = surface
+        self.pos = pos
 
     @property
     def span(self) -> tuple[int, int]:
@@ -43,25 +70,37 @@ class Sentence:
         return (self.start + token.start, self.start + token.end)
 
 
-@dataclass(frozen=True, slots=True)
-class Chunk:
+class Chunk(Record):
     """A labeled span of whole tokens, [first, last_exclusive) token indices."""
 
-    first: int
-    last_exclusive: int
-    label: str
+    __slots__ = ("first", "last_exclusive", "label")
+
+    def __init__(self, first: int, last_exclusive: int, label: str):
+        self.first = first
+        self.last_exclusive = last_exclusive
+        self.label = label
 
 
-@dataclass(frozen=True, slots=True)
-class Entity:
+class Entity(Record):
     """A typed text span.  Surface is the exact document substring."""
 
-    eid: str
-    etype: EntityType
-    start: int
-    end: int
-    surface: str
-    assertion: AssertionType | None = None
+    __slots__ = ("eid", "etype", "start", "end", "surface", "assertion")
+
+    def __init__(
+        self,
+        eid: str,
+        etype: EntityType,
+        start: int,
+        end: int,
+        surface: str,
+        assertion: AssertionType | None = None,
+    ):
+        self.eid = eid
+        self.etype = etype
+        self.start = start
+        self.end = end
+        self.surface = surface
+        self.assertion = assertion
 
     @property
     def span(self) -> tuple[int, int]:

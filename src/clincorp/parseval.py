@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import LengthMismatchError, ParseError
+from .model import Record
 from .tagsets import POS_TAG_SET, SYN_TAG_ALIASES, SYN_TAG_SET
 
 PUNCT_POS = "PU"
@@ -22,13 +23,17 @@ _TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
 LEAF_BREAK_RE = re.compile(r"[\s()]")
 
 
-@dataclass(frozen=True, slots=True)
-class ParseTree:
+class ParseTree(Record):
     """A tree node.  Preterminals carry a surface string and no children."""
 
-    label: str
-    children: tuple["ParseTree", ...] = ()
-    surface: str | None = None
+    __slots__ = ("label", "children", "surface")
+
+    def __init__(
+        self, label: str, children: tuple["ParseTree", ...] = (), surface: str | None = None
+    ):
+        self.label = label
+        self.children = children
+        self.surface = surface
 
     @property
     def is_preterminal(self) -> bool:
@@ -36,18 +41,37 @@ class ParseTree:
 
     def leaves(self) -> list[tuple[str, str]]:
         """(pos, surface) pairs in left-to-right order."""
-        if self.is_preterminal:
-            return [(self.label, self.surface or "")]
         out: list[tuple[str, str]] = []
-        for child in self.children:
-            out.extend(child.leaves())
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.surface is None:
+                stack.extend(reversed(node.children))
+            else:
+                out.append((node.label, node.surface))
         return out
+
+    def leaf_count(self) -> int:
+        """Number of leaves, counted without building a list of them."""
+        n = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.surface is None:
+                stack.extend(node.children)
+            else:
+                n += 1
+        return n
 
     def nodes(self) -> list["ParseTree"]:
         """All nodes, preorder."""
-        out: list[ParseTree] = [self]
-        for child in self.children:
-            out.extend(child.nodes())
+        out: list[ParseTree] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            if node.children:
+                stack.extend(reversed(node.children))
         return out
 
     def to_string(self) -> str:
@@ -60,62 +84,76 @@ class ParseTree:
 def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -> ParseTree:
     """Read one bracketed tree.  Internal labels are normalized through the
     syntactic-tag alias table; labels outside the closed tagsets are format
-    errors.  A label-less outer wrapper around a single tree is unwrapped."""
+    errors.  A label-less outer wrapper around a single tree is unwrapped.
+
+    One pass over the tokens with an explicit stack of the open nodes; the
+    first error met in that left-to-right pass is the one raised."""
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise ParseError("empty tree", path=path, line=line)
-    pos = 0
-
-    def fail(msg: str) -> ParseError:
-        return ParseError(msg, path=path, line=line)
-
-    def read_node(allow_anonymous: bool = False) -> ParseTree:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
-            raise fail("expected '('")
-        pos += 1
-        if pos >= len(tokens):
-            raise fail("unexpected end of tree")
-        if tokens[pos] == "(":
-            # Anonymous wrapper: ( (IP ...) ); legal only as the outermost node.
-            if not allow_anonymous:
-                raise fail("missing constituent label")
-            label = ""
+    if tokens[0] != "(":
+        raise ParseError("expected '('", path=path, line=line)
+    if len(tokens) == 1:
+        raise ParseError("unexpected end of tree", path=path, line=line)
+    if tokens[1] == "(":
+        # Anonymous wrapper: ( (IP ...) ); legal only as the outermost node.
+        label, it = "", iter(tokens[1:])
+    else:
+        label, it = tokens[1], iter(tokens[2:])
+    # The open node is (label, children, surface); its ancestors are on `stack`.
+    children: list[ParseTree] = []
+    surface: str | None = None
+    stack: list[tuple[str, list[ParseTree], str | None]] = []
+    for tok in it:
+        if tok == "(":
+            child_label = next(it, None)
+            if child_label is None:
+                raise ParseError("unexpected end of tree", path=path, line=line)
+            if child_label == "(":
+                raise ParseError("missing constituent label", path=path, line=line)
+            stack.append((label, children, surface))
+            label, children, surface = child_label, [], None
+        elif tok != ")":
+            if surface is not None or children:
+                raise ParseError(
+                    "a node may hold either a surface or subtrees, not both",
+                    path=path, line=line,
+                )
+            surface = tok
         else:
-            label = tokens[pos]
-            pos += 1
-        children: list[ParseTree] = []
-        surface: str | None = None
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == "(":
-                children.append(read_node())
+            if surface is not None:
+                if label not in POS_TAG_SET:
+                    raise ParseError(f"unknown-pos-label {label!r}", path=path, line=line)
+                node = ParseTree(label, (), surface)
+            elif not children:
+                raise ParseError(f"empty constituent ({label})", path=path, line=line)
+            elif label == "":
+                if len(children) != 1:
+                    raise ParseError(
+                        "anonymous root must wrap exactly one tree", path=path, line=line
+                    )
+                node = children[0]
             else:
-                if surface is not None or children:
-                    raise fail("a node may hold either a surface or subtrees, not both")
-                surface = tokens[pos]
-                pos += 1
-        if pos >= len(tokens):
-            raise fail("unbalanced parentheses")
-        pos += 1  # consume ')'
-        if surface is not None:
-            if label not in POS_TAG_SET:
-                raise fail(f"unknown-pos-label {label!r}")
-            return ParseTree(label=label, surface=surface)
-        if not children:
-            raise fail(f"empty constituent ({label})")
-        if label == "":
-            if len(children) != 1:
-                raise fail("anonymous root must wrap exactly one tree")
-            return children[0]
-        label = SYN_TAG_ALIASES.get(label, label)
-        if label not in SYN_TAG_SET:
-            raise fail(f"unknown-syntactic-label {label!r}")
-        return ParseTree(label=label, children=tuple(children))
-
-    root = read_node(allow_anonymous=True)
-    if pos != len(tokens):
-        raise fail("trailing material after tree")
-    return root
+                label = SYN_TAG_ALIASES.get(label, label)
+                if label not in SYN_TAG_SET:
+                    raise ParseError(
+                        f"unknown-syntactic-label {label!r}", path=path, line=line
+                    )
+                node = ParseTree(label, tuple(children))
+            if not stack:
+                if next(it, None) is not None:
+                    raise ParseError("trailing material after tree", path=path, line=line)
+                return node
+            label, children, surface = stack.pop()
+            if surface is not None:
+                # (NN a (NN b)): a subtree after a surface, refused once it
+                # closes so that errors inside it are reported first.
+                raise ParseError(
+                    "a node may hold either a surface or subtrees, not both",
+                    path=path, line=line,
+                )
+            children.append(node)
+    raise ParseError("unbalanced parentheses", path=path, line=line)
 
 
 @dataclass(frozen=True, slots=True)

@@ -54,12 +54,13 @@ def validate_tokens(doc: Document) -> list[Diagnostic]:
         prev_sent_end = max(prev_sent_end, sent.end)
         prev_end = None
         for ti, tok in enumerate(sent.tokens):
-            s, e = sent.abs_span(tok)
-            tloc = f"sentence {si} token {ti}"
+            s = sent.start + tok.start
+            e = sent.start + tok.end
             if s < 0 or e > len(text) or e <= s:
                 out.append(Diagnostic(
                     "span-out-of-range", f"token span [{s}, {e}) is invalid "
-                    f"for text of length {len(text)}", "token", doc.doc_id, tloc,
+                    f"for text of length {len(text)}",
+                    "token", doc.doc_id, f"sentence {si} token {ti}",
                 ))
                 prev_end = tok.end
                 continue
@@ -67,27 +68,27 @@ def validate_tokens(doc: Document) -> list[Diagnostic]:
                 out.append(Diagnostic(
                     "surface-mismatch",
                     f"token surface {tok.surface!r} != text {text[s:e]!r}",
-                    "token", doc.doc_id, tloc,
+                    "token", doc.doc_id, f"sentence {si} token {ti}",
                 ))
             if prev_end is not None:
                 if tok.start < prev_end:
                     out.append(Diagnostic(
                         "token-overlap",
                         f"token starts at {s} inside the previous token",
-                        "token", doc.doc_id, tloc,
+                        "token", doc.doc_id, f"sentence {si} token {ti}",
                     ))
                 elif tok.start > prev_end:
                     gap = text[sent.start + prev_end : s]
                     out.append(Diagnostic(
                         "token-gap",
                         f"sentence text {gap!r} is covered by no token",
-                        "token", doc.doc_id, tloc,
+                        "token", doc.doc_id, f"sentence {si} token {ti}",
                     ))
             prev_end = tok.end
             if tok.pos is not None and tok.pos not in POS_TAG_SET:
                 out.append(Diagnostic(
                     "unknown-pos", f"part-of-speech {tok.pos!r} is not in the tagset",
-                    "token", doc.doc_id, tloc,
+                    "token", doc.doc_id, f"sentence {si} token {ti}",
                 ))
     return out
 
@@ -138,22 +139,27 @@ def validate_trees(doc: Document) -> list[Diagnostic]:
         ))
     for si, tree in enumerate(doc.trees):
         loc = f"sentence {si}"
-        for node in tree.nodes():
-            if node.is_preterminal:
+        leaf_surfaces: list[str] = []
+        stack = [tree]  # a preorder walk that also collects the leaf surfaces
+        while stack:
+            node = stack.pop()
+            if node.surface is not None:
+                leaf_surfaces.append(node.surface)
                 if node.label not in POS_TAG_SET:
                     out.append(Diagnostic(
                         "unknown-pos",
                         f"leaf part-of-speech {node.label!r} is not in the tagset",
                         "tree", doc.doc_id, loc,
                     ))
-            elif normalize_syn_tag(node.label) is None:
-                out.append(Diagnostic(
-                    "unknown-label",
-                    f"constituent label {node.label!r} is not in the tagset",
-                    "tree", doc.doc_id, loc,
-                ))
+            else:
+                stack.extend(reversed(node.children))
+                if normalize_syn_tag(node.label) is None:
+                    out.append(Diagnostic(
+                        "unknown-label",
+                        f"constituent label {node.label!r} is not in the tagset",
+                        "tree", doc.doc_id, loc,
+                    ))
         if doc.sentences and si < len(doc.sentences):
-            leaf_surfaces = [surf for _, surf in tree.leaves()]
             tok_surfaces = [t.surface for t in doc.sentences[si].tokens]
             if leaf_surfaces != tok_surfaces:
                 out.append(Diagnostic(

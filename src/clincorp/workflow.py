@@ -95,7 +95,7 @@ class RoundState:
             raise ParseError("pool must be a list of strings", path=path)
         for key, what, item_ok in (
             ("assignments", "lists of strings", _is_str),
-            ("iaa_history", "lists of finite numbers", is_finite_number),
+            ("iaa_history", "lists of finite numbers in [0, 1]", _is_unit),
         ):
             if not isinstance(data[key], dict) or not all(
                 _is_list_of(v, item_ok) for v in data[key].values()
@@ -115,6 +115,11 @@ def _is_list_of(value, item_ok) -> bool:
 
 def _is_str(x) -> bool:
     return isinstance(x, str)
+
+
+def _is_unit(x) -> bool:
+    """A finite JSON number in [0, 1], the range of an agreement value."""
+    return is_finite_number(x) and 0 <= x <= 1
 
 
 def is_finite_number(x) -> bool:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from clincorp import annio
 from clincorp.annio import (
     HEADERS,
     LAYER_FILES,
@@ -363,6 +364,23 @@ def test_comments_ignored_everywhere():
     assert parse_chk("# c\n0\t1\tNP\n") == [[Chunk(0, 1, "NP")]]
     assert parse_ann("# c\n" + ANN).entities.keys() == {"T1", "T2", "T3"}
     assert len(parse_ptb("# c\n(IP (NN a))\n")) == 1
+
+
+def test_line_test_covers_every_white_space_start():
+    # A line starting with none of these is taken as data without stripping.
+    assert annio._MAY_SKIP == {"", "#"} | {
+        c for c in map(chr, range(0x110000)) if c.isspace()
+    }
+
+
+@pytest.mark.parametrize("lead", ["", " ", "\t", "\x1c", "\x85", "\u3000"])
+def test_white_space_led_comment_and_blank_lines(lead):
+    assert parse_tok(f"{lead}# c\n0\t2\t发热\tNN\n{lead}\n2\t4\t咳嗽\tNN\n") == [
+        Sentence(0, (Token(0, 2, "发热", "NN"),)), Sentence(2, (Token(0, 2, "咳嗽", "NN"),)),
+    ]
+    assert parse_chk(f"{lead}# c\n0\t1\tNP\n{lead}\n{lead}\n") == [[Chunk(0, 1, "NP")], []]
+    assert len(parse_ptb(f"{lead}# c\n{lead}\n(IP (NN a))\n")) == 1
+    assert parse_ann(f"{lead}# c\n{lead}\n" + ANN).entities.keys() == {"T1", "T2", "T3"}
 
 
 def test_crlf_reads_like_lf():

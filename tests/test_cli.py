@@ -2,6 +2,8 @@
 import hashlib
 import json
 import random
+import re
+import shutil
 
 import pytest
 
@@ -495,7 +497,26 @@ def _pinned_pair(tmp_path):
     return tmp_path / "a", tmp_path / "b"
 
 
-# sha256 of (stdout, stderr) for each rendered report on _pinned_pair.
+def _seeded_copy(a, dest):
+    """A copy of corpus A whose first tree leaf has a surface the token layer
+    does not have (tree-token-mismatch) and whose first chunk in one document
+    has a label outside the tagset (unknown-label)."""
+    shutil.copytree(a, dest)
+    ptb = dest / "discharge_summary" / "doc0.ptb"
+    ptb.write_text(
+        re.sub(r"\((\S+) ([^\s()]+)\)", r"(\1 \2错)", ptb.read_text(encoding="utf-8"), count=1),
+        encoding="utf-8",
+    )
+    chk = dest / "progress_note" / "doc1.chk"
+    chk.write_text(
+        re.sub(r"(?m)^(\d+\t\d+\t)\S+$", r"\1XX", chk.read_text(encoding="utf-8"), count=1),
+        encoding="utf-8",
+    )
+    return dest
+
+
+# sha256 of (stdout, stderr) for each rendered report on _pinned_pair, and of
+# validate on A and on its _seeded_copy.
 _PINNED_OUTPUT = {
     ("stats", "pos", "tsv"):
         "f1e052c3de4f769264ea0f42ccfd4c89f16098b6bc54fbc1ba56e9ad81bc61e4",
@@ -521,18 +542,27 @@ _PINNED_OUTPUT = {
         "09ff2fb82fb602a82e1dba9bd23daad5e433a3431ecba81924cf54c3f8cce12d",
     ("iaa", "relation", "--beta=2"):
         "dec0a36051523dd042e66c552dc19d3c657ed84a3b9e81e9d55ccc64857694ea",
+    ("validate", "a", ""):
+        "243db68863cc06585d32e0835169b2af14e0debf4714c38f9941f7b50df8694d",
+    ("validate", "seeded", ""):
+        "f4d3b74632ad896092bab19572126702ec1ebceaacd15e7e114216fc2a140278",
 }
 
 
 def test_rendered_reports_are_pinned(tmp_path, capsys):
     a, b = _pinned_pair(tmp_path)
+    seeded = _seeded_copy(a, tmp_path / "seeded")
     for key, digest in _PINNED_OUTPUT.items():
         cmd, arg, opt = key
+        expected_exit = 0
         if cmd == "stats":
             argv = ["stats", "--report", arg, "--format", opt, str(a)]
+        elif cmd == "validate":
+            argv = ["validate", str(seeded if arg == "seeded" else a)]
+            expected_exit = 1 if arg == "seeded" else 0
         else:
             argv = ["iaa", "--layer", arg, opt, str(a), str(b)]
-        assert main(argv) == 0
+        assert main(argv) == expected_exit
         out, err = capsys.readouterr()
         got = hashlib.sha256(f"{out}\0{err}".encode("utf-8")).hexdigest()
         assert got == digest, f"{key} changed:\n{out}{err}"
@@ -588,6 +618,22 @@ def test_config_beta_must_not_be_a_boolean(tmp_path, capsys, value):
     )
 
 
+@pytest.mark.parametrize("value", ["2", "1.0", "inf"])
+def test_config_beta_must_not_be_a_string(tmp_path, capsys, value):
+    root = make_corpus(tmp_path, "a", seed=16, n_docs=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": value}), encoding="utf-8")
+    argv = ["--config", str(cfg), "iaa", "--layer", "entity", str(root), str(root)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: config key 'beta' must be a finite number greater than 0, got {value!r}\n"
+    )
+    cfg.write_text(json.dumps({"beta": 2}), encoding="utf-8")
+    assert main(argv) == 0
+
+
 def test_record_iaa_rejects_non_finite_value(tmp_path, capsys):
     state = tmp_path / "state.json"
     assert main(["round", "new", "--state", str(state), "--pool", "d1"]) == 0
@@ -614,6 +660,21 @@ def test_round_rejects_mistyped_state_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {state}: {field} must ")
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("history", [[7, 7, 7], [0.95, -0.5, 0.99], [1.01]])
+def test_round_status_refuses_history_outside_unit_range(tmp_path, capsys, history):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({
+        "round_index": 1, "pool": ["d1"], "assignments": {},
+        "iaa_history": {"seg": history},
+    }), encoding="utf-8")
+    assert main(["round", "status", "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {state}: iaa_history must map names to lists of finite numbers in [0, 1]\n"
+    )
 
 
 def _break_tok(root, stem: str) -> str:

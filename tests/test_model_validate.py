@@ -14,7 +14,7 @@ from clincorp.model import (
     Sentence,
     Token,
 )
-from clincorp.parseval import parse_tree
+from clincorp.parseval import ParseTree, parse_tree
 from clincorp.tagsets import AssertionType, EntityType, RelationType
 from clincorp.validate import (
     validate_annotations,
@@ -129,6 +129,62 @@ def test_tree_validation():
         parse_tree("(IP (VV 复查) (NN 血液))"),
     ]
     assert "tree-token-mismatch" in rules(validate_trees(doc))
+
+
+def test_tree_findings_in_preorder():
+    doc = make_doc()
+    doc.trees = [
+        ParseTree("XX", (
+            ParseTree("QQ", (), "发热"),
+            ParseTree("YY", (ParseTree("NN", (), "咳"), ParseTree("ZZ", ()))),
+        )),
+        parse_tree("(IP (VV 复查) (NN 血常规))"),
+    ]
+    assert [d.render() for d in validate_trees(doc)] == [
+        "d1: tree: unknown-label [sentence 0]: constituent label 'XX' is not in the tagset",
+        "d1: tree: unknown-pos [sentence 0]: leaf part-of-speech 'QQ' is not in the tagset",
+        "d1: tree: unknown-label [sentence 0]: constituent label 'YY' is not in the tagset",
+        "d1: tree: unknown-label [sentence 0]: constituent label 'ZZ' is not in the tagset",
+        "d1: tree: tree-token-mismatch [sentence 0]: tree leaves disagree with the "
+        "token layer (2 leaves vs 2 tokens)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, args, changed, text",
+    [
+        (
+            Token, (0, 2, "发热", "NN"), (0, 2, "发热"),
+            "Token(start=0, end=2, surface='发热', pos='NN')",
+        ),
+        (Chunk, (0, 2, "NP"), (0, 2, "VP"), "Chunk(first=0, last_exclusive=2, label='NP')"),
+        (
+            Entity, ("T1", EntityType.DISEASE, 0, 2, "发热"),
+            ("T1", EntityType.SYMPTOM, 0, 2, "发热"),
+            "Entity(eid='T1', etype=<EntityType.DISEASE: 'disease'>, start=0, end=2, "
+            "surface='发热', assertion=None)",
+        ),
+        (
+            ParseTree, ("IP", (ParseTree("NN", (), "a"),)), ("IP", (ParseTree("VV", (), "a"),)),
+            "ParseTree(label='IP', children=(ParseTree(label='NN', children=(), "
+            "surface='a'),), surface=None)",
+        ),
+    ],
+    ids=["Token", "Chunk", "Entity", "ParseTree"],
+)
+def test_records_compare_by_value(make, args, changed, text):
+    record = make(*args)
+    assert record == make(*args) and not record != make(*args)
+    assert hash(record) == hash(make(*args))
+    assert len({record, make(*args)}) == 1
+    assert record != make(*changed)
+    assert repr(record) == text
+
+    class Derived(make):
+        __slots__ = ()
+
+    # Equal only to a record of the same type, as a dataclass is.
+    assert record != Derived(*args) and record != args
 
 
 def entity(eid, etype, start, end, surface, assertion=None):

@@ -2,9 +2,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clincorp.errors import LengthMismatchError, ParseError
 from clincorp.parseval import (
+    _TOKEN_RE,
     EvalParams,
     ParseTree,
     brackets,
@@ -13,7 +16,10 @@ from clincorp.parseval import (
     parse_tree,
     score_corpus,
 )
+from clincorp.tagsets import POS_TAG_SET, POS_TAGS, SYN_TAG_ALIASES, SYN_TAG_SET, SYN_TAGS
 from helpers import random_tree
+
+BOTH = "a node may hold either a surface or subtrees, not both"
 
 GOLD = "(IP (NP (NN a) (NN b)) (VP (VV c)))"
 CAND = "(IP (NP (NN a)) (VP (NN b) (VV c)))"
@@ -36,22 +42,56 @@ def test_parse_alias_normalized():
     assert t.label == "VSB"
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "(IP (NN a)",          # unbalanced
-        "(IP (NN a)))",        # trailing material
-        "(IP)",                # empty constituent
-        "(XX (NN a))",         # unknown constituent label
-        "(IP (QQ a))",         # unknown part-of-speech label
-        "(IP ((NN a)))",       # anonymous node below the root
-        "(NN a b)",            # two surfaces in one leaf
-    ],
-)
+# Each malformed tree and the exact message of the error it raises.
+PARSE_ERRORS = {
+    "": "empty tree",
+    "(IP (NN a)": "unbalanced parentheses",
+    "(IP (NN a)))": "trailing material after tree",
+    "(IP)": "empty constituent (IP)",
+    "(XX (NN a))": "unknown-syntactic-label 'XX'",
+    "(IP (QQ a))": "unknown-pos-label 'QQ'",
+    "(IP ((NN a)))": "missing constituent label",
+    "(NN a b)": BOTH,
+    "IP (NN a)": "expected '('",
+    "(": "unexpected end of tree",
+    "(IP (": "unexpected end of tree",
+    "()": "unbalanced parentheses",
+    "(IP ())": "empty constituent ())",
+    "(IP (NN a) b)": BOTH,
+    "(IP (NN a (NN b)) (VV c))": BOTH,
+    "( (IP (NN a)) (IP (NN b)) )": "anonymous root must wrap exactly one tree",
+    "( (IP (NN a)) b)": BOTH,
+    "( ( (IP (NN a)) ) )": "missing constituent label",
+    "(VV (NN a))": "unknown-syntactic-label 'VV'",
+    "(VS (QQ a))": "unknown-pos-label 'QQ'",
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
 def test_parse_errors(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_tree(bad)
+    assert str(err.value) == PARSE_ERRORS[bad]
+
+
+def test_subtree_after_surface_is_refused():
+    # Read as (IP (NN a) (VV c)), silently losing the leaf b, before this rule.
+    with pytest.raises(ParseError) as err:
+        parse_tree("(IP (NN a (NN b)) (VV c))", path="t.ptb", line=4)
+    assert str(err.value) == f"t.ptb:line 4: {BOTH}"
+    # Refused when the subtree closes: an error inside it comes first.
+    with pytest.raises(ParseError, match="unknown-pos-label 'QQ'"):
+        parse_tree("(IP (NN a (QQ b)) (VV c))")
+    with pytest.raises(ParseError, match="unbalanced parentheses"):
+        parse_tree("(IP (NN a (NN b")
+
+
+def test_deep_tree_needs_no_recursion():
+    depth = 5000
+    tree = parse_tree("(NP " * depth + "(NN a)" + ")" * depth)
+    assert tree.leaf_count() == 1
+    assert tree.leaves() == [("NN", "a")]
+    assert len(tree.nodes()) == depth + 1
 
 
 def test_parse_error_kinds_named():
@@ -122,3 +162,132 @@ def test_random_trees_roundtrip():
     for _ in range(50):
         t = random_tree(rng)
         assert parse_tree(t.to_string()) == t
+
+
+def _parse_tree_before(text, *, path=None, line=None, refuse_subtree_after_surface=False):
+    """The recursive parser that parse_tree replaced, the reference for the
+    differential test below.  `refuse_subtree_after_surface` adds the one
+    intended change: a subtree after a surface is refused once it closes."""
+    tokens = _TOKEN_RE.findall(text)
+    if not tokens:
+        raise ParseError("empty tree", path=path, line=line)
+    pos = 0
+
+    def fail(msg: str) -> ParseError:
+        return ParseError(msg, path=path, line=line)
+
+    def read_node(allow_anonymous: bool = False) -> ParseTree:
+        nonlocal pos
+        if pos >= len(tokens) or tokens[pos] != "(":
+            raise fail("expected '('")
+        pos += 1
+        if pos >= len(tokens):
+            raise fail("unexpected end of tree")
+        if tokens[pos] == "(":
+            # Anonymous wrapper: ( (IP ...) ); legal only as the outermost node.
+            if not allow_anonymous:
+                raise fail("missing constituent label")
+            label = ""
+        else:
+            label = tokens[pos]
+            pos += 1
+        children: list[ParseTree] = []
+        surface: str | None = None
+        while pos < len(tokens) and tokens[pos] != ")":
+            if tokens[pos] == "(":
+                children.append(read_node())
+                if refuse_subtree_after_surface and surface is not None:
+                    raise fail(BOTH)
+            else:
+                if surface is not None or children:
+                    raise fail(BOTH)
+                surface = tokens[pos]
+                pos += 1
+        if pos >= len(tokens):
+            raise fail("unbalanced parentheses")
+        pos += 1  # consume ')'
+        if surface is not None:
+            if label not in POS_TAG_SET:
+                raise fail(f"unknown-pos-label {label!r}")
+            return ParseTree(label=label, surface=surface)
+        if not children:
+            raise fail(f"empty constituent ({label})")
+        if label == "":
+            if len(children) != 1:
+                raise fail("anonymous root must wrap exactly one tree")
+            return children[0]
+        label = SYN_TAG_ALIASES.get(label, label)
+        if label not in SYN_TAG_SET:
+            raise fail(f"unknown-syntactic-label {label!r}")
+        return ParseTree(label=label, children=tuple(children))
+
+    root = read_node(allow_anonymous=True)
+    if pos != len(tokens):
+        raise fail("trailing material after tree")
+    return root
+
+
+LABELS = st.sampled_from(
+    (*POS_TAGS, *SYN_TAGS, *SYN_TAG_ALIASES, "XX", "nn", "ip", "#", "a", "甲乙")
+)
+WORDS = st.sampled_from(("a", "b", "甲", "治疗", "+", "#", "NN", "IP"))
+TOKENS = st.one_of(st.sampled_from(("(", ")")), LABELS, WORDS)
+# Mostly the tagset a node of its kind needs, else any label.
+LEAVES = st.tuples(st.one_of(st.sampled_from(POS_TAGS), LABELS), WORDS).map(
+    lambda t: ["(", t[0], t[1], ")"]
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.tuples(
+        st.one_of(st.sampled_from((*SYN_TAGS, *SYN_TAG_ALIASES)), LABELS),
+        st.lists(kids, min_size=1, max_size=4),
+    ).map(lambda t: ["(", t[0], *(tok for kid in t[1] for tok in kid), ")"]),
+    max_leaves=12,
+)
+
+
+@st.composite
+def bracket_strings(draw):
+    """A random token list, or a random tree's tokens after a few random
+    insertions and deletions, joined by random white space (an empty
+    separator glues two words into one)."""
+    if draw(st.integers(0, 3)):
+        tokens = draw(TREES)
+    else:
+        tokens = draw(st.lists(TOKENS, max_size=30))
+    if draw(st.integers(0, 3)) == 0:
+        tokens = ["(", *tokens, ")"]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(tokens)))
+        if tokens and i < len(tokens) and draw(st.booleans()):
+            del tokens[i]
+        else:
+            tokens.insert(i, draw(TOKENS))
+    seps = draw(st.lists(
+        st.sampled_from((" ",) * 12 + ("", "\t", "\u3000", " \n ")),
+        min_size=len(tokens) + 1, max_size=len(tokens) + 1,
+    ))
+    return "".join(sep + tok for sep, tok in zip(seps, [*tokens, ""]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text, path="f.ptb", line=3)
+    except ParseError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(bracket_strings())
+@example("(IP (NN a (NN b)) (VV c))")
+@example("(IP (NN a (QQ b)) (XX c))")
+@example("( (IP (NN a)) )")
+def test_parse_tree_matches_recursive_parser(text):
+    new = _outcome(parse_tree, text)
+    fixed = _outcome(
+        lambda t, **kw: _parse_tree_before(t, refuse_subtree_after_surface=True, **kw), text
+    )
+    assert new == fixed
+    before = _outcome(_parse_tree_before, text)
+    if before != fixed:
+        assert fixed == ("error", f"f.ptb:line 3: {BOTH}")

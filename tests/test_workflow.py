@@ -188,6 +188,20 @@ def test_round_state_rejects_non_finite_history(tmp_path, token):
         load_state(path)
 
 
+@pytest.mark.parametrize("value", [7, -3, 1.0001, -1e-9])
+def test_round_state_rejects_history_outside_unit_range(tmp_path, value):
+    path = tmp_path / "state.json"
+    path.write_text(
+        json.dumps({**VALID_STATE, "iaa_history": {"seg": [0.5, value]}}), encoding="utf-8"
+    )
+    with pytest.raises(ParseError) as err:
+        load_state(path)
+    assert err.value.path == str(path)
+    assert str(err.value) == (
+        f"{path}: iaa_history must map names to lists of finite numbers in [0, 1]"
+    )
+
+
 def test_round_state_accepts_integer_history(tmp_path):
     path = tmp_path / "state.json"
     path.write_text(
