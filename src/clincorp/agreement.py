@@ -13,25 +13,30 @@ flagged vacuous.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import LengthMismatchError
 from .groups import expand_all, relation_match_key
 from .model import Chunk, DocAnnotations, Document, Sentence
 from .numfmt import round_half_up
 from .parseval import EvalParams, ParseTree, match_counts, score_corpus
+from .record import Record
 from .tagsets import LAYERS, MatchPolicy, RelationMode, normalize_syn_tag
 
 
-@dataclass(frozen=True, slots=True)
-class AgreementReport:
-    agreed: int
-    count_a: int
-    count_b: int
-    precision: float
-    recall: float
-    f: float
-    vacuous: bool
+class AgreementReport(Record):
+    __slots__ = ("agreed", "count_a", "count_b", "precision", "recall", "f", "vacuous")
+
+    def __init__(
+        self, agreed: int, count_a: int, count_b: int, precision: float,
+        recall: float, f: float, vacuous: bool,
+    ):
+        self.agreed = agreed
+        self.count_a = count_a
+        self.count_b = count_b
+        self.precision = precision
+        self.recall = recall
+        self.f = f
+        self.vacuous = vacuous
 
     def to_dict(self, *, rounded: bool = True) -> dict:
         p, r, f = self.precision, self.recall, self.f
@@ -198,15 +203,24 @@ def macro_average(reports: list[AgreementReport]) -> tuple[float, float, float]:
     )
 
 
-@dataclass(slots=True)
-class CorpusAgreement:
+class CorpusAgreement(Record):
     """Per-document counts for one layer over a document collection, with a
     record of everything that could not be scored."""
 
-    layer: str
-    per_doc: dict[str, Counts]
-    excluded_docs: list[str]
-    excluded_sentences: dict[str, list[int]]
+    __slots__ = ("layer", "per_doc", "excluded_docs", "excluded_sentences")
+    __hash__ = None
+
+    def __init__(
+        self,
+        layer: str,
+        per_doc: dict[str, Counts],
+        excluded_docs: list[str],
+        excluded_sentences: dict[str, list[int]],
+    ):
+        self.layer = layer
+        self.per_doc = per_doc
+        self.excluded_docs = excluded_docs
+        self.excluded_sentences = excluded_sentences
 
     @property
     def has_exclusions(self) -> bool:

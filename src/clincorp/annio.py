@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterator
 
@@ -39,6 +38,7 @@ from .model import (
     Token,
 )
 from .parseval import LEAF_BREAK_RE, ParseTree, parse_tree
+from .record import Record
 from .tagsets import (
     POS_TAG_SET,
     parse_assertion_type,
@@ -388,18 +388,30 @@ def serialize_ann(ann: DocAnnotations) -> str:
 
 # --------------------------------------------------------------- bundles ---
 
-@dataclass(slots=True)
-class BundlePaths:
+class BundlePaths(Record):
     """Filesystem locations of one document's layer files, each the string
     str(Path(root) / relative_path) gives."""
 
-    doc_id: str
-    txt: str
-    tok: str | None = None
-    ptb: str | None = None
-    chk: str | None = None
-    ann: str | None = None
-    doc_type: str | None = None
+    __slots__ = ("doc_id", "txt", "tok", "ptb", "chk", "ann", "doc_type")
+    __hash__ = None
+
+    def __init__(
+        self,
+        doc_id: str,
+        txt: str,
+        tok: str | None = None,
+        ptb: str | None = None,
+        chk: str | None = None,
+        ann: str | None = None,
+        doc_type: str | None = None,
+    ):
+        self.doc_id = doc_id
+        self.txt = txt
+        self.tok = tok
+        self.ptb = ptb
+        self.chk = chk
+        self.ann = ann
+        self.doc_type = doc_type
 
 
 def discover(root: str | Path) -> dict[str, BundlePaths]:
@@ -412,6 +424,43 @@ def discover(root: str | Path) -> dict[str, BundlePaths]:
     unreadable one is skipped.  Each directory is listed once and a sibling
     is looked up in that listing; only a symlinked sibling is stat'ed, so a
     broken link counts as absent."""
+    bundles: dict[str, BundlePaths] = {}
+    for prefix, rel, dir_name, txt_names, present, links in _txt_runs(root):
+        doc_type = dir_name if dir_name in DOC_TYPES else None
+        for name in txt_names:
+            stem = _stem(name)
+            layer_paths = []
+            for layer in LAYER_FILES:
+                sib = f"{stem}.{layer}"
+                if sib in present or (sib in links and os.path.exists(prefix + sib)):
+                    layer_paths.append(prefix + sib)
+                else:
+                    layer_paths.append(None)
+            doc_id = (rel + stem).replace("\\", "/")
+            bundles[doc_id] = BundlePaths(
+                doc_id, prefix + name, *layer_paths, doc_type=doc_type
+            )
+    return bundles
+
+
+def doc_ids(root: str | Path) -> list[str]:
+    """sorted(discover(root)), from the same walk but without looking up any
+    sibling or building a BundlePaths."""
+    return sorted({
+        (rel + _stem(name)).replace("\\", "/")
+        for _, rel, _, txt_names, _, _ in _txt_runs(root)
+        for name in txt_names
+    })
+
+
+def _stem(name: str) -> str:
+    # As Path.with_suffix has it, a bare ".txt" has no suffix.
+    return name if name == ".txt" else name[:-4]
+
+
+def _txt_runs(root: str | Path) -> Iterator[tuple]:
+    """_listing_walk over the directory tree at `root`.  `root` is checked
+    here, outside the generator, so that a bad one raises on the call."""
     root = Path(root)
     if not root.is_dir():
         raise InputError(f"not a directory: {root}")
@@ -420,18 +469,18 @@ def discover(root: str | Path) -> dict[str, BundlePaths]:
         base = ""
     elif not base.endswith("/"):
         base += "/"
-    bundles: dict[str, BundlePaths] = {}
-    _discover_dir(base, "", root.name, bundles)
-    return bundles
+    return _listing_walk(base, "", root.name)
 
 
-def _discover_dir(
-    prefix: str, rel: str, dir_name: str, bundles: dict[str, BundlePaths]
-) -> None:
-    """Add the bundles of the directory `prefix` names (empty for the
-    current directory) and of its subdirectories, in sorted path order.
-    `rel` is the directory relative to the root, with a trailing slash."""
-    present: set[str] = set()  # every name but the symlinks
+def _listing_walk(prefix: str, rel: str, dir_name: str) -> Iterator[tuple]:
+    """List the directory `prefix` names (empty for the current directory)
+    once, and its subdirectories in turn, yielding the *.txt entries in
+    sorted(Path(root).rglob("*.txt")) order as runs: (prefix, rel, dir_name,
+    txt_names, present, links), where `txt_names` are sorted names from one
+    listing with no subdirectory between them.  `rel` is the directory
+    relative to the root, with a trailing slash; `present` holds every name
+    in the listing but the symlinks, which are in `links`."""
+    present: set[str] = set()
     links: set[str] = set()
     subdirs: set[str] = set()
     names: list[str] = []  # .txt names and subdirectories, to visit in order
@@ -455,24 +504,17 @@ def _discover_dir(
     except PermissionError:
         return
     names.sort()
-    doc_type = dir_name if dir_name in DOC_TYPES else None
+    run: list[str] = []
     for name in names:
         if name.endswith(".txt"):
-            # As Path.with_suffix has it, a bare ".txt" has no suffix.
-            stem = name if name == ".txt" else name[:-4]
-            layer_paths = []
-            for layer in LAYER_FILES:
-                sib = f"{stem}.{layer}"
-                if sib in present or (sib in links and os.path.exists(prefix + sib)):
-                    layer_paths.append(prefix + sib)
-                else:
-                    layer_paths.append(None)
-            doc_id = (rel + stem).replace("\\", "/")
-            bundles[doc_id] = BundlePaths(
-                doc_id, prefix + name, *layer_paths, doc_type=doc_type
-            )
+            run.append(name)
         if name in subdirs:
-            _discover_dir(prefix + name + "/", rel + name + "/", name, bundles)
+            if run:
+                yield prefix, rel, dir_name, run, present, links
+                run = []
+            yield from _listing_walk(prefix + name + "/", rel + name + "/", name)
+    if run:
+        yield prefix, rel, dir_name, run, present, links
 
 
 def load_document(

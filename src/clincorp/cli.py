@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -232,6 +231,20 @@ def _agreement_args(args: argparse.Namespace, config: dict):
     return policy, mode, beta, params
 
 
+def _require_layer_file(layer: str, dir_a: str, dir_b: str) -> None:
+    """Refuse a vacuous comparison when no bundle on either side has the file
+    `layer` reads: empty layer files agree vacuously, absent ones are no
+    evidence at all.  Only a vacuous report can rest on no file, so only it
+    pays for this second walk."""
+    from . import annio
+
+    (ext,) = _LAYER_FILES[layer]
+    for directory in (dir_a, dir_b):
+        if any(getattr(bp, ext) for bp in annio.discover(directory).values()):
+            return
+    raise InputError(f"no .{ext} file under {dir_a} or {dir_b}")
+
+
 def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     # For score, gold (dir_a) plays the reference (recall) role and the
     # predictions (dir_b) the response role.
@@ -240,7 +253,10 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
         _load_corpus(args.dir_a, args.layer), _load_corpus(args.dir_b, args.layer),
         args.layer, policy=policy, mode=mode, params=params,
     )
-    out = _json_object(corpus.report(beta).to_dict(rounded=False), fmt_metric)
+    report = corpus.report(beta)
+    if report.vacuous:
+        _require_layer_file(args.layer, args.dir_a, args.dir_b)
+    out = _json_object(report.to_dict(rounded=False), fmt_metric)
     if args.details:
         sys.stderr.write(_detail_table(corpus, beta))
     for doc_id in corpus.excluded_docs:
@@ -310,7 +326,7 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
         return 0
 
     row_type = stats.DistributionRow if args.report in ("pos", "syn") else stats.CrossRow
-    names = [f.name for f in fields(row_type)]
+    names = row_type.__slots__
     rows = [{n: getattr(r, n) for n in names} for r in _stats_rows(args, docs)]
     if fmt == "tsv":
         lines = ["\t".join(names)] + ["\t".join(map(_text, r.values())) for r in rows]
@@ -327,7 +343,7 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
 def _cmd_kfold(args: argparse.Namespace, config: dict) -> int:
     from . import annio
 
-    doc_ids = sorted(annio.discover(args.directory))
+    doc_ids = annio.doc_ids(args.directory)
     if not doc_ids:
         raise _no_bundles(args.directory)
     manifest = workflow.kfold(doc_ids, args.k, args.seed)
@@ -354,7 +370,7 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
         if args.pool_from:
             from . import annio
 
-            pool = sorted(annio.discover(args.pool_from))
+            pool = annio.doc_ids(args.pool_from)
             if not pool:
                 raise _no_bundles(args.pool_from)
         else:
@@ -363,7 +379,7 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
             raise InputError("round new needs --pool-from or --pool")
         state = workflow.RoundState(round_index=1, pool=pool)
         workflow.save_state(state, args.state)
-        sys.stdout.write(state.to_json())
+        sys.stdout.write(state.to_json(indent=2))
         return 0
 
     state = workflow.load_state(args.state)

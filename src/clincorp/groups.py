@@ -8,22 +8,23 @@ directly comparable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ResolutionError
 from .model import DocAnnotations, Entity, Relation
+from .record import Record
 from .tagsets import RelationType
 
 EntityKey = tuple[int, int, str]  # (start, end, entity type)
 
 
-@dataclass(frozen=True, slots=True)
-class OneToOne:
+class OneToOne(Record):
     """One expanded entity-to-entity relation instance."""
 
-    rtype: RelationType
-    arg1: EntityKey
-    arg2: EntityKey
+    __slots__ = ("rtype", "arg1", "arg2")
+
+    def __init__(self, rtype: RelationType, arg1: EntityKey, arg2: EntityKey):
+        self.rtype = rtype
+        self.arg1 = arg1
+        self.arg2 = arg2
 
     @property
     def key(self) -> tuple[str, EntityKey, EntityKey]:

@@ -7,34 +7,8 @@ group, and relation annotations are document-absolute.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from .record import Record
 from .tagsets import AssertionType, EntityType, RelationType
-
-
-class Record:
-    """Base of the records built once per token, chunk or tree node: plain
-    `__slots__` classes, which cost about a third of a frozen dataclass to
-    construct.  They keep a dataclass's value equality (only with the same
-    type), hash and repr, but do not refuse assignment: treat them as
-    immutable, as their hash assumes."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
 
 
 class Token(Record):
@@ -53,12 +27,14 @@ class Token(Record):
         return (self.start, self.end)
 
 
-@dataclass(frozen=True, slots=True)
-class Sentence:
+class Sentence(Record):
     """A sentence with its absolute start offset and token sequence."""
 
-    start: int
-    tokens: tuple[Token, ...]
+    __slots__ = ("start", "tokens")
+
+    def __init__(self, start: int, tokens: tuple[Token, ...]):
+        self.start = start
+        self.tokens = tokens
 
     @property
     def end(self) -> int:
@@ -111,36 +87,50 @@ class Entity(Record):
         return (self.start, self.end, self.etype.value)
 
 
-@dataclass(frozen=True, slots=True)
-class EntityGroup:
+class EntityGroup(Record):
     """Several same-type entities that share assertion status and relation
     participation within one sentence."""
 
-    gid: str
-    etype: EntityType
-    members: tuple[str, ...]
+    __slots__ = ("gid", "etype", "members")
+
+    def __init__(self, gid: str, etype: EntityType, members: tuple[str, ...]):
+        self.gid = gid
+        self.etype = etype
+        self.members = members
 
 
-@dataclass(frozen=True, slots=True)
-class Relation:
+class Relation(Record):
     """A typed binary relation; each argument names an entity or a group."""
 
-    rid: str
-    rtype: RelationType
-    arg1: str
-    arg2: str
+    __slots__ = ("rid", "rtype", "arg1", "arg2")
+
+    def __init__(self, rid: str, rtype: RelationType, arg1: str, arg2: str):
+        self.rid = rid
+        self.rtype = rtype
+        self.arg1 = arg1
+        self.arg2 = arg2
 
 
-@dataclass(slots=True)
-class DocAnnotations:
+class DocAnnotations(Record):
     """The entity layer of one document: entities with assertions, groups,
     and relations, all keyed by their string ids."""
 
-    doc_id: str
-    text: str
-    entities: dict[str, Entity] = field(default_factory=dict)
-    groups: dict[str, EntityGroup] = field(default_factory=dict)
-    relations: dict[str, Relation] = field(default_factory=dict)
+    __slots__ = ("doc_id", "text", "entities", "groups", "relations")
+    __hash__ = None
+
+    def __init__(
+        self,
+        doc_id: str,
+        text: str,
+        entities: dict[str, Entity] | None = None,
+        groups: dict[str, EntityGroup] | None = None,
+        relations: dict[str, Relation] | None = None,
+    ):
+        self.doc_id = doc_id
+        self.text = text
+        self.entities = {} if entities is None else entities
+        self.groups = {} if groups is None else groups
+        self.relations = {} if relations is None else relations
 
     def resolve(self, ref: str) -> Entity | EntityGroup | None:
         """Look up an entity or group by id; None if absent."""
@@ -152,17 +142,30 @@ class DocAnnotations:
 DOC_TYPES = ("discharge_summary", "progress_note")
 
 
-@dataclass(slots=True)
-class Document:
+class Document(Record):
     """One document's text plus whichever annotation layers are present."""
 
-    doc_id: str
-    text: str
-    sentences: list[Sentence] = field(default_factory=list)
-    chunks: list[list[Chunk]] = field(default_factory=list)
-    trees: list["object"] = field(default_factory=list)
-    annotations: DocAnnotations | None = None
-    doc_type: str | None = None
+    __slots__ = ("doc_id", "text", "sentences", "chunks", "trees", "annotations",
+                 "doc_type")
+    __hash__ = None
+
+    def __init__(
+        self,
+        doc_id: str,
+        text: str,
+        sentences: list[Sentence] | None = None,
+        chunks: list[list[Chunk]] | None = None,
+        trees: list["object"] | None = None,
+        annotations: DocAnnotations | None = None,
+        doc_type: str | None = None,
+    ):
+        self.doc_id = doc_id
+        self.text = text
+        self.sentences = [] if sentences is None else sentences
+        self.chunks = [] if chunks is None else chunks
+        self.trees = [] if trees is None else trees
+        self.annotations = annotations
+        self.doc_type = doc_type
 
     def sentence_spans(self) -> list[tuple[int, int]]:
         return [(s.start, s.end) for s in self.sentences]

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .errors import LengthMismatchError, ParseError
-from .model import Record
+from .record import Record
 from .tagsets import POS_TAG_SET, SYN_TAG_ALIASES, SYN_TAG_SET
 
 PUNCT_POS = "PU"
@@ -75,10 +74,26 @@ class ParseTree(Record):
         return out
 
     def to_string(self) -> str:
-        if self.is_preterminal:
-            return f"({self.label} {self.surface})"
-        inner = " ".join(c.to_string() for c in self.children)
-        return f"({self.label} {inner})"
+        """The bracketed form, written without recursion: `stack` holds the
+        nodes still to write and the text that follows each opened one."""
+        parts: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                parts.append(item)
+            elif item.surface is not None:
+                parts.append(f"({item.label} {item.surface})")
+            else:
+                parts.append(f"({item.label} ")
+                stack.append(")")
+                children = item.children
+                for i in range(len(children) - 1, 0, -1):
+                    stack.append(children[i])
+                    stack.append(" ")
+                if children:
+                    stack.append(children[0])
+        return "".join(parts)
 
 
 def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -> ParseTree:
@@ -156,13 +171,17 @@ def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -
     raise ParseError("unbalanced parentheses", path=path, line=line)
 
 
-@dataclass(frozen=True, slots=True)
-class EvalParams:
+class EvalParams(Record):
     """Knobs for bracket extraction and matching."""
 
-    labeled: bool = True
-    include_root: bool = True
-    ignore_punct: bool = True
+    __slots__ = ("labeled", "include_root", "ignore_punct")
+
+    def __init__(
+        self, labeled: bool = True, include_root: bool = True, ignore_punct: bool = True
+    ):
+        self.labeled = labeled
+        self.include_root = include_root
+        self.ignore_punct = ignore_punct
 
 
 Bracket = tuple  # (label, first, last_exclusive) or (first, last_exclusive)
@@ -170,12 +189,7 @@ Bracket = tuple  # (label, first, last_exclusive) or (first, last_exclusive)
 
 def filtered_leaf_count(tree: ParseTree, params: EvalParams) -> int:
     """Number of leaves left after punctuation filtering."""
-    n = 0
-    for pos, _ in tree.leaves():
-        if params.ignore_punct and pos == PUNCT_POS:
-            continue
-        n += 1
-    return n
+    return _brackets(tree, params)[1]
 
 
 def brackets(tree: ParseTree, params: EvalParams = EvalParams()) -> Counter:
@@ -186,25 +200,34 @@ def brackets(tree: ParseTree, params: EvalParams = EvalParams()) -> Counter:
     the non-punctuation tokens.  Zero-width constituents (all punctuation)
     vanish along with their leaves.
     """
+    return _brackets(tree, params)[0]
+
+
+def _brackets(tree: ParseTree, params: EvalParams) -> tuple[Counter, int]:
+    """brackets(tree, params) and the number of leaves left after filtering,
+    from one walk without recursion.  `stack` holds the open nodes, each
+    with an iterator over its remaining children and its first leaf index;
+    a node spans from that index to the leaf count when it closes."""
     out: Counter = Counter()
-
-    def walk(node: ParseTree, start: int, is_root: bool) -> int:
-        if node.is_preterminal:
-            if params.ignore_punct and node.label == PUNCT_POS:
-                return 0
-            return 1
-        width = 0
-        for child in node.children:
-            width += walk(child, start + width, False)
-        if width > 0 and (params.include_root or not is_root):
-            if params.labeled:
-                out[(node.label, start, start + width)] += 1
-            else:
-                out[(start, start + width)] += 1
-        return width
-
-    walk(tree, 0, True)
-    return out
+    labeled, include_root = params.labeled, params.include_root
+    skip = PUNCT_POS if params.ignore_punct else None
+    if tree.surface is not None:
+        return out, int(tree.label != skip)
+    pos = 0
+    stack = [(tree, iter(tree.children), 0)]
+    while stack:
+        node, children, start = stack[-1]
+        for child in children:
+            if child.surface is None:
+                stack.append((child, iter(child.children), pos))
+                break
+            if child.label != skip:
+                pos += 1
+        else:
+            stack.pop()
+            if pos > start and (include_root or stack):
+                out[(node.label, start, pos) if labeled else (start, pos)] += 1
+    return out, pos
 
 
 def match_counts(
@@ -215,26 +238,30 @@ def match_counts(
     Raises LengthMismatchError when the two trees disagree on the number of
     non-filtered leaves; their index spaces are then incomparable.
     """
-    na = filtered_leaf_count(tree_a, params)
-    nb = filtered_leaf_count(tree_b, params)
+    ba, na = _brackets(tree_a, params)
+    bb, nb = _brackets(tree_b, params)
     if na != nb:
         raise LengthMismatchError(
             f"trees have {na} vs {nb} scorable leaves and cannot be compared"
         )
-    ba = brackets(tree_a, params)
-    bb = brackets(tree_b, params)
     agreed = sum((ba & bb).values())
     return agreed, sum(ba.values()), sum(bb.values())
 
 
-@dataclass(slots=True)
-class TreeScore:
+class TreeScore(Record):
     """Corpus-level bracket counts plus the sentences that had to be skipped."""
 
-    agreed: int = 0
-    count_a: int = 0
-    count_b: int = 0
-    excluded: list[int] = field(default_factory=list)
+    __slots__ = ("agreed", "count_a", "count_b", "excluded")
+    __hash__ = None
+
+    def __init__(
+        self, agreed: int = 0, count_a: int = 0, count_b: int = 0,
+        excluded: list[int] | None = None,
+    ):
+        self.agreed = agreed
+        self.count_a = count_a
+        self.count_b = count_b
+        self.excluded = [] if excluded is None else excluded
 
 
 def score_corpus(

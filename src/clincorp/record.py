@@ -1,0 +1,32 @@
+"""The base of every record class in the toolkit.
+
+Records are plain `__slots__` classes with an explicit `__init__`.  A frozen
+slots dataclass costs about three times as much to construct, and importing
+`dataclasses` (which pulls in `inspect`) would add to the start-up time of
+every command; this module imports nothing.
+"""
+
+
+class Record:
+    """Value semantics for a `__slots__` class: equality with a record of the
+    same type and equal fields, a hash of the fields and a dataclass-style
+    repr, all taken from `__slots__` in order.  Nothing refuses assignment:
+    treat a hashable record as immutable, as its hash assumes.  A mutable
+    record sets `__hash__ = None`."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

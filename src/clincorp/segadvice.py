@@ -13,25 +13,36 @@ Rules, checked in order:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .annio import numbered_lines
 from .errors import LexiconError, ParseError
+from .record import Record
 
 MAX_EXPANSION_DEPTH = 3
 
 
-@dataclass(frozen=True, slots=True)
-class TermEntry:
+class TermEntry(Record):
     """One lexicon term with its word attributes."""
 
-    surface: str
-    is_nominal: bool
-    combinable: bool
-    reducible: bool
-    replaceable: bool
-    expansion: str | None = None
-    split_point: int | None = None
+    __slots__ = ("surface", "is_nominal", "combinable", "reducible", "replaceable",
+                 "expansion", "split_point")
+
+    def __init__(
+        self,
+        surface: str,
+        is_nominal: bool,
+        combinable: bool,
+        reducible: bool,
+        replaceable: bool,
+        expansion: str | None = None,
+        split_point: int | None = None,
+    ):
+        self.surface = surface
+        self.is_nominal = is_nominal
+        self.combinable = combinable
+        self.reducible = reducible
+        self.replaceable = replaceable
+        self.expansion = expansion
+        self.split_point = split_point
 
     def check(self) -> None:
         """Raise LexiconError on any violated entry invariant."""
@@ -54,15 +65,20 @@ class TermEntry:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class SegDecision:
+class SegDecision(Record):
     """The adviser's verdict for one term."""
 
-    action: str  # keep_whole | split | expand_then_decide
-    rule: str  # R1..R4
-    surface: str
-    at: int | None = None
-    expansion: str | None = None
+    __slots__ = ("action", "rule", "surface", "at", "expansion")
+
+    def __init__(
+        self, action: str, rule: str, surface: str, at: int | None = None,
+        expansion: str | None = None,
+    ):
+        self.action = action  # keep_whole | split | expand_then_decide
+        self.rule = rule  # R1..R4
+        self.surface = surface
+        self.at = at
+        self.expansion = expansion
 
     def render(self) -> str:
         if self.action == "split":

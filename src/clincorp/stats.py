@@ -7,13 +7,13 @@ by count descending then label, which keeps output deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError
 from .groups import expand_all
 from .model import DOC_TYPES, Document
 from .numfmt import round_half_up
+from .record import Record
 from .refdata import matches_display
 from .tagsets import EntityType, VALID_ASSERTIONS, relation_signature
 
@@ -34,19 +34,23 @@ _CROSS_TYPE_ORDER = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class DistributionRow:
-    label: str
-    count: int
-    pct: float
+class DistributionRow(Record):
+    __slots__ = ("label", "count", "pct")
+
+    def __init__(self, label: str, count: int, pct: float):
+        self.label = label
+        self.count = count
+        self.pct = pct
 
 
-@dataclass(frozen=True, slots=True)
-class CrossRow:
-    label: str
-    count: int
-    pct_within: float
-    pct_all: float
+class CrossRow(Record):
+    __slots__ = ("label", "count", "pct_within", "pct_all")
+
+    def __init__(self, label: str, count: int, pct_within: float, pct_all: float):
+        self.label = label
+        self.count = count
+        self.pct_within = pct_within
+        self.pct_all = pct_all
 
 
 def _filtered(docs: Iterable[Document], doc_type: str | None) -> list[Document]:
@@ -190,14 +194,16 @@ def token_and_sentence_counts(
     return tokens, sentences
 
 
-@dataclass(frozen=True, slots=True)
-class Deviation:
+class Deviation(Record):
     """One disagreement between a computed table and a reference table."""
 
-    label: str
-    field: str
-    computed: float | int
-    expected: str | int
+    __slots__ = ("label", "field", "computed", "expected")
+
+    def __init__(self, label: str, field: str, computed: float | int, expected: str | int):
+        self.label = label
+        self.field = field
+        self.computed = computed
+        self.expected = expected
 
     def render(self) -> str:
         return f"{self.label}\t{self.field}\tcomputed={self.computed}\texpected={self.expected}"

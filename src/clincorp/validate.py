@@ -7,10 +7,9 @@ not belong to the document they are validated against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .model import DocAnnotations, Document, Entity
+from .record import Record
 from .tagsets import (
     POS_TAG_SET,
     VALID_ASSERTIONS,
@@ -20,15 +19,20 @@ from .tagsets import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(Record):
     """One validation finding."""
 
-    rule: str
-    message: str
-    layer: str = ""
-    doc_id: str = ""
-    location: str = ""
+    __slots__ = ("rule", "message", "layer", "doc_id", "location")
+
+    def __init__(
+        self, rule: str, message: str, layer: str = "", doc_id: str = "",
+        location: str = "",
+    ):
+        self.rule = rule
+        self.message = message
+        self.layer = layer
+        self.doc_id = doc_id
+        self.location = location
 
     def render(self) -> str:
         where = f" [{self.location}]" if self.location else ""

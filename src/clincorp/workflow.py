@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import InputError, ParseError, read_text_file
+from .record import Record
 
 if TYPE_CHECKING:  # diff_report imports model when it runs
     from .model import DocAnnotations, Document, Entity
@@ -57,16 +57,29 @@ def seeded_shuffle(items: list, seed: int) -> list:
 
 # ----------------------------------------------------------------- rounds ---
 
-@dataclass(slots=True)
-class RoundState:
+class RoundState(Record):
     """Progress of the iterative annotation process."""
 
-    round_index: int = 1
-    pool: list[str] = field(default_factory=list)
-    assignments: dict[str, list[str]] = field(default_factory=dict)
-    iaa_history: dict[str, list[float]] = field(default_factory=dict)
+    __slots__ = ("round_index", "pool", "assignments", "iaa_history")
+    __hash__ = None
 
-    def to_json(self) -> str:
+    def __init__(
+        self,
+        round_index: int = 1,
+        pool: list[str] | None = None,
+        assignments: dict[str, list[str]] | None = None,
+        iaa_history: dict[str, list[float]] | None = None,
+    ):
+        self.round_index = round_index
+        self.pool = [] if pool is None else pool
+        self.assignments = {} if assignments is None else assignments
+        self.iaa_history = {} if iaa_history is None else iaa_history
+
+    def to_json(self, indent: int | None = None) -> str:
+        """The state as JSON with sorted keys and a final newline: compact,
+        as the state file holds it, or with `indent`, for people to read.
+        The compact form is the C encoder's; any indent falls back to the
+        slower pure-Python one."""
         return json.dumps(
             {
                 "round_index": self.round_index,
@@ -74,7 +87,8 @@ class RoundState:
                 "assignments": self.assignments,
                 "iaa_history": self.iaa_history,
             },
-            ensure_ascii=False, indent=2, sort_keys=True, allow_nan=False,
+            ensure_ascii=False, indent=indent, sort_keys=True, allow_nan=False,
+            separators=(",", ":") if indent is None else None,
         ) + "\n"
 
     @classmethod
@@ -160,8 +174,7 @@ def sample_round(
     shuffled = seeded_shuffle(state.pool, seed)
     sampled = shuffled[:n]
     drawn = set(sampled)
-    new_state = replace(
-        state,
+    new_state = RoundState(
         round_index=state.round_index + 1,
         pool=[d for d in state.pool if d not in drawn],
         assignments=dict(state.assignments),
@@ -191,14 +204,19 @@ def assign_duplicates(
     return assignments
 
 
-@dataclass(frozen=True, slots=True)
-class ConvergencePolicy:
+class ConvergencePolicy(Record):
     """Stop rule: the last `window` agreement values must all reach the
     task's threshold."""
 
-    window: int = 3
-    tau: dict[str, float] = field(default_factory=dict)
-    default_tau: float = 0.9
+    __slots__ = ("window", "tau", "default_tau")
+
+    def __init__(
+        self, window: int = 3, tau: dict[str, float] | None = None,
+        default_tau: float = 0.9,
+    ):
+        self.window = window
+        self.tau = {} if tau is None else tau
+        self.default_tau = default_tau
 
     def threshold(self, task: str) -> float:
         return self.tau.get(task, self.default_tau)
@@ -215,11 +233,14 @@ def check_convergence(
 
 # ------------------------------------------------------------------ folds ---
 
-@dataclass(slots=True)
-class FoldManifest:
-    k: int
-    seed: int
-    folds: list[list[str]]
+class FoldManifest(Record):
+    __slots__ = ("k", "seed", "folds")
+    __hash__ = None
+
+    def __init__(self, k: int, seed: int, folds: list[list[str]]):
+        self.k = k
+        self.seed = seed
+        self.folds = folds
 
     def to_json(self) -> str:
         return json.dumps(
@@ -241,17 +262,22 @@ def kfold(doc_ids: list[str], k: int, seed: int) -> FoldManifest:
 
 # ----------------------------------------------------------------- diffs ---
 
-@dataclass(frozen=True, slots=True)
-class Disagreement:
+class Disagreement(Record):
     """One adjudication item: an annotation present on one side only, or
     present on both with differing attributes."""
 
-    doc_id: str
-    layer: str
-    kind: str  # a-only | b-only | attribute-mismatch
-    location: str
-    surface: str
-    detail: str = ""
+    __slots__ = ("doc_id", "layer", "kind", "location", "surface", "detail")
+
+    def __init__(
+        self, doc_id: str, layer: str, kind: str, location: str, surface: str,
+        detail: str = "",
+    ):
+        self.doc_id = doc_id
+        self.layer = layer
+        self.kind = kind  # a-only | b-only | attribute-mismatch
+        self.location = location
+        self.surface = surface
+        self.detail = detail
 
     def render(self) -> str:
         return "\t".join(

@@ -272,9 +272,56 @@ def test_discover_rejects_a_non_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _touch(tmp_path / "f.txt")
     for root in ("f.txt", "./missing/"):
-        with pytest.raises(InputError) as err:
-            discover(root)
-        assert str(err.value) == f"not a directory: {Path(root)}"
+        for walk in (discover, annio.doc_ids):
+            with pytest.raises(InputError) as err:
+                walk(root)
+            assert str(err.value) == f"not a directory: {Path(root)}"
+
+
+@pytest.mark.parametrize("root", ["d", "d/", "./d", ".", "absolute", "d/../d"])
+def test_doc_ids_match_discover(awkward_tree, monkeypatch, root):
+    monkeypatch.chdir(awkward_tree)
+    if root == ".":
+        monkeypatch.chdir(awkward_tree / "d")
+    elif root == "absolute":
+        root = str(awkward_tree / "d")
+    for spelled in (root, Path(root)):
+        assert annio.doc_ids(spelled) == sorted(discover(spelled))
+
+
+@pytest.mark.parametrize(
+    "rels, expected",
+    [
+        # Both name doc id "a/b": discover keeps one bundle.
+        (("a\\b.txt", "a\\b.tok", "a/b.txt", "a/c.txt"), ["a/b", "a/c"]),
+        # A directory named x.txt roots a bundle and is entered.
+        (("x.txt/in.txt", "x.txt/in.ann", "y.txt/", "x.tok"), ["x", "x.txt/in", "y"]),
+        # A bare .txt is its own stem, at the root and below it.
+        ((".txt", ".txt.tok", "s/.txt", "s/t.txt"), [".txt", "s/.txt", "s/t"]),
+    ],
+    ids=["backslash-collision", "directory-named-txt", "bare-txt"],
+)
+def test_doc_ids_match_discover_on_edge_cases(tmp_path, rels, expected):
+    for rel in rels:
+        if rel.endswith("/"):
+            (tmp_path / rel).mkdir(parents=True)
+        else:
+            _touch(tmp_path / rel)
+    assert annio.doc_ids(tmp_path) == sorted(discover(tmp_path)) == expected
+    assert [t[0] for t in _rglob_bundles(tmp_path)] == list(discover(tmp_path))
+
+
+def test_kfold_and_round_new_list_the_ids_discover_finds(awkward_tree, capsys):
+    from clincorp.cli import main
+    from clincorp.workflow import RoundState, kfold
+
+    root = awkward_tree / "d"
+    ids = sorted(discover(root))
+    assert main(["kfold", "--k", "3", "--seed", "5", str(root)]) == 0
+    assert capsys.readouterr().out == kfold(ids, 3, 5).to_json()
+    state = awkward_tree / "state.json"
+    assert main(["round", "new", "--state", str(state), "--pool-from", str(root)]) == 0
+    assert capsys.readouterr().out == RoundState(pool=ids).to_json(indent=2)
 
 
 def test_discover_makes_no_stat_per_bundle(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from clincorp.annio import parse_ptb, serialize_ptb
 from clincorp.cli import main
 from helpers import random_document, write_bundle
 
@@ -118,6 +119,61 @@ def test_iaa_exclusions_exit_1(tmp_path, capsys):
     assert code == 1
     assert "excluded" in captured.err
     assert json.loads(captured.out)["vacuous"] is True
+
+
+LAYER_EXTENSION = {
+    "seg": "tok", "pos": "tok", "chunk": "chk", "tree": "ptb",
+    "entity": "ann", "relation": "ann",
+}
+
+
+def test_iaa_refuses_a_layer_file_missing_on_both_sides(tmp_path, capsys):
+    a, b = tmp_path / "A", tmp_path / "B"
+    for root in (a, b):
+        root.mkdir()
+        (root / "d.txt").write_text("发热", encoding="utf-8")
+    for cmd in ("iaa", "score"):
+        for layer, ext in LAYER_EXTENSION.items():
+            assert main([cmd, "--layer", layer, str(a), str(b)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: no .{ext} file under {a} or {b}\n"
+
+
+def test_iaa_empty_layer_files_agree_vacuously(tmp_path, capsys):
+    # Header-only files, on one side or on both: present but empty.
+    a, b = tmp_path / "A", tmp_path / "B"
+    for root in (a, b):
+        root.mkdir()
+        (root / "d.txt").write_text("发热", encoding="utf-8")
+    for ext in sorted(set(LAYER_EXTENSION.values())):
+        (a / f"d.{ext}").write_text("# empty\n", encoding="utf-8")
+    for layer in LAYER_EXTENSION:
+        for left, right in ((a, b), (b, a), (a, a)):
+            assert main(["iaa", "--layer", layer, str(left), str(right)]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["vacuous"] is True and report["f"] == 1.0
+
+
+def test_iaa_tree_and_ptb_round_trip_survive_a_deep_tree(tmp_path, capsys):
+    depth = 3000
+    line = "(IP " * (depth - 1) + "(NN 热)" + ")" * (depth - 1)
+    root = tmp_path / "deep"
+    root.mkdir()
+    (root / "d.txt").write_text("热", encoding="utf-8")
+    (root / "d.tok").write_text("0\t1\t热\tNN\n", encoding="utf-8")
+    (root / "d.ptb").write_text(line + "\n", encoding="utf-8")
+    assert main(["validate", str(root)]) == 0
+    for extra in ([], ["--exclude-root"], ["--unlabeled"]):
+        assert main(["iaa", "--layer", "tree", *extra, str(root), str(root)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        report = json.loads(captured.out)
+        assert report["f"] == 1.0 and report["vacuous"] is False
+        assert report["count_a"] == (depth - 2 if extra == ["--exclude-root"] else depth - 1)
+    text = serialize_ptb(parse_ptb((root / "d.ptb").read_text(encoding="utf-8")))
+    assert text.splitlines()[1] == line
+    assert serialize_ptb(parse_ptb(text)) == text
 
 
 def test_iaa_rejects_bad_beta(tmp_path, capsys):

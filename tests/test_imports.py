@@ -1,9 +1,11 @@
-"""Import scope: the package root loads nothing eagerly, and each command
-loads only the library modules it runs.  Each check runs in a fresh
-interpreter, since this test process has imported everything already."""
+"""Import scope: the package root loads nothing eagerly, each command
+loads only the library modules it runs, and no command loads `dataclasses`
+or `inspect`.  Each check runs in a fresh interpreter, since this test
+process has imported everything already."""
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,13 +23,17 @@ NOT_FOR_ROUND = {"agreement", "annio", "parseval", "groups", "model", "stats",
 NOT_FOR_KFOLD = {"agreement", "stats", "refdata", "validate", "segadvice"}
 
 
+# Standard modules whose import costs every command start-up time.
+SLOW_STDLIB = {"dataclasses", "inspect"}
+
+
 def _loaded_after(code: str) -> set[str]:
     """The clincorp submodules in sys.modules after `code` runs in a fresh
-    interpreter."""
+    interpreter, plus those of SLOW_STDLIB it loaded."""
     script = code + (
         "\nimport sys, json"
-        "\nprint(json.dumps(sorted(m[len('clincorp.'):] for m in sys.modules"
-        " if m.startswith('clincorp.'))))"
+        "\nprint(json.dumps(sorted(m.removeprefix('clincorp.') for m in sys.modules"
+        f" if m.startswith('clincorp.') or m in {sorted(SLOW_STDLIB)!r})))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("CLINCORP_CONFIG", None)
@@ -71,6 +77,38 @@ def test_kfold_skips_scoring_and_statistics(tmp_path):
     loaded = _loaded_by_command("kfold", "--k", "2", "--seed", "1", str(tmp_path))
     assert "annio" in loaded
     assert loaded & NOT_FOR_KFOLD == set()
+
+
+def test_round_loop_commands_skip_dataclasses_and_inspect(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name in ("a", "b"):
+        (corpus / f"{name}.txt").write_text("发热", encoding="utf-8")
+    ann = corpus / "a.ann"
+    ann.write_text(
+        "T1\tsymptom 0 1\t发\nT2\tsymptom 1 2\t热\nG1\tsymptom T1 T2\n",
+        encoding="utf-8",
+    )
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("发热\t1\t1\t0\t0\t-\t-\n", encoding="utf-8")
+    state = str(tmp_path / "state.json")
+    assert _loaded_after("import clincorp.cli") & SLOW_STDLIB == set()
+    for argv in (
+        ("round", "new", "--state", state, "--pool-from", str(corpus)),
+        ("round", "sample", "--state", state, "--n", "1", "--seed", "3"),
+        ("round", "record-iaa", "--state", state, "--task", "seg", "--value", "0.5"),
+        ("round", "status", "--state", state),
+        ("kfold", "--k", "2", "--seed", "1", str(corpus)),
+        ("expand", str(ann)),
+        ("seg-advise", "--lexicon", str(lexicon), "发热"),
+    ):
+        assert _loaded_by_command(*argv) & SLOW_STDLIB == set(), argv
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((SRC / "clincorp").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert not re.search(r"^\s*(from|import)\s+dataclasses\b", source, re.M), path.name
 
 
 def test_every_public_name_resolves_to_its_defining_module():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from clincorp.annio import BundlePaths
 from clincorp.errors import InputError
 from clincorp.model import (
     Chunk,
@@ -16,7 +17,9 @@ from clincorp.model import (
 )
 from clincorp.parseval import ParseTree, parse_tree
 from clincorp.tagsets import AssertionType, EntityType, RelationType
+from clincorp.workflow import RoundState
 from clincorp.validate import (
+    Diagnostic,
     validate_annotations,
     validate_chunks,
     validate_document,
@@ -169,8 +172,24 @@ def test_tree_findings_in_preorder():
             "ParseTree(label='IP', children=(ParseTree(label='NN', children=(), "
             "surface='a'),), surface=None)",
         ),
+        (
+            Sentence, (3, (Token(0, 2, "发热", "NN"),)), (4, (Token(0, 2, "发热", "NN"),)),
+            "Sentence(start=3, tokens=(Token(start=0, end=2, surface='发热', pos='NN'),))",
+        ),
+        (
+            EntityGroup, ("G1", EntityType.SYMPTOM, ("T1", "T2")),
+            ("G1", EntityType.SYMPTOM, ("T1",)),
+            "EntityGroup(gid='G1', etype=<EntityType.SYMPTOM: 'symptom'>, "
+            "members=('T1', 'T2'))",
+        ),
+        (
+            Diagnostic, ("unknown-pos", "msg", "token", "d1", "sentence 0"),
+            ("unknown-pos", "msg", "token", "d2", "sentence 0"),
+            "Diagnostic(rule='unknown-pos', message='msg', layer='token', doc_id='d1', "
+            "location='sentence 0')",
+        ),
     ],
-    ids=["Token", "Chunk", "Entity", "ParseTree"],
+    ids=["Token", "Chunk", "Entity", "ParseTree", "Sentence", "EntityGroup", "Diagnostic"],
 )
 def test_records_compare_by_value(make, args, changed, text):
     record = make(*args)
@@ -185,6 +204,35 @@ def test_records_compare_by_value(make, args, changed, text):
 
     # Equal only to a record of the same type, as a dataclass is.
     assert record != Derived(*args) and record != args
+
+
+@pytest.mark.parametrize(
+    "make, args, text",
+    [
+        (
+            Document, ("d", "x"),
+            "Document(doc_id='d', text='x', sentences=[], chunks=[], trees=[], "
+            "annotations=None, doc_type=None)",
+        ),
+        (
+            BundlePaths, ("a", "a.txt", "a.tok"),
+            "BundlePaths(doc_id='a', txt='a.txt', tok='a.tok', ptb=None, chk=None, "
+            "ann=None, doc_type=None)",
+        ),
+        (
+            RoundState, (2, ["d1"], {"d0": ["AG1"]}, {"seg": [0.5]}),
+            "RoundState(round_index=2, pool=['d1'], assignments={'d0': ['AG1']}, "
+            "iaa_history={'seg': [0.5]})",
+        ),
+    ],
+    ids=["Document", "BundlePaths", "RoundState"],
+)
+def test_mutable_records_compare_by_value_and_are_unhashable(make, args, text):
+    # As the mutable dataclasses they replace: equal by value, no hash.
+    record = make(*args)
+    assert record == make(*args) and repr(record) == text
+    with pytest.raises(TypeError):
+        hash(record)
 
 
 def entity(eid, etype, start, end, surface, assertion=None):

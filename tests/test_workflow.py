@@ -124,6 +124,22 @@ def test_round_state_json_roundtrip(tmp_path):
     assert keys == {"round_index", "pool", "assignments", "iaa_history"}
 
 
+def test_state_file_is_compact_and_the_indented_form_still_loads(tmp_path):
+    data = {
+        "assignments": {"d2": ["AG1", "AG2"]}, "iaa_history": {"entity": [0.8]},
+        "pool": ["d3", "病历1"], "round_index": 3,
+    }
+    compact = json.dumps(data, ensure_ascii=False, separators=(",", ":")) + "\n"
+    indented = json.dumps(data, ensure_ascii=False, indent=2) + "\n"
+    path = tmp_path / "state.json"
+    path.write_text(indented, encoding="utf-8")  # as earlier versions wrote it
+    state = load_state(path)
+    assert state == RoundState(3, ["d3", "病历1"], {"d2": ["AG1", "AG2"]}, {"entity": [0.8]})
+    save_state(state, path)
+    assert path.read_text(encoding="utf-8") == state.to_json() == compact
+    assert state.to_json(indent=2) == indented
+
+
 @pytest.mark.parametrize(
     "content",
     [
