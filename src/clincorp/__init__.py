@@ -23,9 +23,9 @@ _EXPORTS = {
         "relation_counts", "score_trees", "token_counts", "tree_counts",
     ),
     "annio": (
-        "BundlePaths", "discover", "load_corpus", "load_document", "parse_ann",
-        "parse_chk", "parse_ptb", "parse_tok", "serialize_ann",
-        "serialize_chk", "serialize_ptb", "serialize_tok",
+        "BundlePaths", "discover", "iter_documents", "load_corpus",
+        "load_document", "parse_ann", "parse_chk", "parse_ptb", "parse_tok",
+        "serialize_ann", "serialize_chk", "serialize_ptb", "serialize_tok",
     ),
     "errors": (
         "ClincorpError", "InputError", "LengthMismatchError", "LexiconError",
@@ -52,6 +52,7 @@ _EXPORTS = {
         "CrossRow", "Deviation", "DistributionRow", "assertion_cross_table",
         "avg_sentence_length", "compare_reference", "distribution",
         "reference_column", "relation_table", "token_and_sentence_counts",
+        "tokens_per_sentence",
     ),
     "tagsets": (
         "LAYERS", "POS_TAGS", "SYN_TAGS", "VALID_ASSERTIONS", "AssertionType",

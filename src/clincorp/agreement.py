@@ -13,6 +13,7 @@ flagged vacuous.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterable, Iterator
 
 from .errors import LengthMismatchError
 from .groups import expand_all, relation_match_key
@@ -241,49 +242,86 @@ def _empty_doc(doc_id: str) -> Document:
     return Document(doc_id=doc_id, text="")
 
 
+def _next_doc(docs: Iterator[Document], after: str | None) -> Document | None:
+    """The next document of a stream whose ids must ascend strictly, or None
+    once it is exhausted; `after` is the id of the document before it."""
+    doc = next(docs, None)
+    if doc is not None and after is not None and doc.doc_id <= after:
+        raise ValueError(
+            f"document ids must ascend without repeats: {doc.doc_id!r} "
+            f"follows {after!r}"
+        )
+    return doc
+
+
+def _doc_counts(
+    layer: str, da: Document, db: Document, policy: MatchPolicy,
+    mode: RelationMode, params: EvalParams,
+) -> tuple[Counts, list[int]]:
+    """One layer's counts for one document pair, plus the excluded sentence
+    indices of the tree layer; LengthMismatchError when the two documents'
+    chunk or tree layers have different sentence counts."""
+    if layer == "seg":
+        return token_counts(da.sentences, db.sentences, labeled=False), []
+    if layer == "pos":
+        return token_counts(da.sentences, db.sentences, labeled=True), []
+    if layer == "chunk":
+        return chunk_counts(da.chunks, db.chunks), []
+    if layer == "tree":
+        return tree_counts(da.trees, db.trees, params)  # type: ignore[arg-type]
+    ann_a = da.annotations or DocAnnotations(doc_id=da.doc_id, text=da.text)
+    ann_b = db.annotations or DocAnnotations(doc_id=db.doc_id, text=db.text)
+    if layer == "entity":
+        return entity_counts(ann_a, ann_b, policy), []
+    return relation_counts(ann_a, ann_b, mode), []
+
+
 def corpus_agreement(
-    corpus_a: dict[str, Document],
-    corpus_b: dict[str, Document],
+    docs_a: Iterable[Document],
+    docs_b: Iterable[Document],
     layer: str,
     *,
     policy: MatchPolicy = MatchPolicy.SPAN_TYPE,
     mode: RelationMode = RelationMode.ONE_TO_ONE,
     params: EvalParams = EvalParams(),
 ) -> CorpusAgreement:
-    """Score one layer across two corpora, document by document.
+    """Score one layer across two annotation sets, document by document.
 
-    Each corpus maps document ids to Documents, as load_corpus returns.  The
-    document universe is the union of both corpora's ids; a document missing
-    from one side counts as empty there.  Documents whose tree or chunk
-    layers have incompatible shapes are excluded and reported, never silently
-    dropped or silently kept.
+    Each set is a stream of Documents in ascending doc-id order, as
+    iter_documents yields them; an id out of order or repeated raises
+    ValueError.  The two streams are merged by doc id, so only the current
+    document of each is held.  The document universe is the union of both
+    sets' ids; a document missing from one side counts as empty there.
+    Documents whose tree or chunk layers have incompatible shapes are
+    excluded and reported, never silently dropped or silently kept.
     """
     if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; expected one of {LAYERS}")
     result = CorpusAgreement(layer, {}, [], {})
-    for doc_id in sorted(set(corpus_a) | set(corpus_b)):
-        da = corpus_a.get(doc_id) or _empty_doc(doc_id)
-        db = corpus_b.get(doc_id) or _empty_doc(doc_id)
+    it_a, it_b = iter(docs_a), iter(docs_b)
+    da, db = _next_doc(it_a, None), _next_doc(it_b, None)
+    while da is not None or db is not None:
+        # Each side takes part when its current id is the smallest; the other
+        # side's document is then empty.  No local keeps a document alive
+        # while the next one is read.
+        in_a = db is None or (da is not None and da.doc_id <= db.doc_id)
+        in_b = da is None or (db is not None and db.doc_id <= da.doc_id)
+        doc_id = da.doc_id if in_a else db.doc_id
         try:
-            if layer == "seg":
-                counts = token_counts(da.sentences, db.sentences, labeled=False)
-            elif layer == "pos":
-                counts = token_counts(da.sentences, db.sentences, labeled=True)
-            elif layer == "chunk":
-                counts = chunk_counts(da.chunks, db.chunks)
-            elif layer == "tree":
-                counts, excluded = tree_counts(da.trees, db.trees, params)  # type: ignore[arg-type]
-                if excluded:
-                    result.excluded_sentences[doc_id] = excluded
-            else:
-                ann_a = da.annotations or DocAnnotations(doc_id=doc_id, text=da.text)
-                ann_b = db.annotations or DocAnnotations(doc_id=doc_id, text=db.text)
-                if layer == "entity":
-                    counts = entity_counts(ann_a, ann_b, policy)
-                else:
-                    counts = relation_counts(ann_a, ann_b, mode)
+            counts, excluded = _doc_counts(
+                layer,
+                da if in_a else _empty_doc(doc_id),
+                db if in_b else _empty_doc(doc_id),
+                policy, mode, params,
+            )
         except LengthMismatchError:
             result.excluded_docs.append(doc_id)
-            continue
-        result.per_doc[doc_id] = counts
+        else:
+            result.per_doc[doc_id] = counts
+            if excluded:
+                result.excluded_sentences[doc_id] = excluded
+        if in_a:
+            da = _next_doc(it_a, doc_id)
+        if in_b:
+            db = _next_doc(it_b, doc_id)
     return result

@@ -562,8 +562,22 @@ def load_document(
     return doc
 
 
+def iter_documents(
+    corpus: str | Path | dict[str, BundlePaths],
+    layers: Collection[str] = LAYER_FILES,
+) -> Iterator[Document]:
+    """Every bundle of `corpus`, read as load_document does, one at a time in
+    ascending doc-id order.  `corpus` is a directory, listed with discover on
+    the call, or a listing discover returned.  Nothing is parsed before the
+    first document is asked for, and no document is kept once the next one
+    is read."""
+    bundles = corpus if isinstance(corpus, dict) else discover(corpus)
+    return (load_document(bundles[doc_id], layers) for doc_id in sorted(bundles))
+
+
 def load_corpus(
     root: str | Path, layers: Collection[str] = LAYER_FILES
 ) -> dict[str, Document]:
-    """Every bundle under `root`, keyed by doc id, read as load_document does."""
-    return {doc_id: load_document(bp, layers) for doc_id, bp in discover(root).items()}
+    """Every bundle under `root`, keyed by doc id in ascending order, all held
+    in memory at once; iter_documents reads the same documents one at a time."""
+    return {doc.doc_id: doc for doc in iter_documents(root, layers)}

@@ -29,7 +29,7 @@ from .tagsets import LAYERS, MatchPolicy, RelationMode
 
 if TYPE_CHECKING:
     from .agreement import CorpusAgreement
-    from .model import Document
+    from .annio import BundlePaths
 
 CONFIG_ENV = "CLINCORP_CONFIG"
 
@@ -147,30 +147,27 @@ def _no_bundles(directory: str) -> InputError:
     return InputError(f"no document bundles under {directory}")
 
 
-def _load_corpus(directory: str, report: str) -> dict[str, Document]:
+def _listing(directory: str) -> dict[str, BundlePaths]:
+    """discover's bundles under `directory`, refusing a directory with none.
+    A corpus command lists its directories before it parses any file."""
     from . import annio
 
-    corpus = annio.load_corpus(directory, _LAYER_FILES[report])
-    if not corpus:
+    bundles = annio.discover(directory)
+    if not bundles:
         raise _no_bundles(directory)
-    return corpus
+    return bundles
 
 
 def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
-    # One document at a time, in discover order, keeping only the rendered
-    # findings: the corpus is never held in memory.
+    # One document at a time, keeping only the rendered findings; stdout is
+    # written only once the whole corpus has been read.
     from . import annio
 
     validate_document = _library("validate_document")
-    bundles = annio.discover(args.directory)
-    if not bundles:
-        raise _no_bundles(args.directory)
-    findings: dict[str, list[str]] = {}
-    for doc_id, paths in bundles.items():
-        rendered = [d.render() for d in validate_document(annio.load_document(paths))]
-        if rendered:
-            findings[doc_id] = rendered
-    lines = [line for doc_id in sorted(findings) for line in findings[doc_id]]
+    bundles = _listing(args.directory)
+    lines: list[str] = []
+    for doc in annio.iter_documents(bundles):
+        lines.extend(d.render() for d in validate_document(doc))
     sys.stdout.write("".join(line + "\n" for line in lines))
     print(
         f"{len(lines)} finding(s) in {len(bundles)} document(s)", file=sys.stderr
@@ -231,31 +228,26 @@ def _agreement_args(args: argparse.Namespace, config: dict):
     return policy, mode, beta, params
 
 
-def _require_layer_file(layer: str, dir_a: str, dir_b: str) -> None:
-    """Refuse a vacuous comparison when no bundle on either side has the file
-    `layer` reads: empty layer files agree vacuously, absent ones are no
-    evidence at all.  Only a vacuous report can rest on no file, so only it
-    pays for this second walk."""
-    from . import annio
-
-    (ext,) = _LAYER_FILES[layer]
-    for directory in (dir_a, dir_b):
-        if any(getattr(bp, ext) for bp in annio.discover(directory).values()):
-            return
-    raise InputError(f"no .{ext} file under {dir_a} or {dir_b}")
-
-
 def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     # For score, gold (dir_a) plays the reference (recall) role and the
     # predictions (dir_b) the response role.
+    from . import annio
+
     policy, mode, beta, params = _agreement_args(args, config)
+    layers = _LAYER_FILES[args.layer]
+    bundles_a, bundles_b = _listing(args.dir_a), _listing(args.dir_b)
     corpus = _library("corpus_agreement")(
-        _load_corpus(args.dir_a, args.layer), _load_corpus(args.dir_b, args.layer),
+        annio.iter_documents(bundles_a, layers),
+        annio.iter_documents(bundles_b, layers),
         args.layer, policy=policy, mode=mode, params=params,
     )
     report = corpus.report(beta)
-    if report.vacuous:
-        _require_layer_file(args.layer, args.dir_a, args.dir_b)
+    # Empty layer files agree vacuously; absent ones are no evidence at all.
+    (ext,) = layers
+    if report.vacuous and not any(
+        getattr(bp, ext) for bundles in (bundles_a, bundles_b) for bp in bundles.values()
+    ):
+        raise InputError(f"no .{ext} file under {args.dir_a} or {args.dir_b}")
     out = _json_object(report.to_dict(rounded=False), fmt_metric)
     if args.details:
         sys.stderr.write(_detail_table(corpus, beta))
@@ -300,7 +292,7 @@ def _stats_rows(args: argparse.Namespace, docs) -> list:
 
 
 def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
-    from . import stats
+    from . import annio, stats
     from .model import DOC_TYPES
 
     if args.doc_type is not None and args.doc_type not in DOC_TYPES:
@@ -308,15 +300,14 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
             f"unknown doc type {args.doc_type!r}; expected one of {DOC_TYPES}"
         )
     fmt = _choice(args.format, config, "format", {"tsv": "tsv", "json": "json"}, "tsv")
-    corpus = _load_corpus(args.directory, args.report)
-    docs = [corpus[k] for k in sorted(corpus)]
+    docs = annio.iter_documents(_listing(args.directory), _LAYER_FILES[args.report])
 
     if args.report == "length":
         tokens, sentences = stats.token_and_sentence_counts(docs, args.doc_type)
         values = {
             "tokens": tokens,
             "sentences": sentences,
-            "avg_tokens_per_sentence": stats.avg_sentence_length(docs, args.doc_type),
+            "avg_tokens_per_sentence": stats.tokens_per_sentence(tokens, sentences),
         }
         if fmt == "tsv":
             out = "".join(f"{k}\t{_text(v)}\n" for k, v in values.items())

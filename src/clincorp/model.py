@@ -142,8 +142,17 @@ class DocAnnotations(Record):
 DOC_TYPES = ("discharge_summary", "progress_note")
 
 
-class Document(Record):
-    """One document's text plus whichever annotation layers are present."""
+class _WeaklyReferable:
+    """A base that lets its subclasses' instances be weakly referenced
+    without making `__weakref__` one of their record fields."""
+
+    __slots__ = ("__weakref__",)
+
+
+class Document(Record, _WeaklyReferable):
+    """One document's text plus whichever annotation layers are present.  A
+    document can be weakly referenced, so a caller can check that a stream
+    of them lets each one go."""
 
     __slots__ = ("doc_id", "text", "sentences", "chunks", "trees", "annotations",
                  "doc_type")

@@ -74,26 +74,66 @@ class ParseTree(Record):
         return out
 
     def to_string(self) -> str:
-        """The bracketed form, written without recursion: `stack` holds the
-        nodes still to write and the text that follows each opened one."""
+        """The bracketed form."""
+        return self._write(
+            lambda n: f"({n.label} " if n.surface is None else f"({n.label} {n.surface}",
+            " ",
+            lambda n: ")",
+        )
+
+    def _write(self, opening, separator: str, closing) -> str:
+        """Text for the whole tree, written without recursion: each node
+        gives `opening(node)`, its children's texts joined by `separator`,
+        then `closing(node)`.  `stack` holds the nodes still to write and the
+        text that follows each opened one."""
         parts: list[str] = []
         stack: list = [self]
         while stack:
             item = stack.pop()
             if item.__class__ is str:
                 parts.append(item)
-            elif item.surface is not None:
-                parts.append(f"({item.label} {item.surface})")
-            else:
-                parts.append(f"({item.label} ")
-                stack.append(")")
-                children = item.children
-                for i in range(len(children) - 1, 0, -1):
-                    stack.append(children[i])
-                    stack.append(" ")
-                if children:
-                    stack.append(children[0])
+                continue
+            parts.append(opening(item))
+            stack.append(closing(item))
+            children = item.children
+            for i in range(len(children) - 1, 0, -1):
+                stack.append(children[i])
+                stack.append(separator)
+            if children:
+                stack.append(children[0])
         return "".join(parts)
+
+    # Record's value semantics, node by node without recursion, so that a
+    # tree thousands of levels deep compares, hashes and prints.
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            ca, cb = a.children, b.children
+            if (
+                a.__class__ is not b.__class__
+                or a.label != b.label or a.surface != b.surface
+                or ca.__class__ is not cb.__class__ or len(ca) != len(cb)
+            ):
+                return False
+            stack.extend(zip(ca, cb))
+        return True
+
+    def __hash__(self) -> int:
+        # Equal trees have the same bracketed form.
+        return hash(self.to_string())
+
+    def __repr__(self) -> str:
+        return self._write(
+            lambda n: f"{type(n).__qualname__}(label={n.label!r}, children=(",
+            ", ",
+            lambda n: f"{',' if len(n.children) == 1 else ''}), surface={n.surface!r})",
+        )
 
 
 def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -> ParseTree:

@@ -7,7 +7,7 @@ by count descending then label, which keeps output deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .groups import expand_all
@@ -53,8 +53,8 @@ class CrossRow(Record):
         self.pct_all = pct_all
 
 
-def _filtered(docs: Iterable[Document], doc_type: str | None) -> list[Document]:
-    return [d for d in docs if doc_type is None or d.doc_type == doc_type]
+def _filtered(docs: Iterable[Document], doc_type: str | None) -> Iterator[Document]:
+    return (d for d in docs if doc_type is None or d.doc_type == doc_type)
 
 
 def _pct(count: int, total: int) -> float:
@@ -178,7 +178,11 @@ def avg_sentence_length(
     docs: Iterable[Document], doc_type: str | None = None
 ) -> float:
     """Mean tokens per sentence, to two decimals."""
-    tokens, sentences = token_and_sentence_counts(docs, doc_type)
+    return tokens_per_sentence(*token_and_sentence_counts(docs, doc_type))
+
+
+def tokens_per_sentence(tokens: int, sentences: int) -> float:
+    """The mean of token_and_sentence_counts' counts, to two decimals."""
     if sentences == 0:
         raise InputError("corpus has no sentences")
     return round_half_up(tokens / sentences, 2)

@@ -348,8 +348,8 @@ def document_pair(rng: random.Random, doc_id: str = "d") -> tuple[Document, Docu
     return doc_a, doc_b
 
 
-def as_set(doc: Document) -> dict[str, Document]:
-    return {doc.doc_id: doc}
+def as_set(doc: Document) -> list[Document]:
+    return [doc]
 
 
 _POLICIES = (MatchPolicy.SPAN, MatchPolicy.SPAN_TYPE, MatchPolicy.SPAN_TYPE_ASSERTION)

@@ -28,10 +28,11 @@ def _traced_span_names(tmp_path, *argv: str) -> set[str]:
 
 def test_traced_child_records_spans(tmp_path):
     names = _traced_span_names(tmp_path, "stats", "--report", "length", "CORPUS")
-    assert {"annio.load_corpus", "stats"} <= names
+    assert {"annio.load_document", "stats"} <= names
+    assert "annio.load_corpus" not in names
 
 
 def test_entity_agreement_parses_only_the_entity_layer(tmp_path):
     names = _traced_span_names(tmp_path, "iaa", "--layer", "entity", "CORPUS", "CORPUS")
-    assert {"annio.load_corpus", "annio.parse_ann"} <= names
+    assert {"annio.load_document", "annio.parse_ann"} <= names
     assert not names & {"annio.parse_tok", "annio.parse_ptb", "annio.parse_chk"}

@@ -92,6 +92,30 @@ def test_deep_tree_needs_no_recursion():
     assert tree.leaf_count() == 1
     assert tree.leaves() == [("NN", "a")]
     assert len(tree.nodes()) == depth + 1
+    copy = parse_tree(tree.to_string())
+    assert copy == tree and hash(copy) == hash(tree)
+    assert tree != parse_tree("(NP " * depth + "(NN b)" + ")" * depth)
+    assert repr(copy) == repr(tree)
+    assert repr(tree).startswith("ParseTree(label='NP', children=(ParseTree(label='NP'")
+    assert repr(tree).endswith(",), surface=None)")
+
+
+def test_tree_value_semantics_match_a_record_field_by_field():
+    leaf = ParseTree("NN", (), "a")
+    tree = ParseTree("IP", (leaf, ParseTree("NP", (ParseTree("VV", (), "b"),))))
+    assert repr(leaf) == "ParseTree(label='NN', children=(), surface='a')"
+    assert repr(tree) == (
+        "ParseTree(label='IP', children=(ParseTree(label='NN', children=(), "
+        "surface='a'), ParseTree(label='NP', children=(ParseTree(label='VV', "
+        "children=(), surface='b'),), surface=None)), surface=None)"
+    )
+    same = parse_tree("(IP (NN a) (NP (VV b)))")
+    assert same == tree and hash(same) == hash(tree)
+    assert tree != parse_tree("(IP (NN a) (NP (VV c)))")
+    assert tree != parse_tree("(IP (NN a) (VP (VV b)))")
+    assert tree != parse_tree("(IP (NN a))")
+    assert leaf != ParseTree("NN", (), "") and leaf != ("NN", (), "a")
+    assert ParseTree("NP", [leaf]) != ParseTree("NP", (leaf,))
 
 
 def test_parse_error_kinds_named():
