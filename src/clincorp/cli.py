@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -283,12 +282,12 @@ def _stats_rows(args: argparse.Namespace, docs) -> list:
     from . import stats
 
     if args.report == "pos":
-        return stats.distribution(docs, "pos", doc_type=args.doc_type)
+        return stats.distribution(docs, "pos")
     if args.report == "syn":
-        return stats.distribution(docs, "syntactic", doc_type=args.doc_type)
+        return stats.distribution(docs, "syntactic")
     if args.report == "entity":
-        return stats.assertion_cross_table(docs, doc_type=args.doc_type)
-    return stats.relation_table(docs, doc_type=args.doc_type)
+        return stats.assertion_cross_table(docs)
+    return stats.relation_table(docs)
 
 
 def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
@@ -300,10 +299,14 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
             f"unknown doc type {args.doc_type!r}; expected one of {DOC_TYPES}"
         )
     fmt = _choice(args.format, config, "format", {"tsv": "tsv", "json": "json"}, "tsv")
-    docs = annio.iter_documents(_listing(args.directory), _LAYER_FILES[args.report])
+    bundles = _listing(args.directory)
+    if args.doc_type is not None:
+        # Bundles of the other type are never read.
+        bundles = {k: bp for k, bp in bundles.items() if bp.doc_type == args.doc_type}
+    docs = annio.iter_documents(bundles, _LAYER_FILES[args.report])
 
     if args.report == "length":
-        tokens, sentences = stats.token_and_sentence_counts(docs, args.doc_type)
+        tokens, sentences = stats.token_and_sentence_counts(docs)
         values = {
             "tokens": tokens,
             "sentences": sentences,
@@ -366,6 +369,11 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
                 raise _no_bundles(args.pool_from)
         else:
             pool = list(args.pool or [])
+            seen: set[str] = set()
+            for doc_id in pool:
+                if doc_id in seen:
+                    raise InputError(f"--pool repeats document id {doc_id!r}")
+                seen.add(doc_id)
         if not pool:
             raise InputError("round new needs --pool-from or --pool")
         state = workflow.RoundState(round_index=1, pool=pool)
@@ -402,12 +410,9 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
     if args.action == "record-iaa":
         if args.task is None or args.value is None:
             raise InputError("round record-iaa needs --task and --value")
-        if not math.isfinite(args.value):
-            raise InputError(f"--value must be a finite number, got {args.value!r}")
-        if not 0 <= args.value <= 1:
-            raise InputError(f"--value must be in [0, 1], got {args.value!r}")
+        value = _number(args.value, "--value", {}, "value", None, unit=True)
         history = state.iaa_history.setdefault(args.task, [])
-        history.append(args.value)
+        history.append(value)
         workflow.save_state(state, args.state)
         sys.stdout.write(
             json.dumps(

@@ -7,7 +7,7 @@ by count descending then label, which keeps output deterministic.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .groups import expand_all
@@ -53,19 +53,11 @@ class CrossRow(Record):
         self.pct_all = pct_all
 
 
-def _filtered(docs: Iterable[Document], doc_type: str | None) -> Iterator[Document]:
-    return (d for d in docs if doc_type is None or d.doc_type == doc_type)
-
-
 def _pct(count: int, total: int) -> float:
     return round_half_up(100.0 * count / total, 2)
 
 
-def distribution(
-    docs: Iterable[Document],
-    layer: str,
-    doc_type: str | None = None,
-) -> list[DistributionRow]:
+def distribution(docs: Iterable[Document], layer: str) -> list[DistributionRow]:
     """Label frequency table for one layer.
 
     pos counts part-of-speech labels over tokens; syntactic counts internal
@@ -77,7 +69,7 @@ def distribution(
             f"unknown layer {layer!r}; expected one of {DISTRIBUTION_LAYERS}"
         )
     tally: Counter = Counter()
-    for doc in _filtered(docs, doc_type):
+    for doc in docs:
         if layer == "pos":
             tally.update(
                 t.pos for s in doc.sentences for t in s.tokens if t.pos is not None
@@ -102,9 +94,7 @@ def distribution(
     ]
 
 
-def assertion_cross_table(
-    docs: Iterable[Document], doc_type: str | None = None
-) -> list[CrossRow]:
+def assertion_cross_table(docs: Iterable[Document]) -> list[CrossRow]:
     """Entity counts broken down by type and assertion.
 
     Row labels are "<type>:<assertion>" ("none" for entities without one)
@@ -112,7 +102,7 @@ def assertion_cross_table(
     count zero, so table shapes are comparable across corpora.
     """
     pair_tally: Counter = Counter()
-    for doc in _filtered(docs, doc_type):
+    for doc in docs:
         if not doc.annotations:
             continue
         for e in doc.annotations.entities.values():
@@ -143,13 +133,11 @@ def assertion_cross_table(
     return rows
 
 
-def relation_table(
-    docs: Iterable[Document], doc_type: str | None = None
-) -> list[CrossRow]:
+def relation_table(docs: Iterable[Document]) -> list[CrossRow]:
     """One-to-one relation counts grouped by entity pair, with "R(x, y)"
     subtotal rows; percentages are within-pair and of all expanded relations."""
     tally: Counter = Counter()
-    for doc in _filtered(docs, doc_type):
+    for doc in docs:
         if doc.annotations:
             tally.update(p.rtype for p in expand_all(doc.annotations))
     grand_total = sum(tally.values())
@@ -174,11 +162,9 @@ def relation_table(
     return rows
 
 
-def avg_sentence_length(
-    docs: Iterable[Document], doc_type: str | None = None
-) -> float:
+def avg_sentence_length(docs: Iterable[Document]) -> float:
     """Mean tokens per sentence, to two decimals."""
-    return tokens_per_sentence(*token_and_sentence_counts(docs, doc_type))
+    return tokens_per_sentence(*token_and_sentence_counts(docs))
 
 
 def tokens_per_sentence(tokens: int, sentences: int) -> float:
@@ -188,11 +174,9 @@ def tokens_per_sentence(tokens: int, sentences: int) -> float:
     return round_half_up(tokens / sentences, 2)
 
 
-def token_and_sentence_counts(
-    docs: Iterable[Document], doc_type: str | None = None
-) -> tuple[int, int]:
+def token_and_sentence_counts(docs: Iterable[Document]) -> tuple[int, int]:
     tokens = sentences = 0
-    for doc in _filtered(docs, doc_type):
+    for doc in docs:
         sentences += len(doc.sentences)
         tokens += sum(len(s.tokens) for s in doc.sentences)
     return tokens, sentences

@@ -107,6 +107,11 @@ class RoundState(Record):
             raise ParseError("round_index must be an integer >= 1", path=path)
         if not _is_list_of(data["pool"], _is_str):
             raise ParseError("pool must be a list of strings", path=path)
+        seen: set[str] = set()
+        for doc_id in data["pool"]:
+            if doc_id in seen:
+                raise ParseError(f"pool repeats document id {doc_id!r}", path=path)
+            seen.add(doc_id)
         for key, what, item_ok in (
             ("assignments", "lists of strings", _is_str),
             ("iaa_history", "lists of finite numbers in [0, 1]", _is_unit),

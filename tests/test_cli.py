@@ -44,6 +44,42 @@ def test_validate_reports_findings_and_exits_1(tmp_path, capsys):
     assert "1 finding(s)" in captured.err
 
 
+# One bundle per rule that the layer parsers enforce and validate does not
+# check again: (case, layer files over the text "发热咳嗽", the refused file,
+# its line or None for a whole-file error).
+_TOK = "0\t2\t发热\tNN\n2\t4\t咳嗽\tNN\n"
+_PTB = "(IP (NN 发热) (NN 咳嗽))\n"
+PARSER_RULES = [
+    ("token-unknown-pos", {"tok": "0\t2\t发热\tXX\n"}, "tok", 1),
+    ("token-overlap", {"tok": "0\t3\t发热咳\tNN\n2\t4\t咳嗽\tNN\n"}, "tok", 2),
+    ("sentence-order", {"tok": "2\t4\t咳嗽\tNN\n\n0\t2\t发热\tNN\n"}, "tok", 3),
+    ("token-negative-start", {"tok": "-1\t2\t发热\tNN\n"}, "tok", 1),
+    ("token-empty-span", {"tok": "0\t0\t发\tNN\n"}, "tok", 1),
+    ("chunk-empty-span", {"tok": _TOK, "chk": "1\t1\tNP\n"}, "chk", 1),
+    ("tree-layer-count-mismatch", {"tok": _TOK, "ptb": _PTB * 2}, "ptb", None),
+    ("tree-unknown-pos", {"tok": _TOK, "ptb": "(IP (XX 发热) (NN 咳嗽))\n"}, "ptb", 1),
+    ("tree-unknown-label", {"tok": _TOK, "ptb": "(QQ (NN 发热) (NN 咳嗽))\n"}, "ptb", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "files, bad, line", [case[1:] for case in PARSER_RULES],
+    ids=[case[0] for case in PARSER_RULES],
+)
+def test_validate_leaves_parser_rules_to_the_parsers(tmp_path, capsys, files, bad, line):
+    root = tmp_path / "c"
+    root.mkdir()
+    (root / "d.txt").write_text("发热咳嗽", encoding="utf-8")
+    for ext, content in files.items():
+        (root / f"d.{ext}").write_text(content, encoding="utf-8")
+    assert main(["validate", str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = f"{root / f'd.{bad}'}:" + (" " if line is None else f"line {line}: ")
+    assert captured.err.startswith(f"error: {where}")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_validate_missing_directory_exits_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -347,6 +383,23 @@ def test_round_status_empty_history_unconverged(tmp_path, capsys):
     capsys.readouterr()
     assert main(["round", "status", "--state", str(state)]) == 1
     assert "no agreement history" in capsys.readouterr().err
+
+
+def test_round_refuses_a_repeated_pool_id(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert main(["round", "new", "--state", str(state), "--pool", "a", "a", "b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --pool repeats document id 'a'\n"
+    assert not state.exists()
+    # A state file written by hand is refused the same way before sampling.
+    content = '{"round_index": 1, "pool": ["a", "a", "b"], "assignments": {}, "iaa_history": {}}'
+    state.write_text(content, encoding="utf-8")
+    assert main(["round", "sample", "--state", str(state), "--n", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {state}: pool repeats document id 'a'\n"
+    assert state.read_text(encoding="utf-8") == content
 
 
 def test_round_rejects_bad_state_file(tmp_path, capsys):
@@ -701,7 +754,7 @@ def test_record_iaa_rejects_non_finite_value(tmp_path, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --value must be a finite number")
+        assert captured.err == f"error: --value must be a finite number, got {float(value)!r}\n"
         assert state.read_bytes() == before
 
 

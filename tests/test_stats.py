@@ -45,7 +45,7 @@ def test_fixed_formatting():
     assert fmt_percent(0.0) == "0.00"
 
 
-def pos_doc(doc_id: str, counts: dict[str, int], doc_type: str | None = None) -> Document:
+def pos_doc(doc_id: str, counts: dict[str, int]) -> Document:
     tokens = []
     rel = 0
     for label in sorted(counts):
@@ -54,7 +54,7 @@ def pos_doc(doc_id: str, counts: dict[str, int], doc_type: str | None = None) ->
             rel += 1
     return Document(
         doc_id=doc_id, text="字" * rel,
-        sentences=[Sentence(0, tuple(tokens))], doc_type=doc_type,
+        sentences=[Sentence(0, tuple(tokens))],
     )
 
 
@@ -89,7 +89,7 @@ def test_syntactic_distribution_counts_internal_nodes():
     assert {(r.label, r.count) for r in rows} == {("IP", 2), ("NP", 2), ("VP", 2)}
 
 
-def ann_doc(doc_id: str, doc_type: str | None = None) -> Document:
+def ann_doc(doc_id: str) -> Document:
     text = "甲乙丙丁"
     ann = DocAnnotations(doc_id, text)
     ann.entities["T1"] = Entity(
@@ -111,7 +111,7 @@ def ann_doc(doc_id: str, doc_type: str | None = None) -> Document:
     )
     return Document(
         doc_id, text, sentences=[Sentence(0, (Token(0, 4, text),))],
-        annotations=ann, doc_type=doc_type,
+        annotations=ann,
     )
 
 
@@ -158,13 +158,13 @@ def test_relation_table_groups_pairs():
     assert sid.pct_within == round_half_up(200 / 3, 2)
 
 
-def test_length_statistics_and_doc_type_filter():
-    d1 = pos_doc("a", {"NN": 4}, doc_type="discharge_summary")
-    d2 = pos_doc("b", {"NN": 8}, doc_type="progress_note")
+def test_length_statistics():
+    d1 = pos_doc("a", {"NN": 4})
+    d2 = pos_doc("b", {"NN": 8})
     assert token_and_sentence_counts([d1, d2]) == (12, 2)
-    assert token_and_sentence_counts([d1, d2], "progress_note") == (8, 1)
+    assert token_and_sentence_counts([d2]) == (8, 1)
     assert avg_sentence_length([d1, d2]) == 6.0
-    assert avg_sentence_length([d1, d2], "discharge_summary") == 4.0
+    assert avg_sentence_length([d1]) == 4.0
     with pytest.raises(InputError):
         avg_sentence_length([])
 

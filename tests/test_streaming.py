@@ -13,7 +13,7 @@ from clincorp import annio
 from clincorp.agreement import corpus_agreement, prf
 from clincorp.cli import _LAYER_FILES as LAYER_FILES
 from clincorp.cli import main
-from clincorp.model import Chunk, Document
+from clincorp.model import DOC_TYPES, Chunk, Document
 from clincorp.numfmt import fmt_metric
 from clincorp.tagsets import LAYERS
 from clincorp.validate import validate_document
@@ -201,3 +201,33 @@ def test_command_holds_one_document_per_side(tmp_path, monkeypatch, capsys, argv
     assert code in (0, 1)
     assert len(tracker.refs["A"]) == len(IDS_A)
     assert len(tracker.refs["B"]) == (len(IDS_B) if "B" in argv else 0)
+
+
+@pytest.mark.parametrize("report", ["pos", "syn", "entity", "relation", "length"])
+def test_stats_doc_type_reads_only_bundles_of_that_type(tmp_path, monkeypatch, capsys, report):
+    root = tmp_path / "c"
+    for i in range(3):
+        for doc_type in DOC_TYPES:
+            doc_id = f"{doc_type}/d{i}"
+            _write(root, random_document(random.Random(doc_id), doc_id))
+    # Every layer file of one progress note is malformed, and never read.
+    for ext in annio.LAYER_FILES:
+        (root / "progress_note" / f"d1.{ext}").write_text("bad\n", encoding="utf-8")
+    want_code = main(["stats", "--report", report, str(root / "discharge_summary")])
+    want = capsys.readouterr()
+    tracker = _Liveness({"A": f"{root}/"})
+    monkeypatch.setattr(annio, "load_document", tracker)
+    argv = ["stats", "--report", report, "--doc-type", "discharge_summary", str(root)]
+    assert main(argv) == want_code == 0
+    assert capsys.readouterr() == want
+    assert len(tracker.refs["A"]) == 3
+
+
+def test_stats_doc_type_with_no_bundle_of_that_type(tmp_path, capsys):
+    root = tmp_path / "c"
+    _write(root, random_document(random.Random(1), "discharge_summary/d0"))
+    argv = ["stats", "--doc-type", "progress_note", str(root), "--report"]
+    assert main([*argv, "length"]) == 2
+    assert capsys.readouterr() == ("", "error: corpus has no sentences\n")
+    assert main([*argv, "entity"]) == 0
+    assert capsys.readouterr() == ("label\tcount\tpct_within\tpct_all\n", "")

@@ -193,6 +193,14 @@ def test_round_state_checks_field_types(tmp_path, field, value):
     assert str(err.value).startswith(f"{path}: {field} must ")
 
 
+def test_round_state_rejects_a_repeated_pool_id(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({**VALID_STATE, "pool": ["a", "b", "a"]}), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_state(path)
+    assert str(err.value) == f"{path}: pool repeats document id 'a'"
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_round_state_rejects_non_finite_history(tmp_path, token):
     path = tmp_path / "state.json"
