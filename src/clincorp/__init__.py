@@ -18,9 +18,10 @@ import importlib
 # The public names, by the submodule that defines each.
 _EXPORTS = {
     "agreement": (
-        "AgreementReport", "CorpusAgreement", "add_counts", "chunk_counts",
-        "corpus_agreement", "entity_counts", "macro_average", "prf",
-        "relation_counts", "score_trees", "token_counts", "tree_counts",
+        "AgreementReport", "CorpusAgreement", "Disagreement", "add_counts",
+        "chunk_counts", "corpus_agreement", "diff_report", "entity_counts",
+        "macro_average", "prf", "relation_counts", "score_trees",
+        "token_counts", "tree_counts",
     ),
     "annio": (
         "BundlePaths", "discover", "iter_documents", "load_corpus",
@@ -64,9 +65,9 @@ _EXPORTS = {
         "validate_document", "validate_tokens", "validate_trees",
     ),
     "workflow": (
-        "ConvergencePolicy", "Disagreement", "FoldManifest", "RoundState",
-        "SplitMix64", "assign_duplicates", "check_convergence", "diff_report",
-        "kfold", "load_state", "sample_round", "save_state", "seeded_shuffle",
+        "ConvergencePolicy", "FoldManifest", "RoundState", "SplitMix64",
+        "assign_duplicates", "check_convergence", "kfold", "load_state",
+        "sample_round", "save_state", "seeded_shuffle",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

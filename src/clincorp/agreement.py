@@ -8,16 +8,17 @@ precision with recall and leaves F unchanged.
 All layer scorers return raw (agreed, count_a, count_b) triples; `prf` turns
 a triple into an AgreementReport.  When both sides are empty there is
 nothing to disagree about, so all three measures are 1 and the report is
-flagged vacuous.
+flagged vacuous.  `diff_report` lists the disagreements themselves, one
+adjudication item each, on the entity, group and relation layers.
 """
 from __future__ import annotations
 
 from collections import Counter
 from typing import Iterable, Iterator
 
-from .errors import LengthMismatchError
-from .groups import expand_all, relation_match_key
-from .model import Chunk, DocAnnotations, Document, Sentence
+from .errors import InputError, LengthMismatchError
+from .groups import endpoint_key, expand_all, relation_match_key
+from .model import Chunk, DocAnnotations, Document, Entity, Sentence
 from .numfmt import round_half_up
 from .parseval import EvalParams, ParseTree, match_counts, score_corpus
 from .record import Record
@@ -325,3 +326,134 @@ def corpus_agreement(
         if in_b:
             db = _next_doc(it_b, doc_id)
     return result
+
+
+# ----------------------------------------------------------------- diffs ---
+
+class Disagreement(Record):
+    """One adjudication item: an annotation present on one side only, or
+    present on both with differing attributes."""
+
+    __slots__ = ("doc_id", "layer", "kind", "location", "surface", "detail")
+
+    def __init__(
+        self, doc_id: str, layer: str, kind: str, location: str, surface: str,
+        detail: str = "",
+    ):
+        self.doc_id = doc_id
+        self.layer = layer
+        self.kind = kind  # a-only | b-only | attribute-mismatch
+        self.location = location
+        self.surface = surface
+        self.detail = detail
+
+    def render(self) -> str:
+        return "\t".join(
+            (self.doc_id, self.layer, self.kind, self.location, self.surface,
+             self.detail)
+        )
+
+
+def _span_surface(ann: DocAnnotations, key: tuple[int, int, str]) -> str:
+    start, end, _ = key
+    return ann.text[start:end] if ann.text else ""
+
+
+def _diff_entities(
+    ann_a: DocAnnotations, ann_b: DocAnnotations, doc_id: str
+) -> list[Disagreement]:
+    def index(ann: DocAnnotations) -> dict[tuple, list[Entity]]:
+        idx: dict[tuple, list[Entity]] = {}
+        for e in ann.entities.values():
+            idx.setdefault(e.key(), []).append(e)
+        return idx
+
+    ia, ib = index(ann_a), index(ann_b)
+    out: list[Disagreement] = []
+    for key in sorted(set(ia) | set(ib)):
+        ea, eb = ia.get(key, []), ib.get(key, [])
+        start, end, etype = key
+        loc = f"[{start},{end}) {etype}"
+        surface = (ea or eb)[0].surface
+        for _ in range(len(ea) - len(eb)):
+            out.append(Disagreement(doc_id, "entity", "a-only", loc, surface))
+        for _ in range(len(eb) - len(ea)):
+            out.append(Disagreement(doc_id, "entity", "b-only", loc, surface))
+        if ea and eb:
+            aa = sorted(e.assertion.value if e.assertion else "none" for e in ea)
+            ab = sorted(e.assertion.value if e.assertion else "none" for e in eb)
+            if aa != ab:
+                out.append(Disagreement(
+                    doc_id, "entity", "attribute-mismatch", loc, surface,
+                    detail=f"assertion {'/'.join(aa)} vs {'/'.join(ab)}",
+                ))
+    return out
+
+
+def _endpoint_desc(ann: DocAnnotations, spans: tuple) -> str:
+    return ";".join(_span_surface(ann, k) or f"[{k[0]},{k[1]})" for k in spans)
+
+
+def _diff_keyed(
+    keys_a: dict, keys_b: dict, doc_id: str, layer: str
+) -> list[Disagreement]:
+    out: list[Disagreement] = []
+    for key in sorted(set(keys_a) | set(keys_b)):
+        na = len(keys_a.get(key, []))
+        nb = len(keys_b.get(key, []))
+        loc, surface = (keys_a.get(key) or keys_b[key])[0]
+        for _ in range(na - nb):
+            out.append(Disagreement(doc_id, layer, "a-only", loc, surface))
+        for _ in range(nb - na):
+            out.append(Disagreement(doc_id, layer, "b-only", loc, surface))
+    return out
+
+
+def diff_report(
+    corpus_a: dict[str, Document], corpus_b: dict[str, Document], layer: str
+) -> list[Disagreement]:
+    """Itemized disagreements for adjudication.
+
+    Entities match by span and type, then compare assertions; groups match
+    by type and member set; relations match group-preserved (type plus
+    endpoint member sets).  Swapping the inputs swaps a-only with b-only and
+    leaves attribute mismatches in place with their sides reversed.
+    """
+    if layer not in ("entity", "group", "relation"):
+        raise InputError(f"diff supports entity/group/relation, not {layer!r}")
+    if set(corpus_a) != set(corpus_b):
+        only_a = sorted(set(corpus_a) - set(corpus_b))
+        only_b = sorted(set(corpus_b) - set(corpus_a))
+        raise InputError(
+            "annotation sets cover different documents "
+            f"(only in a: {only_a}; only in b: {only_b})"
+        )
+    out: list[Disagreement] = []
+    for doc_id in sorted(corpus_a):
+        ann_a = corpus_a[doc_id].annotations or DocAnnotations(doc_id, "")
+        ann_b = corpus_b[doc_id].annotations or DocAnnotations(doc_id, "")
+        if layer == "entity":
+            out.extend(_diff_entities(ann_a, ann_b, doc_id))
+            continue
+
+        def keyed(ann: DocAnnotations) -> dict:
+            idx: dict = {}
+            if layer == "group":
+                for g in ann.groups.values():
+                    members = tuple(sorted(
+                        ann.entities[m].key() for m in g.members if m in ann.entities
+                    ))
+                    key = (g.etype.value, members)
+                    desc = _endpoint_desc(ann, members)
+                    idx.setdefault(key, []).append((f"group {g.etype.value}", desc))
+            else:
+                for r in ann.relations.values():
+                    k1 = tuple(sorted(endpoint_key(ann, r.arg1)))
+                    k2 = tuple(sorted(endpoint_key(ann, r.arg2)))
+                    key = (r.rtype.value, k1, k2)
+                    desc = f"{_endpoint_desc(ann, k1)} -> {_endpoint_desc(ann, k2)}"
+                    idx.setdefault(key, []).append((r.rtype.value, desc))
+            return idx
+
+        out.extend(_diff_keyed(keyed(ann_a), keyed(ann_b), doc_id, layer))
+    return out

@@ -22,9 +22,15 @@ from __future__ import annotations
 import os
 import re
 from pathlib import Path
-from typing import Collection, Iterator
+from typing import TYPE_CHECKING, Collection, Iterator
 
-from .errors import InputError, ParseError, ResolutionError, read_text_file
+from .errors import (
+    InputError,
+    ParseError,
+    ResolutionError,
+    numbered_lines,
+    read_text_file,
+)
 from .groups import endpoint_entities
 from .model import (
     DOC_TYPES,
@@ -37,7 +43,6 @@ from .model import (
     Sentence,
     Token,
 )
-from .parseval import LEAF_BREAK_RE, ParseTree, parse_tree
 from .record import Record
 from .tagsets import (
     POS_TAG_SET,
@@ -45,6 +50,9 @@ from .tagsets import (
     parse_entity_type,
     parse_relation_type,
 )
+
+if TYPE_CHECKING:  # parse_ptb and serialize_ptb import parseval when they run
+    from .parseval import ParseTree
 
 # The optional layer files; the .txt file roots every bundle and is always read.
 LAYER_FILES = ("tok", "ptb", "chk", "ann")
@@ -57,20 +65,6 @@ HEADERS = {
     "chk": "# chunks: first\tlast_exclusive\tlabel; blank line ends each sentence",
     "ann": "# standoff: T entity / A assertion / G group / R relation lines",
 }
-
-
-def numbered_lines(content: str) -> Iterator[tuple[int, str]]:
-    """The lines of a text file with their 1-based numbers.  Only a line feed
-    ends a line: str.splitlines() would also split at vertical tab, form
-    feed, U+001C-U+001E, U+0085, U+2028, U+2029 and a lone carriage return,
-    all of which may occur inside a surface.  One carriage return at the end
-    of each line is dropped, and a final line feed adds no empty line."""
-    lines = content.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if "\r" in content:  # most files are LF-only and skip this pass
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
-    return enumerate(lines, start=1)
 
 
 # The first characters a comment or blank line can start with: '#', each
@@ -163,6 +157,8 @@ def serialize_tok(sentences: list[Sentence]) -> str:
 # ----------------------------------------------------------------- trees ---
 
 def parse_ptb(content: str, *, path: str | None = None) -> list[ParseTree]:
+    from .parseval import parse_tree
+
     trees: list[ParseTree] = []
     for lineno, line in numbered_lines(content):
         if line[:1] in _MAY_SKIP and (_is_comment(line) or not line.strip()):
@@ -172,6 +168,8 @@ def parse_ptb(content: str, *, path: str | None = None) -> list[ParseTree]:
 
 
 def serialize_ptb(trees: list[ParseTree]) -> str:
+    from .parseval import LEAF_BREAK_RE
+
     for tree in trees:
         for _, surface in tree.leaves():
             if not surface or LEAF_BREAK_RE.search(surface):
@@ -425,14 +423,21 @@ def discover(root: str | Path) -> dict[str, BundlePaths]:
     is looked up in that listing; only a symlinked sibling is stat'ed, so a
     broken link counts as absent."""
     bundles: dict[str, BundlePaths] = {}
-    for prefix, rel, dir_name, txt_names, present, links in _txt_runs(root):
+    siblings: dict[str, tuple[set[str], set[str]]] = {}  # prefix -> names, links
+    for prefix, rel, dir_name, txt_names, names, link_names in _txt_runs(root):
         doc_type = dir_name if dir_name in DOC_TYPES else None
+        if prefix not in siblings:
+            # Runs come depth first, so a directory that is not an ancestor
+            # of this one has no run left.
+            siblings = {p: v for p, v in siblings.items() if prefix.startswith(p)}
+            siblings[prefix] = set(names), set(link_names)
+        present, links = siblings[prefix]
         for name in txt_names:
             stem = _stem(name)
             layer_paths = []
             for layer in LAYER_FILES:
                 sib = f"{stem}.{layer}"
-                if sib in present or (sib in links and os.path.exists(prefix + sib)):
+                if sib in present and (sib not in links or os.path.exists(prefix + sib)):
                     layer_paths.append(prefix + sib)
                 else:
                     layer_paths.append(None)
@@ -476,45 +481,46 @@ def _listing_walk(prefix: str, rel: str, dir_name: str) -> Iterator[tuple]:
     """List the directory `prefix` names (empty for the current directory)
     once, and its subdirectories in turn, yielding the *.txt entries in
     sorted(Path(root).rglob("*.txt")) order as runs: (prefix, rel, dir_name,
-    txt_names, present, links), where `txt_names` are sorted names from one
+    txt_names, names, links), where `txt_names` are sorted names from one
     listing with no subdirectory between them.  `rel` is the directory
-    relative to the root, with a trailing slash; `present` holds every name
-    in the listing but the symlinks, which are in `links`."""
-    present: set[str] = set()
-    links: set[str] = set()
+    relative to the root, with a trailing slash; `names` lists every entry
+    of the directory and `links` those that are symlinks, the same two lists
+    for each of its runs.  Lists, not sets: only discover looks names up."""
+    names: list[str] = []
+    links: list[str] = []
     subdirs: set[str] = set()
-    names: list[str] = []  # .txt names and subdirectories, to visit in order
+    visit: list[str] = []  # .txt names and subdirectories, in sorted order
     try:
         with os.scandir(prefix or ".") as it:
             for entry in it:
                 name = entry.name
+                names.append(name)
                 if entry.is_symlink():
-                    links.add(name)
+                    links.append(name)
                 else:
-                    present.add(name)
                     try:
                         if entry.is_dir():
                             subdirs.add(name)
-                            names.append(name)
+                            visit.append(name)
                             continue
                     except OSError:
                         pass
                 if name.endswith(".txt"):
-                    names.append(name)
+                    visit.append(name)
     except PermissionError:
         return
-    names.sort()
+    visit.sort()
     run: list[str] = []
-    for name in names:
+    for name in visit:
         if name.endswith(".txt"):
             run.append(name)
         if name in subdirs:
             if run:
-                yield prefix, rel, dir_name, run, present, links
+                yield prefix, rel, dir_name, run, names, links
                 run = []
             yield from _listing_walk(prefix + name + "/", rel + name + "/", name)
     if run:
-        yield prefix, rel, dir_name, run, present, links
+        yield prefix, rel, dir_name, run, names, links
 
 
 def load_document(

@@ -19,12 +19,10 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Collection
 
-from . import workflow
 from .errors import ClincorpError, InputError, ParseError, read_text_file
-from .numfmt import fmt_metric, fmt_percent
-from .tagsets import LAYERS, MatchPolicy, RelationMode
+from .numfmt import fmt_metric, fmt_percent, is_finite_number
 
 if TYPE_CHECKING:
     from .agreement import CorpusAgreement
@@ -33,7 +31,8 @@ if TYPE_CHECKING:
 CONFIG_ENV = "CLINCORP_CONFIG"
 
 # Each subcommand imports the library modules it runs, so that a short
-# command such as `round status` starts without the scoring code.  Handlers
+# command such as `round status` starts without the scoring code: at module
+# level this file imports only errors and numfmt.  Handlers
 # look the functions below up in this module's globals instead, importing
 # each on first use (see _library): a caller that replaced one here, for
 # instance to time it, has its replacement run.
@@ -60,8 +59,12 @@ def _library(name: str):
     return globals().get(name) or __getattr__(name)
 
 
-_POLICIES = {p.value: p for p in MatchPolicy}
-_MODES = {"group": RelationMode.GROUP_PRESERVED, "one2one": RelationMode.ONE_TO_ONE}
+# The agreement flags' choices, spelled out here so that building the parser,
+# which every command does, loads no tagsets; a test pins them to
+# tagsets.LAYERS, the MatchPolicy values and the RelationMode members.
+_LAYERS = ("seg", "pos", "chunk", "tree", "entity", "relation")
+_POLICIES = ("span", "span_type", "span_type_assertion")
+_MODES = {"group": "GROUP_PRESERVED", "one2one": "ONE_TO_ONE"}
 
 # The layer files each agreement layer or stats report reads, besides the .txt
 # file every bundle has.  Only validate reads every layer.
@@ -174,16 +177,16 @@ def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
     return 1 if lines else 0
 
 
-def _choice(flag_value, config: dict, key: str, choices: dict, default):
-    """The member of `choices` named by the flag, the config file or the
-    default.  argparse checks the flag, so a bad name comes from the file."""
+def _choice(flag_value, config: dict, key: str, choices: Collection[str], default):
+    """The name in `choices` that the flag, the config file or the default
+    gives.  argparse checks the flag, so a bad name comes from the file."""
     name = _pick(flag_value, config, key, default)
     if not isinstance(name, str) or name not in choices:
         raise InputError(
             f"config key {key!r} must be one of {', '.join(sorted(choices))}, "
             f"got {name!r}"
         )
-    return choices[name]
+    return name
 
 
 def _number(
@@ -193,7 +196,7 @@ def _number(
     `unit`, one in [0, 1], as agreement values and thresholds are."""
     value = _pick(flag_value, config, key, default)
     where = flag if flag_value is not None else f"config key {key!r}"
-    if not workflow.is_finite_number(value):
+    if not is_finite_number(value):
         raise InputError(f"{where} must be a finite number, got {value!r}")
     if unit and not 0 <= value <= 1:
         raise InputError(f"{where} must be in [0, 1], got {value!r}")
@@ -210,10 +213,12 @@ def _switch(flag_set: bool, config: dict, key: str) -> bool:
 
 
 def _agreement_args(args: argparse.Namespace, config: dict):
-    policy = _choice(args.policy, config, "policy", _POLICIES, "span_type")
-    mode = _choice(args.mode, config, "mode", _MODES, "one2one")
+    from .tagsets import MatchPolicy, RelationMode
+
+    policy = MatchPolicy(_choice(args.policy, config, "policy", _POLICIES, "span_type"))
+    mode = RelationMode[_MODES[_choice(args.mode, config, "mode", _MODES, "one2one")]]
     beta = _pick(args.beta, config, "beta", 1.0)
-    if not (workflow.is_finite_number(beta) and beta > 0):
+    if not (is_finite_number(beta) and beta > 0):
         where = "--beta" if args.beta is not None else "config key 'beta'"
         raise InputError(f"{where} must be a finite number greater than 0, got {beta!r}")
     beta = float(beta)
@@ -298,11 +303,13 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
         raise InputError(
             f"unknown doc type {args.doc_type!r}; expected one of {DOC_TYPES}"
         )
-    fmt = _choice(args.format, config, "format", {"tsv": "tsv", "json": "json"}, "tsv")
+    fmt = _choice(args.format, config, "format", ("tsv", "json"), "tsv")
     bundles = _listing(args.directory)
     if args.doc_type is not None:
         # Bundles of the other type are never read.
         bundles = {k: bp for k, bp in bundles.items() if bp.doc_type == args.doc_type}
+        if not bundles:
+            raise InputError(f"no {args.doc_type} bundles under {args.directory}")
     docs = annio.iter_documents(bundles, _LAYER_FILES[args.report])
 
     if args.report == "length":
@@ -335,7 +342,7 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_kfold(args: argparse.Namespace, config: dict) -> int:
-    from . import annio
+    from . import annio, workflow
 
     doc_ids = annio.doc_ids(args.directory)
     if not doc_ids:
@@ -346,11 +353,10 @@ def _cmd_kfold(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_seg_advise(args: argparse.Namespace, config: dict) -> int:
-    from . import annio
     from .segadvice import advise_chain
 
     lexicon = _library("load_lexicon")(
-        annio.read_text_file(args.lexicon), path=str(args.lexicon)
+        read_text_file(args.lexicon), path=str(args.lexicon)
     )
     trail = advise_chain(lexicon, args.term)
     sys.stdout.write("".join(d.render() + "\n" for d in trail))
@@ -360,7 +366,11 @@ def _cmd_seg_advise(args: argparse.Namespace, config: dict) -> int:
 # ------------------------------------------------------------------ round ---
 
 def _cmd_round(args: argparse.Namespace, config: dict) -> int:
+    from . import workflow
+
     if args.action == "new":
+        if args.pool_from is not None and args.pool is not None:
+            raise InputError("round new takes --pool-from or --pool, not both")
         if args.pool_from:
             from . import annio
 
@@ -431,7 +441,7 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
     if not isinstance(tau_map, dict):
         raise InputError("config key 'tau' must map task names to thresholds")
     for task, tau in tau_map.items():
-        if not workflow.is_finite_number(tau):
+        if not is_finite_number(tau):
             raise InputError(
                 f"config key 'tau' must map {task!r} to a finite number, got {tau!r}"
             )
@@ -467,9 +477,9 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
 def _add_agreement_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--layer", required=True,
-        choices=LAYERS,
+        choices=_LAYERS,
     )
-    sub.add_argument("--policy", choices=sorted(_POLICIES), default=None,
+    sub.add_argument("--policy", choices=_POLICIES, default=None,
                      help="entity match policy")
     sub.add_argument("--mode", choices=sorted(_MODES), default=None,
                      help="relation comparison mode")

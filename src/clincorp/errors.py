@@ -1,8 +1,10 @@
-"""Exception hierarchy shared across the toolkit, and the one reader of text
-files, which turns undecodable bytes into a located ParseError."""
+"""Exception hierarchy shared across the toolkit, the one reader of text
+files, which turns undecodable bytes into a located ParseError, and the one
+line splitter every line-oriented parser numbers its lines with."""
 from __future__ import annotations
 
 import os
+from typing import Iterator
 
 
 class ClincorpError(Exception):
@@ -52,3 +54,17 @@ def read_text_file(path: str | os.PathLike) -> str:
         raise ParseError(
             f"invalid UTF-8 at byte offset {exc.start}", path=str(path), line=line
         ) from None
+
+
+def numbered_lines(content: str) -> Iterator[tuple[int, str]]:
+    """The lines of a text file with their 1-based numbers.  Only a line feed
+    ends a line: str.splitlines() would also split at vertical tab, form
+    feed, U+001C-U+001E, U+0085, U+2028, U+2029 and a lone carriage return,
+    all of which may occur inside a surface.  One carriage return at the end
+    of each line is dropped, and a final line feed adds no empty line."""
+    lines = content.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if "\r" in content:  # most files are LF-only and skip this pass
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return enumerate(lines, start=1)

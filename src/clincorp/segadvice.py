@@ -13,8 +13,7 @@ Rules, checked in order:
 """
 from __future__ import annotations
 
-from .annio import numbered_lines
-from .errors import LexiconError, ParseError
+from .errors import LexiconError, ParseError, numbered_lines
 from .record import Record
 
 MAX_EXPANSION_DEPTH = 3

@@ -17,13 +17,10 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .errors import InputError, ParseError, read_text_file
+from .numfmt import is_finite_number
 from .record import Record
-
-if TYPE_CHECKING:  # diff_report imports model when it runs
-    from .model import DocAnnotations, Document, Entity
 
 GROUP_A = "AG1"
 GROUP_B = "AG2"
@@ -141,16 +138,6 @@ def _is_unit(x) -> bool:
     return is_finite_number(x) and 0 <= x <= 1
 
 
-def is_finite_number(x) -> bool:
-    """A JSON number other than true/false that a float holds finitely."""
-    if type(x) not in (int, float):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
 def load_state(path: str | Path) -> RoundState:
     return RoundState.from_json(read_text_file(path), path=str(path))
 
@@ -263,137 +250,3 @@ def kfold(doc_ids: list[str], k: int, seed: int) -> FoldManifest:
         raise InputError(f"cannot make {k} folds from {len(doc_ids)} documents")
     shuffled = seeded_shuffle(doc_ids, seed)
     return FoldManifest(k=k, seed=seed, folds=[shuffled[i::k] for i in range(k)])
-
-
-# ----------------------------------------------------------------- diffs ---
-
-class Disagreement(Record):
-    """One adjudication item: an annotation present on one side only, or
-    present on both with differing attributes."""
-
-    __slots__ = ("doc_id", "layer", "kind", "location", "surface", "detail")
-
-    def __init__(
-        self, doc_id: str, layer: str, kind: str, location: str, surface: str,
-        detail: str = "",
-    ):
-        self.doc_id = doc_id
-        self.layer = layer
-        self.kind = kind  # a-only | b-only | attribute-mismatch
-        self.location = location
-        self.surface = surface
-        self.detail = detail
-
-    def render(self) -> str:
-        return "\t".join(
-            (self.doc_id, self.layer, self.kind, self.location, self.surface,
-             self.detail)
-        )
-
-
-def _span_surface(ann: DocAnnotations, key: tuple[int, int, str]) -> str:
-    start, end, _ = key
-    return ann.text[start:end] if ann.text else ""
-
-
-def _diff_entities(
-    ann_a: DocAnnotations, ann_b: DocAnnotations, doc_id: str
-) -> list[Disagreement]:
-    def index(ann: DocAnnotations) -> dict[tuple, list[Entity]]:
-        idx: dict[tuple, list[Entity]] = {}
-        for e in ann.entities.values():
-            idx.setdefault(e.key(), []).append(e)
-        return idx
-
-    ia, ib = index(ann_a), index(ann_b)
-    out: list[Disagreement] = []
-    for key in sorted(set(ia) | set(ib)):
-        ea, eb = ia.get(key, []), ib.get(key, [])
-        start, end, etype = key
-        loc = f"[{start},{end}) {etype}"
-        surface = (ea or eb)[0].surface
-        for _ in range(len(ea) - len(eb)):
-            out.append(Disagreement(doc_id, "entity", "a-only", loc, surface))
-        for _ in range(len(eb) - len(ea)):
-            out.append(Disagreement(doc_id, "entity", "b-only", loc, surface))
-        if ea and eb:
-            aa = sorted(e.assertion.value if e.assertion else "none" for e in ea)
-            ab = sorted(e.assertion.value if e.assertion else "none" for e in eb)
-            if aa != ab:
-                out.append(Disagreement(
-                    doc_id, "entity", "attribute-mismatch", loc, surface,
-                    detail=f"assertion {'/'.join(aa)} vs {'/'.join(ab)}",
-                ))
-    return out
-
-
-def _endpoint_desc(ann: DocAnnotations, spans: tuple) -> str:
-    return ";".join(_span_surface(ann, k) or f"[{k[0]},{k[1]})" for k in spans)
-
-
-def _diff_keyed(
-    keys_a: dict, keys_b: dict, doc_id: str, layer: str
-) -> list[Disagreement]:
-    out: list[Disagreement] = []
-    for key in sorted(set(keys_a) | set(keys_b)):
-        na = len(keys_a.get(key, []))
-        nb = len(keys_b.get(key, []))
-        loc, surface = (keys_a.get(key) or keys_b[key])[0]
-        for _ in range(na - nb):
-            out.append(Disagreement(doc_id, layer, "a-only", loc, surface))
-        for _ in range(nb - na):
-            out.append(Disagreement(doc_id, layer, "b-only", loc, surface))
-    return out
-
-
-def diff_report(
-    corpus_a: dict[str, Document], corpus_b: dict[str, Document], layer: str
-) -> list[Disagreement]:
-    """Itemized disagreements for adjudication.
-
-    Entities match by span and type, then compare assertions; groups match
-    by type and member set; relations match group-preserved (type plus
-    endpoint member sets).  Swapping the inputs swaps a-only with b-only and
-    leaves attribute mismatches in place with their sides reversed.
-    """
-    if layer not in ("entity", "group", "relation"):
-        raise InputError(f"diff supports entity/group/relation, not {layer!r}")
-    if set(corpus_a) != set(corpus_b):
-        only_a = sorted(set(corpus_a) - set(corpus_b))
-        only_b = sorted(set(corpus_b) - set(corpus_a))
-        raise InputError(
-            "annotation sets cover different documents "
-            f"(only in a: {only_a}; only in b: {only_b})"
-        )
-    from .groups import endpoint_key
-    from .model import DocAnnotations
-
-    out: list[Disagreement] = []
-    for doc_id in sorted(corpus_a):
-        ann_a = corpus_a[doc_id].annotations or DocAnnotations(doc_id, "")
-        ann_b = corpus_b[doc_id].annotations or DocAnnotations(doc_id, "")
-        if layer == "entity":
-            out.extend(_diff_entities(ann_a, ann_b, doc_id))
-            continue
-
-        def keyed(ann: DocAnnotations) -> dict:
-            idx: dict = {}
-            if layer == "group":
-                for g in ann.groups.values():
-                    members = tuple(sorted(
-                        ann.entities[m].key() for m in g.members if m in ann.entities
-                    ))
-                    key = (g.etype.value, members)
-                    desc = _endpoint_desc(ann, members)
-                    idx.setdefault(key, []).append((f"group {g.etype.value}", desc))
-            else:
-                for r in ann.relations.values():
-                    k1 = tuple(sorted(endpoint_key(ann, r.arg1)))
-                    k2 = tuple(sorted(endpoint_key(ann, r.arg2)))
-                    key = (r.rtype.value, k1, k2)
-                    desc = f"{_endpoint_desc(ann, k1)} -> {_endpoint_desc(ann, k2)}"
-                    idx.setdefault(key, []).append((r.rtype.value, desc))
-            return idx
-
-        out.extend(_diff_keyed(keyed(ann_a), keyed(ann_b), doc_id, layer))
-    return out

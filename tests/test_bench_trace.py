@@ -36,3 +36,20 @@ def test_entity_agreement_parses_only_the_entity_layer(tmp_path):
     names = _traced_span_names(tmp_path, "iaa", "--layer", "entity", "CORPUS", "CORPUS")
     assert {"annio.load_document", "annio.parse_ann"} <= names
     assert not names & {"annio.parse_tok", "annio.parse_ptb", "annio.parse_chk"}
+
+
+def test_round_loop_commands_record_their_spans(tmp_path):
+    corpus = tmp_path / "corpus"
+    state = str(tmp_path / "state.json")
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("发热\t1\t1\t0\t0\t-\t-\n", encoding="utf-8")
+    names = _traced_span_names(tmp_path, "round", "new", "--state", state, "--pool-from", "CORPUS")
+    assert "workflow.save_state" in names
+    names = _traced_span_names(tmp_path, "round", "sample", "--state", state, "--n", "1", "--seed", "3")
+    assert {"workflow.load_state", "workflow.sample_round", "workflow.save_state"} <= names
+    names = _traced_span_names(tmp_path, "kfold", "--k", "2", "--seed", "1", "CORPUS")
+    assert "workflow.kfold" in names
+    names = _traced_span_names(tmp_path, "seg-advise", "--lexicon", str(lexicon), "发热")
+    assert "segadvice.load_lexicon" in names
+    names = _traced_span_names(tmp_path, "expand", str(corpus / "doc0.ann"))
+    assert {"groups.expand_all", "annio.parse_ann"} <= names

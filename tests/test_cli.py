@@ -402,6 +402,27 @@ def test_round_refuses_a_repeated_pool_id(tmp_path, capsys):
     assert state.read_text(encoding="utf-8") == content
 
 
+@pytest.mark.parametrize("pool", [["x", "y"], []])
+def test_round_new_refuses_pool_from_with_pool(tmp_path, capsys, pool):
+    corpus = make_corpus(tmp_path, "c", seed=1)
+    state = tmp_path / "state.json"
+    argv = ["round", "new", "--state", str(state), "--pool-from", str(corpus), "--pool"]
+    assert main([*argv, *pool]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: round new takes --pool-from or --pool, not both\n"
+    assert not state.exists()
+
+
+def test_agreement_flag_choices_match_the_tagsets():
+    from clincorp import cli
+    from clincorp.tagsets import LAYERS, MatchPolicy, RelationMode
+
+    assert cli._LAYERS == LAYERS
+    assert list(cli._POLICIES) == sorted(p.value for p in MatchPolicy)
+    assert sorted(cli._MODES.values()) == sorted(m.name for m in RelationMode)
+
+
 def test_round_rejects_bad_state_file(tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text('{"round_index": 1}', encoding="utf-8")

@@ -1,6 +1,6 @@
 """Import scope: the package root loads nothing eagerly, each command
-loads only the library modules it runs, and no command loads `dataclasses`
-or `inspect`.  Each check runs in a fresh interpreter, since this test
+loads only the library modules it runs, and no command loads `dataclasses`,
+`inspect` or `decimal`.  Each check runs in a fresh interpreter, since this test
 process has imported everything already."""
 import importlib
 import json
@@ -19,12 +19,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Modules a command that does not score, parse layer files or compute
 # statistics must not load.
 NOT_FOR_ROUND = {"agreement", "annio", "parseval", "groups", "model", "stats",
-                 "refdata", "validate", "segadvice"}
-NOT_FOR_KFOLD = {"agreement", "stats", "refdata", "validate", "segadvice"}
+                 "refdata", "validate", "segadvice", "tagsets"}
+NOT_FOR_KFOLD = {"agreement", "stats", "refdata", "validate", "segadvice",
+                 "parseval"}
+# seg-advise reads one lexicon file and needs none of the corpus code.
+NOT_FOR_SEG_ADVISE = NOT_FOR_ROUND - {"segadvice"}
 
 
 # Standard modules whose import costs every command start-up time.
-SLOW_STDLIB = {"dataclasses", "inspect"}
+SLOW_STDLIB = {"dataclasses", "inspect", "decimal"}
 
 
 def _loaded_after(code: str) -> set[str]:
@@ -59,6 +62,7 @@ def test_import_package_loads_no_submodule():
 
 def test_round_commands_skip_the_library(tmp_path):
     state = str(tmp_path / "state.json")
+    assert _loaded_after("import clincorp.cli") & NOT_FOR_ROUND == set()
     assert _loaded_by_command("round", "new", "--state", state, "--pool", "d1", "d2") \
         & NOT_FOR_ROUND == set()
     for argv in (
@@ -77,6 +81,22 @@ def test_kfold_skips_scoring_and_statistics(tmp_path):
     loaded = _loaded_by_command("kfold", "--k", "2", "--seed", "1", str(tmp_path))
     assert "annio" in loaded
     assert loaded & NOT_FOR_KFOLD == set()
+    state = str(tmp_path / "state.json")
+    loaded = _loaded_by_command("round", "new", "--state", state, "--pool-from", str(tmp_path))
+    assert loaded & NOT_FOR_KFOLD == set()
+
+
+def test_seg_advise_and_expand_load_only_what_they_run(tmp_path):
+    lexicon = tmp_path / "lex.tsv"
+    lexicon.write_text("发热\t1\t1\t0\t0\t-\t-\n", encoding="utf-8")
+    loaded = _loaded_by_command("seg-advise", "--lexicon", str(lexicon), "发热")
+    assert "segadvice" in loaded
+    assert loaded & NOT_FOR_SEG_ADVISE == set()
+    ann = tmp_path / "a.ann"
+    ann.write_text("T1\tsymptom 0 1\t发\n", encoding="utf-8")
+    loaded = _loaded_by_command("expand", str(ann))
+    assert {"annio", "groups"} <= loaded
+    assert loaded & {"parseval", "agreement", "stats", "validate"} == set()
 
 
 def test_round_loop_commands_skip_dataclasses_and_inspect(tmp_path):

@@ -1,9 +1,11 @@
 """Property-based invariants for the numeric and sampling primitives."""
 from __future__ import annotations
 
+import math
 import re
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from clincorp.agreement import prf
 from clincorp.numfmt import fmt_metric, fmt_percent, round_half_up
@@ -64,6 +66,42 @@ def test_round_half_up_idempotent_and_close(x, places):
     rounded = round_half_up(x, places)
     assert round_half_up(rounded, places) == rounded
     assert abs(rounded - x) <= 0.5 * 10 ** -places + 1e-9
+
+
+def _decimal_round_half_up(value, places: int) -> float:
+    """Reference rounding: Decimal arithmetic on str(value), with precision
+    to spare for any float or the integers drawn below."""
+    with localcontext() as ctx:
+        ctx.prec = 1000
+        step = Decimal(1).scaleb(-places)
+        return float(Decimal(str(value)).quantize(step, rounding=ROUND_HALF_UP))
+
+
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-10**300, 10**300),
+    ),
+    st.integers(0, 6),
+)
+@example(-0.0, 0)
+@example(-0.0, 3)
+@example(1e-05, 4)
+@example(-1.5e-05, 5)
+@example(1e16, 2)
+@example(2.5e-07, 6)
+@example(5e-324, 6)
+@example(1.7976931348623157e308, 6)
+@example(0.0005, 3)
+@example(-0.0005, 3)
+@example(18.575, 2)
+@example(2.675, 2)
+@example(7, 0)
+def test_round_half_up_matches_decimal_reference(value, places):
+    got = round_half_up(value, places)
+    want = _decimal_round_half_up(value, places)
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)  # -0.0 stays -0.0
 
 
 @given(st.floats(0, 1e6))

@@ -1,4 +1,6 @@
 """Corpus statistics, rounding rules, and reference-table comparison."""
+import math
+
 import pytest
 
 from clincorp import refdata
@@ -34,6 +36,24 @@ def test_round_half_up_away_from_zero():
     assert round_half_up(1.0 / 3.0, 3) == 0.333
     assert round_half_up(18.584999, 2) == 18.58
     assert round_half_up(18.585, 2) == 18.59
+
+
+def test_fixed_formatting_rounds_halfway_cases_away_from_zero():
+    # Each float lies a little below the decimal it prints as, so binary
+    # rounding (f"{x:.2f}", round()) would go down.
+    assert fmt_percent(18.575) == "18.58"
+    assert fmt_percent(2.675) == "2.68"
+    assert fmt_metric(0.0005) == "0.001"
+    assert fmt_metric(-0.0005) == "-0.001"
+
+
+def test_round_half_up_returns_non_finite_values_unchanged():
+    assert round_half_up(math.inf, 2) == math.inf
+    assert round_half_up(-math.inf, 3) == -math.inf
+    assert math.isnan(round_half_up(math.nan, 2))
+    assert (fmt_metric(math.nan), fmt_metric(math.inf), fmt_percent(-math.inf)) == (
+        "nan", "inf", "-inf"
+    )
 
 
 def test_fixed_formatting():

@@ -223,11 +223,15 @@ def test_stats_doc_type_reads_only_bundles_of_that_type(tmp_path, monkeypatch, c
     assert len(tracker.refs["A"]) == 3
 
 
-def test_stats_doc_type_with_no_bundle_of_that_type(tmp_path, capsys):
+def test_stats_doc_type_with_no_bundle_of_that_type(tmp_path, monkeypatch, capsys):
     root = tmp_path / "c"
     _write(root, random_document(random.Random(1), "discharge_summary/d0"))
-    argv = ["stats", "--doc-type", "progress_note", str(root), "--report"]
-    assert main([*argv, "length"]) == 2
-    assert capsys.readouterr() == ("", "error: corpus has no sentences\n")
-    assert main([*argv, "entity"]) == 0
-    assert capsys.readouterr() == ("label\tcount\tpct_within\tpct_all\n", "")
+    tracker = _Liveness({"A": f"{root}/"})
+    monkeypatch.setattr(annio, "load_document", tracker)
+    for report in ("pos", "syn", "entity", "relation", "length"):
+        argv = ["stats", "--doc-type", "progress_note", str(root), "--report", report]
+        assert main(argv) == 2, report
+        assert capsys.readouterr() == (
+            "", f"error: no progress_note bundles under {root}\n"
+        ), report
+    assert tracker.refs["A"] == []

@@ -14,6 +14,7 @@ from clincorp.model import (
     EntityGroup,
     Relation,
 )
+from clincorp.agreement import diff_report
 from clincorp.tagsets import AssertionType, EntityType, RelationType
 from clincorp.workflow import (
     ConvergencePolicy,
@@ -21,7 +22,6 @@ from clincorp.workflow import (
     SplitMix64,
     assign_duplicates,
     check_convergence,
-    diff_report,
     kfold,
     load_state,
     sample_round,
