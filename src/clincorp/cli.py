@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Collection
+from typing import TYPE_CHECKING
 
 from .errors import ClincorpError, InputError, ParseError, read_text_file
 from .numfmt import fmt_metric, fmt_percent, is_finite_number
@@ -91,13 +91,57 @@ def _load_config(explicit: str | None) -> dict:
     return data
 
 
-def _pick(flag_value, config: dict, key: str, default):
-    """Flag beats config file beats built-in default."""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
+def _one_of(choices) -> tuple:
+    return ((f"be one of {', '.join(sorted(choices))}",
+             lambda v: isinstance(v, str) and v in choices),)
+
+
+def _in_unit(v) -> bool:
+    return 0 <= v <= 1
+
+
+_UNIT = (("be a finite number", is_finite_number), ("be in [0, 1]", _in_unit))
+_COUNT = (("be an integer >= 1", lambda v: type(v) is int and v >= 1),)
+_SWITCH = (("be true or false", lambda v: type(v) is bool),)
+
+# Every option a flag or the config file can set: config key (also the
+# argparse dest) -> (flag, built-in default, checks).  Each check pairs what
+# the value must do with a test of it, applied in order by _check.
+_OPTIONS = {
+    "policy": ("--policy", "span_type", _one_of(_POLICIES)),
+    "mode": ("--mode", "one2one", _one_of(_MODES)),
+    "beta": ("--beta", 1.0, (("be a finite number greater than 0",
+                             lambda v: is_finite_number(v) and v > 0),)),
+    "labeled": ("--unlabeled", True, _SWITCH),
+    "include_root": ("--exclude-root", True, _SWITCH),
+    "ignore_punct": ("--keep-punct", True, _SWITCH),
+    "format": ("--format", "tsv", _one_of(("tsv", "json"))),
+    "duplicate_fraction": ("--duplicate-fraction", 1 / 3, _UNIT),
+    "window": ("--window", 3, _COUNT),
+    "default_tau": ("--tau", 0.9, _UNIT),
+}
+
+
+def _check(where: str, value, checks):
+    """`value` if it passes every (requirement, test) pair in `checks`."""
+    for want, ok in checks:
+        if not ok(value):
+            raise InputError(f"{where} must {want}, got {value!r}")
+    return value
+
+
+def _option(args: argparse.Namespace, config: dict, key: str):
+    """Option `key`: flag beats config file beats built-in default."""
+    flag, default, checks = _OPTIONS[key]
+    value = getattr(args, key)
+    if value is not None:
+        return _check(flag, value, checks)
+    return _check(f"config key {key!r}", config.get(key, default), checks)
+
+
+def _help(key: str, text: str) -> str:
+    """Help for option `key`'s flag, naming its config key and default."""
+    return f"{text} (config {key}, default {json.dumps(_OPTIONS[key][1])})"
 
 
 # -------------------------------------------------------------- rendering ---
@@ -177,58 +221,17 @@ def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
     return 1 if lines else 0
 
 
-def _choice(flag_value, config: dict, key: str, choices: Collection[str], default):
-    """The name in `choices` that the flag, the config file or the default
-    gives.  argparse checks the flag, so a bad name comes from the file."""
-    name = _pick(flag_value, config, key, default)
-    if not isinstance(name, str) or name not in choices:
-        raise InputError(
-            f"config key {key!r} must be one of {', '.join(sorted(choices))}, "
-            f"got {name!r}"
-        )
-    return name
-
-
-def _number(
-    flag_value, flag: str, config: dict, key: str, default, *, unit: bool = False
-):
-    """A finite number from the flag, the config file or the default; with
-    `unit`, one in [0, 1], as agreement values and thresholds are."""
-    value = _pick(flag_value, config, key, default)
-    where = flag if flag_value is not None else f"config key {key!r}"
-    if not is_finite_number(value):
-        raise InputError(f"{where} must be a finite number, got {value!r}")
-    if unit and not 0 <= value <= 1:
-        raise InputError(f"{where} must be in [0, 1], got {value!r}")
-    return value
-
-
-def _switch(flag_set: bool, config: dict, key: str) -> bool:
-    """False when the flag that turns `key` off is given, else the config
-    file's JSON true or false, else True."""
-    value = False if flag_set else config.get(key, True)
-    if not isinstance(value, bool):
-        raise InputError(f"config key {key!r} must be true or false, got {value!r}")
-    return value
-
-
 def _agreement_args(args: argparse.Namespace, config: dict):
+    from .parseval import EvalParams
     from .tagsets import MatchPolicy, RelationMode
 
-    policy = MatchPolicy(_choice(args.policy, config, "policy", _POLICIES, "span_type"))
-    mode = RelationMode[_MODES[_choice(args.mode, config, "mode", _MODES, "one2one")]]
-    beta = _pick(args.beta, config, "beta", 1.0)
-    if not (is_finite_number(beta) and beta > 0):
-        where = "--beta" if args.beta is not None else "config key 'beta'"
-        raise InputError(f"{where} must be a finite number greater than 0, got {beta!r}")
-    beta = float(beta)
-    from .parseval import EvalParams
-
-    params = EvalParams(
-        labeled=_switch(args.unlabeled, config, "labeled"),
-        include_root=_switch(args.exclude_root, config, "include_root"),
-        ignore_punct=_switch(args.keep_punct, config, "ignore_punct"),
-    )
+    policy = MatchPolicy(_option(args, config, "policy"))
+    mode = RelationMode[_MODES[_option(args, config, "mode")]]
+    beta = float(_option(args, config, "beta"))
+    params = EvalParams(**{
+        key: _option(args, config, key)
+        for key in ("labeled", "include_root", "ignore_punct")
+    })
     return policy, mode, beta, params
 
 
@@ -303,7 +306,7 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
         raise InputError(
             f"unknown doc type {args.doc_type!r}; expected one of {DOC_TYPES}"
         )
-    fmt = _choice(args.format, config, "format", ("tsv", "json"), "tsv")
+    fmt = _option(args, config, "format")
     bundles = _listing(args.directory)
     if args.doc_type is not None:
         # Bundles of the other type are never read.
@@ -396,10 +399,8 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
     if args.action == "sample":
         if args.n is None or args.seed is None:
             raise InputError("round sample needs --n and --seed")
-        fraction = _number(
-            args.duplicate_fraction, "--duplicate-fraction", config,
-            "duplicate_fraction", 1 / 3,
-        )
+        _check("--n", args.n, _COUNT)
+        fraction = _option(args, config, "duplicate_fraction")
         new_state, sampled = workflow.sample_round(state, args.n, args.seed)
         assignments = workflow.assign_duplicates(sampled, fraction, args.seed)
         for doc, groups in assignments.items():
@@ -420,7 +421,7 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
     if args.action == "record-iaa":
         if args.task is None or args.value is None:
             raise InputError("round record-iaa needs --task and --value")
-        value = _number(args.value, "--value", {}, "value", None, unit=True)
+        value = _check("--value", args.value, _UNIT)
         history = state.iaa_history.setdefault(args.task, [])
         history.append(value)
         workflow.save_state(state, args.state)
@@ -433,28 +434,18 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
         return 0
 
     # status
-    window = _pick(args.window, config, "window", 3)
-    if type(window) is not int or window < 1:
-        where = "--window" if args.window is not None else "config key 'window'"
-        raise InputError(f"{where} must be an integer >= 1, got {window!r}")
-    tau_map = config.get("tau", {})
-    if not isinstance(tau_map, dict):
-        raise InputError("config key 'tau' must map task names to thresholds")
+    window = _option(args, config, "window")
+    tau_map = _check("config key 'tau'", config.get("tau", {}), (
+        ("map task names to thresholds", lambda v: isinstance(v, dict)),))
     for task, tau in tau_map.items():
-        if not is_finite_number(tau):
-            raise InputError(
-                f"config key 'tau' must map {task!r} to a finite number, got {tau!r}"
-            )
-        if not 0 <= tau <= 1:
-            raise InputError(
-                f"config key 'tau' must map {task!r} to a number in [0, 1], got {tau!r}"
-            )
+        _check("config key 'tau'", tau, (
+            (f"map {task!r} to a finite number", is_finite_number),
+            (f"map {task!r} to a number in [0, 1]", _in_unit),
+        ))
     policy = workflow.ConvergencePolicy(
         window=window,
         tau={k: float(v) for k, v in tau_map.items()},
-        default_tau=float(
-            _number(args.tau, "--tau", config, "default_tau", 0.9, unit=True)
-        ),
+        default_tau=float(_option(args, config, "default_tau")),
     )
     lines = ["task\trounds\tthreshold\tconverged"]
     all_converged = bool(state.iaa_history)
@@ -479,18 +470,19 @@ def _add_agreement_flags(sub: argparse.ArgumentParser) -> None:
         "--layer", required=True,
         choices=_LAYERS,
     )
-    sub.add_argument("--policy", choices=_POLICIES, default=None,
-                     help="entity match policy")
-    sub.add_argument("--mode", choices=sorted(_MODES), default=None,
-                     help="relation comparison mode")
-    sub.add_argument("--beta", type=float, default=None,
-                     help="F-measure beta (default 1.0)")
-    sub.add_argument("--unlabeled", action="store_true",
-                     help="tree layer: match brackets by span only")
-    sub.add_argument("--exclude-root", action="store_true",
-                     help="tree layer: skip the root bracket")
-    sub.add_argument("--keep-punct", action="store_true",
-                     help="tree layer: keep punctuation leaves")
+    sub.add_argument("--policy", choices=_POLICIES,
+                     help=_help("policy", "entity match policy"))
+    sub.add_argument("--mode", choices=sorted(_MODES),
+                     help=_help("mode", "relation comparison mode"))
+    sub.add_argument("--beta", type=float, help=_help("beta", "F-measure beta"))
+    # Each tree switch turns its option off, so it resolves like any other.
+    for key, text in (
+        ("labeled", "tree layer: match brackets by span only"),
+        ("include_root", "tree layer: skip the root bracket"),
+        ("ignore_punct", "tree layer: keep punctuation leaves"),
+    ):
+        sub.add_argument(_OPTIONS[key][0], action="store_false", default=None,
+                         dest=key, help=_help(key, text))
     sub.add_argument("--details", action="store_true",
                      help="per-document table on the diagnostic stream")
 
@@ -528,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True,
                    choices=("pos", "syn", "entity", "relation", "length"))
     p.add_argument("--doc-type", default=None)
-    p.add_argument("--format", choices=("tsv", "json"), default=None)
+    p.add_argument("--format", choices=("tsv", "json"), help=_help("format", "report format"))
     p.add_argument("directory")
     p.set_defaults(func=_cmd_stats)
 
@@ -547,15 +539,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="new: fill the pool with explicit document ids")
     p.add_argument("--n", type=int, default=None, help="sample: documents to draw")
     p.add_argument("--seed", type=int, default=None, help="sample: shuffle seed")
-    p.add_argument("--duplicate-fraction", type=float, default=None,
-                   help="sample: share assigned to both groups (default 1/3)")
+    p.add_argument("--duplicate-fraction", type=float, help=_help(
+        "duplicate_fraction", "sample: share assigned to both groups"))
     p.add_argument("--task", default=None, help="record-iaa: task name")
     p.add_argument("--value", type=float, default=None,
                    help="record-iaa: agreement F value")
-    p.add_argument("--window", type=int, default=None,
-                   help="status: rounds that must all pass (default 3)")
-    p.add_argument("--tau", type=float, default=None,
-                   help="status: default threshold (default 0.9)")
+    p.add_argument("--window", type=int,
+                   help=_help("window", "status: rounds that must all pass"))
+    p.add_argument("--tau", type=float, dest="default_tau", metavar="TAU",
+                   help=_help("default_tau", "status: default threshold"))
     p.set_defaults(func=_cmd_round)
 
     p = subs.add_parser("seg-advise", help="segmentation advice for a lexicon term")

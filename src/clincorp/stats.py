@@ -14,10 +14,9 @@ from .groups import expand_all
 from .model import DOC_TYPES, Document
 from .numfmt import round_half_up
 from .record import Record
-from .refdata import matches_display
 from .tagsets import EntityType, VALID_ASSERTIONS, relation_signature
 
-DISTRIBUTION_LAYERS = ("pos", "syntactic", "entity_type", "relation_type")
+DISTRIBUTION_LAYERS = ("pos", "syntactic")
 
 # Entity-pair subtotal labels, keyed by the unordered endpoint-type pair and
 # listed in canonical reporting order.
@@ -61,8 +60,8 @@ def distribution(docs: Iterable[Document], layer: str) -> list[DistributionRow]:
     """Label frequency table for one layer.
 
     pos counts part-of-speech labels over tokens; syntactic counts internal
-    constituent labels over trees; entity_type counts entities; relation_type
-    counts one-to-one expanded relations.
+    constituent labels over trees.  Entity and relation type counts are the
+    ":total" and relation rows of assertion_cross_table and relation_table.
     """
     if layer not in DISTRIBUTION_LAYERS:
         raise InputError(
@@ -74,17 +73,11 @@ def distribution(docs: Iterable[Document], layer: str) -> list[DistributionRow]:
             tally.update(
                 t.pos for s in doc.sentences for t in s.tokens if t.pos is not None
             )
-        elif layer == "syntactic":
+        else:
             for tree in doc.trees:
                 tally.update(
                     n.label for n in tree.nodes() if not n.is_preterminal
                 )
-        elif layer == "entity_type":
-            if doc.annotations:
-                tally.update(e.etype.value for e in doc.annotations.entities.values())
-        else:
-            if doc.annotations:
-                tally.update(p.rtype.value for p in expand_all(doc.annotations))
     total = sum(tally.values())
     if total == 0:
         raise InputError(f"corpus has no {layer} annotations")
@@ -209,6 +202,8 @@ def compare_reference(
     computed row counts as zero; a computed label missing from the reference
     is a hard mismatch since references are complete inventories.
     """
+    from .refdata import matches_display
+
     by_label = {r.label: r for r in rows}
     known = {ref[0] for ref in reference}
     extra = sorted(set(by_label) - known)

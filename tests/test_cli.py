@@ -423,6 +423,20 @@ def test_agreement_flag_choices_match_the_tagsets():
     assert sorted(cli._MODES.values()) == sorted(m.name for m in RelationMode)
 
 
+def test_help_shows_every_option_default(capsys):
+    # argparse %-formats help text only when it prints it.
+    from clincorp import cli
+
+    shown = ""
+    for cmd in ([], ["validate"], ["iaa"], ["score"], ["expand"], ["stats"],
+                ["kfold"], ["round"], ["seg-advise"]):
+        assert main([*cmd, "--help"]) == 0
+        shown += " ".join(capsys.readouterr().out.split()) + "\n"
+    for key, (flag, default, _) in cli._OPTIONS.items():
+        assert f"{flag} " in shown, key
+        assert f"(config {key}, default {json.dumps(default)})" in shown, key
+
+
 def test_round_rejects_bad_state_file(tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text('{"round_index": 1}', encoding="utf-8")
@@ -479,6 +493,28 @@ def test_round_sample_checks_duplicate_fraction(tmp_path, capsys, value):
         state, capsys, {}, ["sample", "--n", "1", "--seed", "1", "--duplicate-fraction=nan"],
         "--duplicate-fraction must be a finite number, got nan",
     )
+    _assert_round_rejects(
+        state, capsys, {"duplicate_fraction": 5}, ["sample", "--n", "1", "--seed", "1"],
+        "config key 'duplicate_fraction' must be in [0, 1], got 5",
+    )
+    _assert_round_rejects(
+        state, capsys, {"duplicate_fraction": 0.5},
+        ["sample", "--n", "1", "--seed", "1", "--duplicate-fraction", "2"],
+        "--duplicate-fraction must be in [0, 1], got 2.0",
+    )
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize("pool_left", [2, 0])
+def test_round_sample_refuses_a_vacuous_round(tmp_path, capsys, n, pool_left):
+    state = _round_with_history(tmp_path, capsys)
+    if pool_left == 0:
+        assert main(["round", "sample", "--state", str(state), "--n", "2", "--seed", "1"]) == 0
+        capsys.readouterr()
+    _assert_round_rejects(
+        state, capsys, {}, ["sample", "--n", n, "--seed", "1"],
+        f"--n must be an integer >= 1, got {n}",
+    )
 
 
 @pytest.mark.parametrize("value", ["x", True, None, {"seg": 0.9}])
@@ -500,6 +536,15 @@ def test_round_status_checks_tau_values(tmp_path, capsys, value):
     _assert_round_rejects(
         state, capsys, {"tau": {"entity": 0.9, "seg": value}}, ["status"],
         f"config key 'tau' must map 'seg' to a finite number, got {value!r}",
+    )
+
+
+@pytest.mark.parametrize("value", [5, "x", [0.9], None])
+def test_round_status_checks_tau_map(tmp_path, capsys, value):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {"tau": value}, ["status"],
+        f"config key 'tau' must map task names to thresholds, got {value!r}",
     )
 
 

@@ -98,6 +98,12 @@ CONFIG_KEYS = ("policy", "mode", "beta", "labeled", "include_root", "ignore_punc
                "format", "duplicate_fraction", "window", "tau", "default_tau")
 
 
+def test_config_keys_cover_every_option():
+    from clincorp import cli
+
+    assert set(CONFIG_KEYS) == set(cli._OPTIONS) | {"tau"}
+
+
 def _flags(*names: str):
     """Some of the given flags, each followed by a value."""
     return st.lists(

@@ -99,6 +99,14 @@ def test_seg_advise_and_expand_load_only_what_they_run(tmp_path):
     assert loaded & {"parseval", "agreement", "stats", "validate"} == set()
 
 
+def test_stats_report_skips_the_reference_tables(tmp_path):
+    (tmp_path / "a.txt").write_text("发热", encoding="utf-8")
+    (tmp_path / "a.tok").write_text("0\t2\t发热\tNN\n", encoding="utf-8")
+    loaded = _loaded_by_command("stats", "--report", "pos", str(tmp_path))
+    assert "stats" in loaded
+    assert "refdata" not in loaded
+
+
 def test_round_loop_commands_skip_dataclasses_and_inspect(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -135,15 +135,20 @@ def ann_doc(doc_id: str) -> Document:
     )
 
 
-def test_entity_type_and_relation_type_distributions():
+def test_entity_and_relation_type_counts():
     doc = ann_doc("d")
-    rows = distribution([doc], "entity_type")
-    assert {(r.label, r.count) for r in rows} == {
-        ("symptom", 2), ("disease", 1), ("test", 1),
+    rows = assertion_cross_table([doc])
+    assert {(r.label, r.count) for r in rows if r.label.endswith(":total")} == {
+        ("symptom:total", 2), ("disease:total", 1), ("test:total", 1),
     }
-    rel_rows = distribution([doc], "relation_type")
+    rel_rows = relation_table([doc])
     # G1 expands R1 to two SID pairs; R2 stays a single DCS pair.
-    assert {(r.label, r.count) for r in rel_rows} == {("SID", 2), ("DCS", 1)}
+    assert {(r.label, r.count) for r in rel_rows if not r.label.startswith("R(")} == {
+        ("SID", 2), ("DCS", 1),
+    }
+    for layer in ("entity_type", "relation_type"):
+        with pytest.raises(InputError):
+            distribution([doc], layer)
 
 
 def test_assertion_cross_table_shape():
