@@ -24,9 +24,10 @@ _EXPORTS = {
         "token_counts", "tree_counts",
     ),
     "annio": (
-        "BundlePaths", "discover", "iter_documents", "load_corpus",
-        "load_document", "parse_ann", "parse_chk", "parse_ptb", "parse_tok",
-        "serialize_ann", "serialize_chk", "serialize_ptb", "serialize_tok",
+        "BundlePaths", "discover", "iter_documents", "iter_pairs",
+        "load_corpus", "load_document", "parse_ann", "parse_chk", "parse_ptb",
+        "parse_tok", "serialize_ann", "serialize_chk", "serialize_ptb",
+        "serialize_tok",
     ),
     "errors": (
         "ClincorpError", "InputError", "LengthMismatchError", "LexiconError",

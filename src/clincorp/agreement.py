@@ -14,7 +14,7 @@ adjudication item each, on the entity, group and relation layers.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputError, LengthMismatchError
 from .groups import endpoint_key, expand_all, relation_match_key
@@ -239,22 +239,6 @@ class CorpusAgreement(Record):
         return {d: prf(*c, beta=beta) for d, c in self.per_doc.items()}
 
 
-def _empty_doc(doc_id: str) -> Document:
-    return Document(doc_id=doc_id, text="")
-
-
-def _next_doc(docs: Iterator[Document], after: str | None) -> Document | None:
-    """The next document of a stream whose ids must ascend strictly, or None
-    once it is exhausted; `after` is the id of the document before it."""
-    doc = next(docs, None)
-    if doc is not None and after is not None and doc.doc_id <= after:
-        raise ValueError(
-            f"document ids must ascend without repeats: {doc.doc_id!r} "
-            f"follows {after!r}"
-        )
-    return doc
-
-
 def _doc_counts(
     layer: str, da: Document, db: Document, policy: MatchPolicy,
     mode: RelationMode, params: EvalParams,
@@ -278,8 +262,7 @@ def _doc_counts(
 
 
 def corpus_agreement(
-    docs_a: Iterable[Document],
-    docs_b: Iterable[Document],
+    pairs: Iterable[tuple[Document | None, Document | None]],
     layer: str,
     *,
     policy: MatchPolicy = MatchPolicy.SPAN_TYPE,
@@ -288,31 +271,22 @@ def corpus_agreement(
 ) -> CorpusAgreement:
     """Score one layer across two annotation sets, document by document.
 
-    Each set is a stream of Documents in ascending doc-id order, as
-    iter_documents yields them; an id out of order or repeated raises
-    ValueError.  The two streams are merged by doc id, so only the current
-    document of each is held.  The document universe is the union of both
-    sets' ids; a document missing from one side counts as empty there.
-    Documents whose tree or chunk layers have incompatible shapes are
-    excluded and reported, never silently dropped or silently kept.
+    `pairs` holds (doc_a, doc_b) for each doc id of either set, as
+    annio.iter_pairs yields them, so only the current pair is held.  A side
+    that lacks the document is None and counts as empty there.  Documents
+    whose tree or chunk layers have incompatible shapes are excluded and
+    reported, never silently dropped or silently kept.
     """
     if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; expected one of {LAYERS}")
     result = CorpusAgreement(layer, {}, [], {})
-    it_a, it_b = iter(docs_a), iter(docs_b)
-    da, db = _next_doc(it_a, None), _next_doc(it_b, None)
-    while da is not None or db is not None:
-        # Each side takes part when its current id is the smallest; the other
-        # side's document is then empty.  No local keeps a document alive
-        # while the next one is read.
-        in_a = db is None or (da is not None and da.doc_id <= db.doc_id)
-        in_b = da is None or (db is not None and db.doc_id <= da.doc_id)
-        doc_id = da.doc_id if in_a else db.doc_id
+    for da, db in pairs:
+        doc_id = (db if da is None else da).doc_id
         try:
             counts, excluded = _doc_counts(
                 layer,
-                da if in_a else _empty_doc(doc_id),
-                db if in_b else _empty_doc(doc_id),
+                Document(doc_id, "") if da is None else da,
+                Document(doc_id, "") if db is None else db,
                 policy, mode, params,
             )
         except LengthMismatchError:
@@ -321,10 +295,8 @@ def corpus_agreement(
             result.per_doc[doc_id] = counts
             if excluded:
                 result.excluded_sentences[doc_id] = excluded
-        if in_a:
-            da = _next_doc(it_a, doc_id)
-        if in_b:
-            db = _next_doc(it_b, doc_id)
+        # Otherwise this pair stays alive while the next one is read.
+        del da, db
     return result
 
 
@@ -394,9 +366,30 @@ def _endpoint_desc(ann: DocAnnotations, spans: tuple) -> str:
     return ";".join(_span_surface(ann, k) or f"[{k[0]},{k[1]})" for k in spans)
 
 
+def _keyed(ann: DocAnnotations, layer: str) -> dict:
+    idx: dict = {}
+    if layer == "group":
+        for g in ann.groups.values():
+            members = tuple(sorted(
+                ann.entities[m].key() for m in g.members if m in ann.entities
+            ))
+            key = (g.etype.value, members)
+            desc = _endpoint_desc(ann, members)
+            idx.setdefault(key, []).append((f"group {g.etype.value}", desc))
+    else:
+        for r in ann.relations.values():
+            k1 = tuple(sorted(endpoint_key(ann, r.arg1)))
+            k2 = tuple(sorted(endpoint_key(ann, r.arg2)))
+            key = (r.rtype.value, k1, k2)
+            desc = f"{_endpoint_desc(ann, k1)} -> {_endpoint_desc(ann, k2)}"
+            idx.setdefault(key, []).append((r.rtype.value, desc))
+    return idx
+
+
 def _diff_keyed(
-    keys_a: dict, keys_b: dict, doc_id: str, layer: str
+    ann_a: DocAnnotations, ann_b: DocAnnotations, doc_id: str, layer: str
 ) -> list[Disagreement]:
+    keys_a, keys_b = _keyed(ann_a, layer), _keyed(ann_b, layer)
     out: list[Disagreement] = []
     for key in sorted(set(keys_a) | set(keys_b)):
         na = len(keys_a.get(key, []))
@@ -410,50 +403,34 @@ def _diff_keyed(
 
 
 def diff_report(
-    corpus_a: dict[str, Document], corpus_b: dict[str, Document], layer: str
+    pairs: Iterable[tuple[Document | None, Document | None]], layer: str
 ) -> list[Disagreement]:
     """Itemized disagreements for adjudication.
 
-    Entities match by span and type, then compare assertions; groups match
-    by type and member set; relations match group-preserved (type plus
-    endpoint member sets).  Swapping the inputs swaps a-only with b-only and
-    leaves attribute mismatches in place with their sides reversed.
+    `pairs` holds (doc_a, doc_b) for each doc id, as annio.iter_pairs yields
+    them; the first document on one side only (None on the other) raises
+    InputError.  Entities match by span and type, then compare assertions;
+    groups match by type and member set; relations match group-preserved
+    (type plus endpoint member sets).  Swapping the inputs swaps a-only with
+    b-only and leaves attribute mismatches in place with their sides
+    reversed.
     """
     if layer not in ("entity", "group", "relation"):
         raise InputError(f"diff supports entity/group/relation, not {layer!r}")
-    if set(corpus_a) != set(corpus_b):
-        only_a = sorted(set(corpus_a) - set(corpus_b))
-        only_b = sorted(set(corpus_b) - set(corpus_a))
-        raise InputError(
-            "annotation sets cover different documents "
-            f"(only in a: {only_a}; only in b: {only_b})"
-        )
     out: list[Disagreement] = []
-    for doc_id in sorted(corpus_a):
-        ann_a = corpus_a[doc_id].annotations or DocAnnotations(doc_id, "")
-        ann_b = corpus_b[doc_id].annotations or DocAnnotations(doc_id, "")
+    for da, db in pairs:
+        if da is None or db is None:
+            doc_id, side = (db.doc_id, "b") if da is None else (da.doc_id, "a")
+            raise InputError(
+                f"annotation sets cover different documents: {doc_id!r} is only in {side}"
+            )
+        doc_id = da.doc_id
+        ann_a = da.annotations or DocAnnotations(doc_id, "")
+        ann_b = db.annotations or DocAnnotations(doc_id, "")
         if layer == "entity":
             out.extend(_diff_entities(ann_a, ann_b, doc_id))
-            continue
-
-        def keyed(ann: DocAnnotations) -> dict:
-            idx: dict = {}
-            if layer == "group":
-                for g in ann.groups.values():
-                    members = tuple(sorted(
-                        ann.entities[m].key() for m in g.members if m in ann.entities
-                    ))
-                    key = (g.etype.value, members)
-                    desc = _endpoint_desc(ann, members)
-                    idx.setdefault(key, []).append((f"group {g.etype.value}", desc))
-            else:
-                for r in ann.relations.values():
-                    k1 = tuple(sorted(endpoint_key(ann, r.arg1)))
-                    k2 = tuple(sorted(endpoint_key(ann, r.arg2)))
-                    key = (r.rtype.value, k1, k2)
-                    desc = f"{_endpoint_desc(ann, k1)} -> {_endpoint_desc(ann, k2)}"
-                    idx.setdefault(key, []).append((r.rtype.value, desc))
-            return idx
-
-        out.extend(_diff_keyed(keyed(ann_a), keyed(ann_b), doc_id, layer))
+        else:
+            out.extend(_diff_keyed(ann_a, ann_b, doc_id, layer))
+        # Otherwise this pair stays alive while the next one is read.
+        del da, db, ann_a, ann_b
     return out

@@ -581,6 +581,23 @@ def iter_documents(
     return (load_document(bundles[doc_id], layers) for doc_id in sorted(bundles))
 
 
+def iter_pairs(
+    bundles_a: dict[str, BundlePaths], bundles_b: dict[str, BundlePaths],
+    layers: Collection[str] = LAYER_FILES,
+) -> Iterator[tuple[Document | None, Document | None]]:
+    """Two discover listings paired by doc id: (doc_a, doc_b) for every id of
+    either, in ascending order, read as load_document does, with None for a
+    side that lacks the id.  A's document is read before B's, so the first
+    malformed file raised is the one with the smallest id, A before B.  No
+    pair is kept once the next one is read."""
+    for doc_id in sorted(bundles_a.keys() | bundles_b.keys()):
+        paths_a, paths_b = bundles_a.get(doc_id), bundles_b.get(doc_id)
+        yield (
+            None if paths_a is None else load_document(paths_a, layers),
+            None if paths_b is None else load_document(paths_b, layers),
+        )
+
+
 def load_corpus(
     root: str | Path, layers: Collection[str] = LAYER_FILES
 ) -> dict[str, Document]:

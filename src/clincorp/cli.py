@@ -244,8 +244,7 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     layers = _LAYER_FILES[args.layer]
     bundles_a, bundles_b = _listing(args.dir_a), _listing(args.dir_b)
     corpus = _library("corpus_agreement")(
-        annio.iter_documents(bundles_a, layers),
-        annio.iter_documents(bundles_b, layers),
+        annio.iter_pairs(bundles_a, bundles_b, layers),
         args.layer, policy=policy, mode=mode, params=params,
     )
     report = corpus.report(beta)
@@ -347,10 +346,11 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
 def _cmd_kfold(args: argparse.Namespace, config: dict) -> int:
     from . import annio, workflow
 
+    k = _check("--k", args.k, (("be an integer >= 2", lambda v: v >= 2),))
     doc_ids = annio.doc_ids(args.directory)
     if not doc_ids:
         raise _no_bundles(args.directory)
-    manifest = workflow.kfold(doc_ids, args.k, args.seed)
+    manifest = workflow.kfold(doc_ids, k, args.seed)
     sys.stdout.write(manifest.to_json())
     return 0
 
@@ -421,6 +421,9 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
     if args.action == "record-iaa":
         if args.task is None or args.value is None:
             raise InputError("round record-iaa needs --task and --value")
+        _check("--task", args.task, (
+            ("be a non-empty name without a tab or line break",
+             lambda v: "\t" not in v and v.splitlines() == [v]),))
         value = _check("--value", args.value, _UNIT)
         history = state.iaa_history.setdefault(args.task, [])
         history.append(value)

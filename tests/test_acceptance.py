@@ -348,10 +348,6 @@ def document_pair(rng: random.Random, doc_id: str = "d") -> tuple[Document, Docu
     return doc_a, doc_b
 
 
-def as_set(doc: Document) -> list[Document]:
-    return [doc]
-
-
 _POLICIES = (MatchPolicy.SPAN, MatchPolicy.SPAN_TYPE, MatchPolicy.SPAN_TYPE_ASSERTION)
 _MODES = (RelationMode.ONE_TO_ONE, RelationMode.GROUP_PRESERVED)
 
@@ -376,7 +372,7 @@ def test_c01_agreement_equations_match_brute_force_oracle():
         }
         for layer, (items_a, items_b) in oracle_items.items():
             corpus = corpus_agreement(
-                as_set(doc_a), as_set(doc_b), layer,
+                [(doc_a, doc_b)], layer,
                 policy=policy, mode=mode,
             )
             assert not corpus.has_exclusions
@@ -402,11 +398,11 @@ def test_c02_swapping_annotators_swaps_precision_and_recall():
         mode = _MODES[i % 2]
         for layer in LAYERS:
             forward = corpus_agreement(
-                as_set(doc_a), as_set(doc_b), layer,
+                [(doc_a, doc_b)], layer,
                 policy=policy, mode=mode,
             ).report()
             reverse = corpus_agreement(
-                as_set(doc_b), as_set(doc_a), layer,
+                [(doc_b, doc_a)], layer,
                 policy=policy, mode=mode,
             ).report()
             assert forward.precision == reverse.recall

@@ -214,11 +214,9 @@ def test_swap_symmetry_random_documents():
     for i in range(20):
         da = random_document(rng, "d")
         db = random_document(rng, "d")
-        set_a = [da]
-        set_b = [db]
         for layer in ("seg", "pos", "entity", "relation"):
-            ab = corpus_agreement(set_a, set_b, layer).report()
-            ba = corpus_agreement(set_b, set_a, layer).report()
+            ab = corpus_agreement([(da, db)], layer).report()
+            ba = corpus_agreement([(db, da)], layer).report()
             assert ab.precision == ba.recall
             assert ab.recall == ba.precision
             assert ab.f == ba.f
@@ -227,9 +225,7 @@ def test_swap_symmetry_random_documents():
 def test_corpus_agreement_union_of_documents():
     da = random_document(random.Random(5), "only_a")
     db = random_document(random.Random(6), "only_b")
-    set_a = [da]
-    set_b = [db]
-    corpus = corpus_agreement(set_a, set_b, "seg")
+    corpus = corpus_agreement([(da, None), (None, db)], "seg")
     assert sorted(corpus.per_doc) == ["only_a", "only_b"]
     report = corpus.report()
     assert report.agreed == 0
@@ -239,7 +235,7 @@ def test_corpus_agreement_union_of_documents():
 def test_corpus_agreement_tree_exclusions_reported():
     doc_a = Document("d", "ab", trees=[parse_tree("(IP (NN a) (NN b))")])
     doc_b = Document("d", "ab", trees=[parse_tree("(IP (NN a))")])
-    corpus = corpus_agreement([doc_a], [doc_b], "tree")
+    corpus = corpus_agreement([(doc_a, doc_b)], "tree")
     assert corpus.excluded_sentences == {"d": [0]}
     assert corpus.has_exclusions
     assert corpus.report().vacuous
@@ -248,7 +244,7 @@ def test_corpus_agreement_tree_exclusions_reported():
 def test_corpus_agreement_chunk_shape_mismatch_excludes_doc():
     doc_a = Document("d", "ab", chunks=[[Chunk(0, 1, "NP")]])
     doc_b = Document("d", "ab", chunks=[[Chunk(0, 1, "NP")], []])
-    corpus = corpus_agreement([doc_a], [doc_b], "chunk")
+    corpus = corpus_agreement([(doc_a, doc_b)], "chunk")
     assert corpus.excluded_docs == ["d"]
     assert corpus.has_exclusions
 
@@ -256,11 +252,9 @@ def test_corpus_agreement_chunk_shape_mismatch_excludes_doc():
 def test_identical_sets_agree_perfectly():
     rng = random.Random(31)
     docs = [random_document(rng, f"d{i}") for i in range(5)]
-    set_a = docs
-    set_b = list(docs)
     for layer in ("seg", "pos", "chunk", "tree", "entity", "relation"):
         report = corpus_agreement(
-            set_a, set_b, layer,
+            zip(docs, docs), layer,
             policy=MatchPolicy.SPAN_TYPE_ASSERTION,
             mode=RelationMode.GROUP_PRESERVED,
         ).report()

@@ -34,7 +34,7 @@ def test_traced_child_records_spans(tmp_path):
 
 def test_entity_agreement_parses_only_the_entity_layer(tmp_path):
     names = _traced_span_names(tmp_path, "iaa", "--layer", "entity", "CORPUS", "CORPUS")
-    assert {"annio.load_document", "annio.parse_ann"} <= names
+    assert {"agreement.corpus_agreement", "annio.load_document", "annio.parse_ann"} <= names
     assert not names & {"annio.parse_tok", "annio.parse_ptb", "annio.parse_chk"}
 
 

@@ -335,6 +335,13 @@ def test_kfold_manifest(tmp_path, capsys):
     assert sizes == [2, 2, 3]
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_kfold_checks_k(tmp_path, capsys, k):
+    root = make_corpus(tmp_path, "a", seed=10, n_docs=3)
+    assert main(["kfold", "--k", k, "--seed", "1", str(root)]) == 2
+    assert capsys.readouterr() == ("", f"error: --k must be an integer >= 2, got {k}\n")
+
+
 def test_round_lifecycle(tmp_path, capsys):
     state = tmp_path / "state.json"
     docs = [f"d{i}" for i in range(6)]
@@ -581,6 +588,15 @@ def test_record_iaa_checks_value_range(tmp_path, capsys, value):
     _assert_round_rejects(
         state, capsys, {}, ["record-iaa", "--task", "seg", f"--value={value}"],
         f"--value must be in [0, 1], got {float(value)!r}",
+    )
+
+
+@pytest.mark.parametrize("task", ["", "a\tb", "a\nb", "a\r", "a\u2028b"])
+def test_record_iaa_checks_task_name(tmp_path, capsys, task):
+    state = _round_with_history(tmp_path, capsys)
+    _assert_round_rejects(
+        state, capsys, {}, ["record-iaa", f"--task={task}", "--value=0.5"],
+        f"--task must be a non-empty name without a tab or line break, got {task!r}",
     )
 
 

@@ -1,7 +1,7 @@
 """Corpus commands read one document per side at a time, in doc-id order.
 
-`corpus_agreement` merges two doc-id-ordered streams, so its results must
-match a reference computed one id at a time, and no command may keep an
+`corpus_agreement` scores the pairs `annio.iter_pairs` yields, so its results
+must match a reference computed one id at a time, and no command may keep an
 earlier document alive once it reads the next one."""
 import gc
 import random
@@ -63,12 +63,12 @@ def _per_id_reference(a, b, layer: str):
     layers = LAYER_FILES[layer]
     per_doc, excluded_docs, excluded_sentences = {}, [], {}
     for doc_id in sorted(set(bundles_a) | set(bundles_b)):
-        docs = [
+        da, db = (
             annio.load_document(bundles[doc_id], layers)
             if doc_id in bundles else Document(doc_id, "")
             for bundles in (bundles_a, bundles_b)
-        ]
-        one = corpus_agreement(docs[:1], docs[1:], layer)
+        )
+        one = corpus_agreement([(da, db)], layer)
         per_doc.update(one.per_doc)
         excluded_docs += one.excluded_docs
         excluded_sentences.update(one.excluded_sentences)
@@ -95,9 +95,8 @@ def test_merge_join_matches_a_per_id_reference(tmp_path, capsys, layer):
         assert "m3" in excluded_docs
     layers = LAYER_FILES[layer]
     for left, right in ((a, b), (b, a)):
-        corpus = corpus_agreement(
-            annio.iter_documents(left, layers), annio.iter_documents(right, layers), layer
-        )
+        pairs = annio.iter_pairs(annio.discover(left), annio.discover(right), layers)
+        corpus = corpus_agreement(pairs, layer)
         swapped = left == b
         assert corpus.per_doc == (
             {k: (c[0], c[2], c[1]) for k, c in per_doc.items()} if swapped else per_doc
@@ -138,15 +137,6 @@ def test_validate_lines_follow_doc_id_order(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == want
 
 
-def test_unsorted_or_repeated_ids_raise():
-    d1, d2 = Document("d1", ""), Document("d2", "")
-    for bad in ([d2, d1], [d1, d1]):
-        for docs_a, docs_b in ((bad, [d1]), ([d1], bad)):
-            with pytest.raises(ValueError, match="ascend"):
-                corpus_agreement(docs_a, docs_b, "seg")
-    assert corpus_agreement([d1], [d2], "seg").per_doc == {"d1": (0, 0, 0), "d2": (0, 0, 0)}
-
-
 def test_listing_both_sides_comes_before_any_parse(tmp_path, capsys):
     a, b = _corpus_pair(tmp_path)
     (a / "a.tok").write_text("not a token line\n", encoding="utf-8")
@@ -162,6 +152,20 @@ def test_listing_both_sides_comes_before_any_parse(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {b / 'a.tok'}:line 1:")
     assert main(["validate", str(a)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {a / 'a.tok'}:line 1:")
+
+
+@pytest.mark.parametrize("cmd", ["iaa", "score"])
+def test_first_error_is_the_smallest_id_of_either_side(tmp_path, capsys, cmd):
+    # A's m5 sorts after B's m3, though A's next document after m1 is m5.
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, ids in ((a, ["m1", "m5"]), (b, ["m1", "m3"])):
+        for doc_id in ids:
+            _write(root, random_document(random.Random(doc_id), doc_id))
+    (a / "m5.tok").write_text("bad\n", encoding="utf-8")
+    (b / "m3.tok").write_text("bad\n", encoding="utf-8")
+    for left, right in ((a, b), (b, a)):
+        assert main([cmd, "--layer", "seg", str(left), str(right)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {b / 'm3.tok'}:line 1:")
 
 
 class _Liveness:

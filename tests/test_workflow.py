@@ -318,14 +318,12 @@ def diff_fixture():
         "R5", RelationType.SYMPTOM_INDICATES_DISEASE, "T1", "T9"
     )
 
-    corpus_a = {"d": Document("d", text, annotations=ann_a)}
-    corpus_b = {"d": Document("d", text, annotations=ann_b)}
-    return corpus_a, corpus_b
+    return Document("d", text, annotations=ann_a), Document("d", text, annotations=ann_b)
 
 
 def test_diff_report_entities():
-    set_a, set_b = diff_fixture()
-    diffs = diff_report(set_a, set_b, "entity")
+    doc_a, doc_b = diff_fixture()
+    diffs = diff_report([(doc_a, doc_b)], "entity")
     kinds = sorted(d.kind for d in diffs)
     assert kinds == ["a-only", "attribute-mismatch"]
     mismatch = next(d for d in diffs if d.kind == "attribute-mismatch")
@@ -335,10 +333,10 @@ def test_diff_report_entities():
 
 
 def test_diff_report_swap_symmetry():
-    set_a, set_b = diff_fixture()
+    doc_a, doc_b = diff_fixture()
     for layer in ("entity", "group", "relation"):
-        fwd = diff_report(set_a, set_b, layer)
-        rev = diff_report(set_b, set_a, layer)
+        fwd = diff_report([(doc_a, doc_b)], layer)
+        rev = diff_report([(doc_b, doc_a)], layer)
         flip = {"a-only": "b-only", "b-only": "a-only",
                 "attribute-mismatch": "attribute-mismatch"}
         assert sorted((d.location, flip[d.kind]) for d in fwd) == sorted(
@@ -347,18 +345,21 @@ def test_diff_report_swap_symmetry():
 
 
 def test_diff_report_relations_group_preserved():
-    set_a, set_b = diff_fixture()
-    diffs = diff_report(set_a, set_b, "relation")
+    doc_a, doc_b = diff_fixture()
+    diffs = diff_report([(doc_a, doc_b)], "relation")
     # The grouped SID and the single-entity SID are different relations.
     assert sorted(d.kind for d in diffs) == ["a-only", "b-only"]
-    group_diffs = diff_report(set_a, set_b, "group")
+    group_diffs = diff_report([(doc_a, doc_b)], "group")
     assert [d.kind for d in group_diffs] == ["a-only"]
 
 
 def test_diff_report_requires_same_documents():
-    set_a, set_b = diff_fixture()
-    set_b["extra"] = Document("extra", "")
-    with pytest.raises(InputError, match="different documents"):
-        diff_report(set_a, set_b, "entity")
+    doc_a, doc_b = diff_fixture()
+    extra = Document("extra", "")
+    for pairs, side in (([(doc_a, doc_b), (None, extra)], "b"), ([(extra, None)], "a")):
+        with pytest.raises(
+            InputError, match=f"different documents: 'extra' is only in {side}$"
+        ):
+            diff_report(pairs, "entity")
     with pytest.raises(InputError):
-        diff_report(set_a, set_a, "tok")
+        diff_report([(doc_a, doc_a)], "tok")
