@@ -24,6 +24,7 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterator
 
+from .corpusdir import bundle_stems, walk
 from .errors import (
     InputError,
     ParseError,
@@ -413,27 +414,19 @@ class BundlePaths(Record):
 
 
 def discover(root: str | Path) -> dict[str, BundlePaths]:
-    """Find document bundles under a directory tree.  Every *.txt entry roots a
+    """Find document bundles under a directory tree, keyed by doc id in
+    ascending order.  Every entry corpusdir.bundle_stems names roots a
     bundle; sibling files with the same stem fill in the layers.  A parent
     directory named after a known document type tags the bundle.
 
-    The bundles are those sorted(Path(root).rglob("*.txt")) yields, in that
-    order: hidden names count, a symlinked directory is not entered, an
-    unreadable one is skipped.  Each directory is listed once and a sibling
-    is looked up in that listing; only a symlinked sibling is stat'ed, so a
+    The tree is listed as corpusdir.walk lists it, and a sibling is looked up
+    in its directory's listing; only a symlinked sibling is stat'ed, so a
     broken link counts as absent."""
     bundles: dict[str, BundlePaths] = {}
-    siblings: dict[str, tuple[set[str], set[str]]] = {}  # prefix -> names, links
-    for prefix, rel, dir_name, txt_names, names, link_names in _txt_runs(root):
+    for prefix, rel, dir_name, names, links in walk(root):
         doc_type = dir_name if dir_name in DOC_TYPES else None
-        if prefix not in siblings:
-            # Runs come depth first, so a directory that is not an ancestor
-            # of this one has no run left.
-            siblings = {p: v for p, v in siblings.items() if prefix.startswith(p)}
-            siblings[prefix] = set(names), set(link_names)
-        present, links = siblings[prefix]
-        for name in txt_names:
-            stem = _stem(name)
+        present = set(names)
+        for name, stem in bundle_stems(names):
             layer_paths = []
             for layer in LAYER_FILES:
                 sib = f"{stem}.{layer}"
@@ -441,86 +434,10 @@ def discover(root: str | Path) -> dict[str, BundlePaths]:
                     layer_paths.append(prefix + sib)
                 else:
                     layer_paths.append(None)
-            doc_id = (rel + stem).replace("\\", "/")
-            bundles[doc_id] = BundlePaths(
-                doc_id, prefix + name, *layer_paths, doc_type=doc_type
+            bundles[rel + stem] = BundlePaths(
+                rel + stem, prefix + name, *layer_paths, doc_type=doc_type
             )
-    return bundles
-
-
-def doc_ids(root: str | Path) -> list[str]:
-    """sorted(discover(root)), from the same walk but without looking up any
-    sibling or building a BundlePaths."""
-    return sorted({
-        (rel + _stem(name)).replace("\\", "/")
-        for _, rel, _, txt_names, _, _ in _txt_runs(root)
-        for name in txt_names
-    })
-
-
-def _stem(name: str) -> str:
-    # As Path.with_suffix has it, a bare ".txt" has no suffix.
-    return name if name == ".txt" else name[:-4]
-
-
-def _txt_runs(root: str | Path) -> Iterator[tuple]:
-    """_listing_walk over the directory tree at `root`.  `root` is checked
-    here, outside the generator, so that a bad one raises on the call."""
-    root = Path(root)
-    if not root.is_dir():
-        raise InputError(f"not a directory: {root}")
-    base = str(root)
-    if base == ".":
-        base = ""
-    elif not base.endswith("/"):
-        base += "/"
-    return _listing_walk(base, "", root.name)
-
-
-def _listing_walk(prefix: str, rel: str, dir_name: str) -> Iterator[tuple]:
-    """List the directory `prefix` names (empty for the current directory)
-    once, and its subdirectories in turn, yielding the *.txt entries in
-    sorted(Path(root).rglob("*.txt")) order as runs: (prefix, rel, dir_name,
-    txt_names, names, links), where `txt_names` are sorted names from one
-    listing with no subdirectory between them.  `rel` is the directory
-    relative to the root, with a trailing slash; `names` lists every entry
-    of the directory and `links` those that are symlinks, the same two lists
-    for each of its runs.  Lists, not sets: only discover looks names up."""
-    names: list[str] = []
-    links: list[str] = []
-    subdirs: set[str] = set()
-    visit: list[str] = []  # .txt names and subdirectories, in sorted order
-    try:
-        with os.scandir(prefix or ".") as it:
-            for entry in it:
-                name = entry.name
-                names.append(name)
-                if entry.is_symlink():
-                    links.append(name)
-                else:
-                    try:
-                        if entry.is_dir():
-                            subdirs.add(name)
-                            visit.append(name)
-                            continue
-                    except OSError:
-                        pass
-                if name.endswith(".txt"):
-                    visit.append(name)
-    except PermissionError:
-        return
-    visit.sort()
-    run: list[str] = []
-    for name in visit:
-        if name.endswith(".txt"):
-            run.append(name)
-        if name in subdirs:
-            if run:
-                yield prefix, rel, dir_name, run, names, links
-                run = []
-            yield from _listing_walk(prefix + name + "/", rel + name + "/", name)
-    if run:
-        yield prefix, rel, dir_name, run, names, links
+    return {doc_id: bundles[doc_id] for doc_id in sorted(bundles)}
 
 
 def load_document(
@@ -573,12 +490,12 @@ def iter_documents(
     layers: Collection[str] = LAYER_FILES,
 ) -> Iterator[Document]:
     """Every bundle of `corpus`, read as load_document does, one at a time in
-    ascending doc-id order.  `corpus` is a directory, listed with discover on
-    the call, or a listing discover returned.  Nothing is parsed before the
-    first document is asked for, and no document is kept once the next one
-    is read."""
+    listing order, which is ascending doc-id order.  `corpus` is a directory,
+    listed with discover on the call, or a listing discover returned.
+    Nothing is parsed before the first document is asked for, and no
+    document is kept once the next one is read."""
     bundles = corpus if isinstance(corpus, dict) else discover(corpus)
-    return (load_document(bundles[doc_id], layers) for doc_id in sorted(bundles))
+    return (load_document(paths, layers) for paths in bundles.values())
 
 
 def iter_pairs(

@@ -344,10 +344,10 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_kfold(args: argparse.Namespace, config: dict) -> int:
-    from . import annio, workflow
+    from . import corpusdir, workflow
 
     k = _check("--k", args.k, (("be an integer >= 2", lambda v: v >= 2),))
-    doc_ids = annio.doc_ids(args.directory)
+    doc_ids = corpusdir.doc_ids(args.directory)
     if not doc_ids:
         raise _no_bundles(args.directory)
     manifest = workflow.kfold(doc_ids, k, args.seed)
@@ -375,9 +375,9 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
         if args.pool_from is not None and args.pool is not None:
             raise InputError("round new takes --pool-from or --pool, not both")
         if args.pool_from:
-            from . import annio
+            from . import corpusdir
 
-            pool = annio.doc_ids(args.pool_from)
+            pool = corpusdir.doc_ids(args.pool_from)
             if not pool:
                 raise _no_bundles(args.pool_from)
         else:
@@ -421,9 +421,7 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
     if args.action == "record-iaa":
         if args.task is None or args.value is None:
             raise InputError("round record-iaa needs --task and --value")
-        _check("--task", args.task, (
-            ("be a non-empty name without a tab or line break",
-             lambda v: "\t" not in v and v.splitlines() == [v]),))
+        _check("--task", args.task, ((workflow.TASK_NAME, workflow.is_task_name),))
         value = _check("--value", args.value, _UNIT)
         history = state.iaa_history.setdefault(args.task, [])
         history.append(value)

@@ -148,13 +148,13 @@ def validate_annotations(
                 "empty-span", f"entity span [{e.start}, {e.end}) is empty or inverted",
                 "entity", doc, e.eid,
             ))
-        elif text and (e.start < 0 or e.end > len(text)):
+        elif e.start < 0 or e.end > len(text):
             out.append(Diagnostic(
                 "span-out-of-range",
                 f"entity span [{e.start}, {e.end}) exceeds text of length {len(text)}",
                 "entity", doc, e.eid,
             ))
-        elif text and text[e.start:e.end] != e.surface:
+        elif text[e.start:e.end] != e.surface:
             out.append(Diagnostic(
                 "surface-mismatch",
                 f"entity surface {e.surface!r} != text {text[e.start:e.end]!r}",

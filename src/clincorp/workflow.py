@@ -117,12 +117,23 @@ class RoundState(Record):
                 _is_list_of(v, item_ok) for v in data[key].values()
             ):
                 raise ParseError(f"{key} must map names to {what}", path=path)
+        for task in data["iaa_history"]:
+            if not is_task_name(task):
+                raise ParseError(f"iaa_history task {task!r} must {TASK_NAME}", path=path)
         return cls(
             round_index=round_index,
             pool=data["pool"],
             assignments=data["assignments"],
             iaa_history={k: list(map(float, v)) for k, v in data["iaa_history"].items()},
         )
+
+
+# What `round status` needs of a task name to print it as one table cell.
+TASK_NAME = "be a non-empty name without a tab or line break"
+
+
+def is_task_name(name: str) -> bool:
+    return "\t" not in name and name.splitlines() == [name]
 
 
 def _is_list_of(value, item_ok) -> bool:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from clincorp import annio
+from clincorp import annio, corpusdir
 from clincorp.annio import (
     HEADERS,
     LAYER_FILES,
@@ -201,11 +201,12 @@ def test_discover_and_load(tmp_path):
 
 def _rglob_bundles(root):
     """The bundle list discover gave when it walked rglob("*.txt") and
-    checked every sibling with Path.exists: one tuple of strings per bundle."""
+    checked every sibling with Path.exists: one tuple of strings per bundle,
+    in the order rglob yields them."""
     root = Path(root)
     out = {}
     for txt in sorted(root.rglob("*.txt")):
-        doc_id = str(txt.relative_to(root).with_suffix("")).replace("\\", "/")
+        doc_id = str(txt.relative_to(root).with_suffix(""))
         sibs = [txt.with_suffix("." + layer) for layer in LAYER_FILES]
         doc_type = txt.parent.name if txt.parent.name in DOC_TYPES else None
         out[doc_id] = (
@@ -256,11 +257,11 @@ def test_discover_matches_rglob_walk(awkward_tree, monkeypatch, root):
         monkeypatch.chdir(awkward_tree / "d")
     elif root == "absolute":
         root = str(awkward_tree / "d")
-    expected = _rglob_bundles(root)
+    expected = sorted(_rglob_bundles(root))
     assert _bundle_tuples(discover(root)) == expected
     assert _bundle_tuples(discover(Path(root))) == expected
     ids = [t[0] for t in expected]
-    assert ids.index("a/z") < ids.index("a-b") < ids.index("a")
+    assert ids.index("a") < ids.index("a-b") < ids.index("a/z")
     assert {"dir", "dir.txt/inner", ".hid/x", ".hidden", ".txt", "."} <= set(ids)
     assert not any(i.startswith("linked") for i in ids)
     bundles = discover(root)
@@ -272,7 +273,7 @@ def test_discover_rejects_a_non_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _touch(tmp_path / "f.txt")
     for root in ("f.txt", "./missing/"):
-        for walk in (discover, annio.doc_ids):
+        for walk in (discover, corpusdir.doc_ids):
             with pytest.raises(InputError) as err:
                 walk(root)
             assert str(err.value) == f"not a directory: {Path(root)}"
@@ -286,20 +287,23 @@ def test_doc_ids_match_discover(awkward_tree, monkeypatch, root):
     elif root == "absolute":
         root = str(awkward_tree / "d")
     for spelled in (root, Path(root)):
-        assert annio.doc_ids(spelled) == sorted(discover(spelled))
+        assert corpusdir.doc_ids(spelled) == list(discover(spelled))
 
 
 @pytest.mark.parametrize(
     "rels, expected",
     [
-        # Both name doc id "a/b": discover keeps one bundle.
-        (("a\\b.txt", "a\\b.tok", "a/b.txt", "a/c.txt"), ["a/b", "a/c"]),
+        # A backslash is part of a name, not a directory separator.
+        (("a\\b.txt", "a\\b.tok", "a/b.txt", "a/c.txt"), ["a/b", "a/c", "a\\b"]),
         # A directory named x.txt roots a bundle and is entered.
         (("x.txt/in.txt", "x.txt/in.ann", "y.txt/", "x.tok"), ["x", "x.txt/in", "y"]),
         # A bare .txt is its own stem, at the root and below it.
         ((".txt", ".txt.tok", "s/.txt", "s/t.txt"), [".txt", "s/.txt", "s/t"]),
+        # ".txt.txt" has the bare ".txt"'s stem and, as the later name in
+        # sorted order, roots the one bundle.
+        ((".txt", ".txt.txt", ".txt.tok"), [".txt"]),
     ],
-    ids=["backslash-collision", "directory-named-txt", "bare-txt"],
+    ids=["backslash-kept", "directory-named-txt", "bare-txt", "txt-txt"],
 )
 def test_doc_ids_match_discover_on_edge_cases(tmp_path, rels, expected):
     for rel in rels:
@@ -307,8 +311,26 @@ def test_doc_ids_match_discover_on_edge_cases(tmp_path, rels, expected):
             (tmp_path / rel).mkdir(parents=True)
         else:
             _touch(tmp_path / rel)
-    assert annio.doc_ids(tmp_path) == sorted(discover(tmp_path)) == expected
-    assert [t[0] for t in _rglob_bundles(tmp_path)] == list(discover(tmp_path))
+    assert corpusdir.doc_ids(tmp_path) == list(discover(tmp_path)) == expected
+    assert _bundle_tuples(discover(tmp_path)) == sorted(_rglob_bundles(tmp_path))
+
+
+def test_walk_has_no_depth_limit(tmp_path):
+    # Deeper than Python's default recursion limit of 1,000 frames.
+    dirs = [tmp_path / "d"]
+    for _ in range(1100):
+        dirs.append(dirs[-1] / "a")
+    for d in dirs:
+        d.mkdir()
+    try:
+        _touch(dirs[-1] / "x.txt")
+        deep_id = "a/" * 1100 + "x"
+        assert corpusdir.doc_ids(dirs[0]) == [deep_id]
+        assert list(discover(dirs[0])) == [deep_id]
+    finally:  # pytest's own clean-up removes a tree recursively
+        (dirs[-1] / "x.txt").unlink(missing_ok=True)
+        for d in reversed(dirs):
+            d.rmdir()
 
 
 def test_kfold_and_round_new_list_the_ids_discover_finds(awkward_tree, capsys):

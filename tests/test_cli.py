@@ -80,6 +80,19 @@ def test_validate_leaves_parser_rules_to_the_parsers(tmp_path, capsys, files, ba
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_validate_checks_entity_spans_against_an_empty_text(tmp_path, capsys):
+    root = tmp_path / "c"
+    root.mkdir()
+    (root / "d.txt").write_text("", encoding="utf-8")
+    (root / "d.ann").write_text("T1\ttest 0 2\txx\n", encoding="utf-8")
+    assert main(["validate", str(root)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "d: entity: span-out-of-range [T1]: entity span [0, 2) exceeds text of length 0\n"
+    )
+    assert "1 finding(s)" in captured.err
+
+
 def test_validate_missing_directory_exits_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -851,6 +864,24 @@ def test_round_rejects_mistyped_state_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {state}: {field} must ")
         assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "history", [{"a\tb": [0.95], "": [0.9]}, {"seg": [0.9], "": [0.9]}, {"a\u2028b": [1]}],
+)
+def test_round_status_refuses_a_bad_task_name(tmp_path, capsys, history):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({
+        "round_index": 1, "pool": ["d1"], "assignments": {}, "iaa_history": history,
+    }), encoding="utf-8")
+    assert main(["round", "status", "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = next(task for task in history if task != "seg")
+    assert captured.err == (
+        f"error: {state}: iaa_history task {bad!r} must be a non-empty name "
+        "without a tab or line break\n"
+    )
 
 
 @pytest.mark.parametrize("history", [[7, 7, 7], [0.95, -0.5, 0.99], [1.01]])

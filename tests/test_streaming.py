@@ -3,13 +3,15 @@
 `corpus_agreement` scores the pairs `annio.iter_pairs` yields, so its results
 must match a reference computed one id at a time, and no command may keep an
 earlier document alive once it reads the next one."""
+import contextlib
 import gc
+import os
 import random
 import weakref
 
 import pytest
 
-from clincorp import annio
+from clincorp import annio, corpusdir
 from clincorp.agreement import corpus_agreement, prf
 from clincorp.cli import _LAYER_FILES as LAYER_FILES
 from clincorp.cli import main
@@ -19,8 +21,9 @@ from clincorp.tagsets import LAYERS
 from clincorp.validate import validate_document
 from helpers import random_document, random_tree_over, write_bundle
 
-# discover lists "a/z", "a-b", "a" in that order; in doc-id order "a" comes
-# first.  "m1".."m5" interleave, and "only_a"/"only_b" are on one side.
+# In doc-id order "a" comes before "a-b", which comes before "a/z", though
+# sorted paths put "a/z" first.  "m1".."m5" interleave, and "only_a"/"only_b"
+# are on one side.
 IDS_A = ["a", "a-b", "a/z", "m1", "m3", "m5", "only_a"]
 IDS_B = ["a", "a/z", "m2", "m3", "m4", "only_b"]
 
@@ -77,11 +80,45 @@ def _per_id_reference(a, b, layer: str):
 
 def test_iter_documents_reads_in_doc_id_order(tmp_path):
     a, _ = _corpus_pair(tmp_path)
-    assert list(annio.discover(a))[:3] == ["a/z", "a-b", "a"]
+    assert list(annio.discover(a))[:3] == ["a", "a-b", "a/z"]
     assert [d.doc_id for d in annio.iter_documents(a)] == IDS_A
     bundles = annio.discover(a)
     assert [d.doc_id for d in annio.iter_documents(bundles, ("tok",))] == IDS_A
     assert list(annio.load_corpus(a)) == IDS_A
+
+
+def test_directory_listing_order_does_not_show(tmp_path, capsys, monkeypatch):
+    """discover, doc_ids, validate and iaa give the same results whatever
+    order os.scandir lists a directory in."""
+    a, b = _corpus_pair(tmp_path)
+
+    def results():
+        bundles = [
+            (p.doc_id, p.txt, p.tok, p.ptb, p.chk, p.ann, p.doc_type)
+            for p in annio.discover(a).values()
+        ]
+        printed = []
+        for argv in (
+            ["validate", str(a)],
+            ["iaa", "--layer", "entity", "--details", str(a), str(b)],
+            ["iaa", "--layer", "tree", str(b), str(a)],
+        ):
+            code = main(argv)
+            printed.append((code, capsys.readouterr()))
+        return bundles, corpusdir.doc_ids(a), corpusdir.doc_ids(b), printed
+
+    root_names = next(corpusdir.walk(a))[3]
+    expected = results()
+    scandir = os.scandir
+
+    def reversed_scandir(path):
+        with scandir(path) as it:
+            entries = list(it)
+        return contextlib.nullcontext(reversed(entries))
+
+    monkeypatch.setattr(os, "scandir", reversed_scandir)
+    assert next(corpusdir.walk(a))[3] == root_names[::-1] != root_names
+    assert results() == expected
 
 
 @pytest.mark.parametrize("layer", LAYERS)
