@@ -47,6 +47,7 @@ from .model import (
 from .record import Record
 from .tagsets import (
     POS_TAG_SET,
+    AssertionType,
     parse_assertion_type,
     parse_entity_type,
     parse_relation_type,
@@ -242,7 +243,7 @@ def parse_ann(
     labels, duplicate ids, assertion lines pointing nowhere) raise ParseError;
     semantic problems on well-formed data are left to the validator."""
     ann = DocAnnotations(doc_id=doc_id, text=text)
-    assertions: list[tuple[int, str, str, str]] = []  # (line, aid, label, target)
+    assertions: list[tuple[int, str, AssertionType, str]] = []  # (line, aid, type, target)
     ref_lines: dict[str, int] = {}  # group/relation id -> source line
     for lineno, line in numbered_lines(content):
         if line[:1] in _MAY_SKIP and (_is_comment(line) or not line.strip()):
@@ -264,9 +265,10 @@ def parse_ann(
             if not m:
                 raise ParseError("malformed assertion line", path=path, line=lineno)
             aid, label, target = m.groups()
-            if parse_assertion_type(label) is None:
+            assertion = parse_assertion_type(label)
+            if assertion is None:
                 raise ParseError(f"unknown assertion type {label!r}", path=path, line=lineno)
-            assertions.append((lineno, aid, label, target))
+            assertions.append((lineno, aid, assertion, target))
         elif kind == "G":
             m = _G_RE.match(line)
             if not m:
@@ -298,7 +300,7 @@ def parse_ann(
                 f"unknown annotation line kind {kind!r}", path=path, line=lineno
             )
     seen_targets: set[str] = set()
-    for lineno, aid, label, target in assertions:
+    for lineno, aid, assertion, target in assertions:
         if target not in ann.entities:
             raise ParseError(
                 f"assertion {aid} refers to missing entity {target}",
@@ -312,7 +314,7 @@ def parse_ann(
         seen_targets.add(target)
         old = ann.entities[target]
         ann.entities[target] = Entity(
-            old.eid, old.etype, old.start, old.end, old.surface, parse_assertion_type(label)
+            old.eid, old.etype, old.start, old.end, old.surface, assertion
         )
     for g in ann.groups.values():
         for m in g.members:

@@ -43,10 +43,33 @@ class LexiconError(ClincorpError):
     """A term lexicon violates its own invariants."""
 
 
+# O_BINARY exists only where the platform would otherwise translate newlines.
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+# The read size once a file proves longer than its size says: a pipe's
+# default capacity, so a FIFO is not read into a large fixed buffer.
+_PIPE_CHUNK = 1 << 16
+
+
 def read_text_file(path: str | os.PathLike) -> str:
-    """Read a UTF-8 file; decode failures report the offending line."""
-    with open(path, "rb") as f:
-        data = f.read()
+    """Read a UTF-8 file; decode failures report the offending line.
+
+    A regular file takes one read sized from its fstat size.  A file whose
+    first read does not return exactly that size (a FIFO, which reports 0, a
+    file that grew or shrank, a read the kernel cut short) is read to EOF."""
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        size = os.fstat(fd).st_size
+        data = os.read(fd, size + 1)
+        if len(data) != size:
+            chunks = [data]
+            while chunk := os.read(fd, _PIPE_CHUNK):
+                chunks.append(chunk)
+            data = b"".join(chunks)
+    except OSError as exc:
+        # Unlike open(), os.read names no file (a directory fails here).
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -17,15 +17,23 @@ from .tagsets import POS_TAG_SET, SYN_TAG_ALIASES, SYN_TAG_SET
 
 PUNCT_POS = "PU"
 
-_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
+# One token of a bracketed tree.  A whole leaf, "(POS surface)" with any white
+# space inside its brackets, is one token, found as (pos, surface, ""); any
+# other bracket or word is found as ("", "", token).
+_TOKEN_RE = re.compile(r"\(\s*([^\s()]+)\s+([^\s()]+)\s*\)|(\(|\)|[^\s()]+)")
 # A character _TOKEN_RE splits at, which a leaf surface therefore cannot hold.
 LEAF_BREAK_RE = re.compile(r"[\s()]")
 
 
 class ParseTree(Record):
-    """A tree node.  Preterminals carry a surface string and no children."""
+    """A tree node.  Preterminals carry a surface string and no children.
 
-    __slots__ = ("label", "children", "surface")
+    A root that parse_tree returns also holds `_leaves`, its preterminals in
+    the order the parser read them, so leaves() and leaf_count() need no
+    walk.  The slot is left unset on every other node, and equality, hash
+    and repr ignore it."""
+
+    __slots__ = ("label", "children", "surface", "_leaves")
 
     def __init__(
         self, label: str, children: tuple["ParseTree", ...] = (), surface: str | None = None
@@ -39,7 +47,10 @@ class ParseTree(Record):
         return self.surface is not None
 
     def leaves(self) -> list[tuple[str, str]]:
-        """(pos, surface) pairs in left-to-right order."""
+        """(pos, surface) pairs in left-to-right order, in a new list."""
+        recorded = getattr(self, "_leaves", None)
+        if recorded is not None:
+            return [(leaf.label, leaf.surface) for leaf in recorded]
         out: list[tuple[str, str]] = []
         stack = [self]
         while stack:
@@ -52,6 +63,9 @@ class ParseTree(Record):
 
     def leaf_count(self) -> int:
         """Number of leaves, counted without building a list of them."""
+        recorded = getattr(self, "_leaves", None)
+        if recorded is not None:
+            return len(recorded)
         n = 0
         stack = [self]
         while stack:
@@ -142,32 +156,51 @@ def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -
     errors.  A label-less outer wrapper around a single tree is unwrapped.
 
     One pass over the tokens with an explicit stack of the open nodes; the
-    first error met in that left-to-right pass is the one raised."""
+    first error met in that left-to-right pass is the one raised.  A leaf
+    token is a finished node, so each leaf costs one step of the pass."""
     tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise ParseError("empty tree", path=path, line=line)
-    if tokens[0] != "(":
+    pos, surface, tok = tokens[0]
+    if pos:
+        # The whole tree is one leaf, (NN a).
+        if pos not in POS_TAG_SET:
+            raise ParseError(f"unknown-pos-label {pos!r}", path=path, line=line)
+        if len(tokens) > 1:
+            raise ParseError("trailing material after tree", path=path, line=line)
+        node = ParseTree(pos, (), surface)
+        node._leaves = [node]
+        return node
+    if tok != "(":
         raise ParseError("expected '('", path=path, line=line)
     if len(tokens) == 1:
         raise ParseError("unexpected end of tree", path=path, line=line)
-    if tokens[1] == "(":
+    pos, _, label = tokens[1]
+    if pos or label == "(":
         # Anonymous wrapper: ( (IP ...) ); legal only as the outermost node.
         label, it = "", iter(tokens[1:])
     else:
-        label, it = tokens[1], iter(tokens[2:])
+        it = iter(tokens[2:])
+    leaves: list[ParseTree] = []
     # The open node is (label, children, surface); its ancestors are on `stack`.
     children: list[ParseTree] = []
-    surface: str | None = None
+    surface = None
     stack: list[tuple[str, list[ParseTree], str | None]] = []
-    for tok in it:
-        if tok == "(":
-            child_label = next(it, None)
-            if child_label is None:
+    for pos, leaf_surface, tok in it:
+        if pos:
+            if pos not in POS_TAG_SET:
+                raise ParseError(f"unknown-pos-label {pos!r}", path=path, line=line)
+            node = ParseTree(pos, (), leaf_surface)
+            leaves.append(node)
+        elif tok == "(":
+            following = next(it, None)
+            if following is None:
                 raise ParseError("unexpected end of tree", path=path, line=line)
-            if child_label == "(":
+            if following[0] or following[2] == "(":
                 raise ParseError("missing constituent label", path=path, line=line)
             stack.append((label, children, surface))
-            label, children, surface = child_label, [], None
+            label, children, surface = following[2], [], None
+            continue
         elif tok != ")":
             if surface is not None or children:
                 raise ParseError(
@@ -175,14 +208,15 @@ def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -
                     path=path, line=line,
                 )
             surface = tok
+            continue
         else:
             if surface is not None:
-                if label not in POS_TAG_SET:
-                    raise ParseError(f"unknown-pos-label {label!r}", path=path, line=line)
-                node = ParseTree(label, (), surface)
-            elif not children:
+                # "(L s)" for a word L is one leaf token, so a node with a
+                # surface closes here only when its label is ")".
+                raise ParseError(f"unknown-pos-label {label!r}", path=path, line=line)
+            if not children:
                 raise ParseError(f"empty constituent ({label})", path=path, line=line)
-            elif label == "":
+            if label == "":
                 if len(children) != 1:
                     raise ParseError(
                         "anonymous root must wrap exactly one tree", path=path, line=line
@@ -198,16 +232,17 @@ def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -
             if not stack:
                 if next(it, None) is not None:
                     raise ParseError("trailing material after tree", path=path, line=line)
+                node._leaves = leaves
                 return node
             label, children, surface = stack.pop()
-            if surface is not None:
-                # (NN a (NN b)): a subtree after a surface, refused once it
-                # closes so that errors inside it are reported first.
-                raise ParseError(
-                    "a node may hold either a surface or subtrees, not both",
-                    path=path, line=line,
-                )
-            children.append(node)
+        if surface is not None:
+            # (NN a (NN b)): a subtree after a surface, refused once it
+            # closes so that errors inside it are reported first.
+            raise ParseError(
+                "a node may hold either a surface or subtrees, not both",
+                path=path, line=line,
+            )
+        children.append(node)
     raise ParseError("unbalanced parentheses", path=path, line=line)
 
 

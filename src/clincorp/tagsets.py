@@ -163,22 +163,20 @@ def relation_signature(rtype: RelationType) -> tuple[EntityType, EntityType]:
     return _SIGNATURES[rtype]
 
 
+# Each label parser is one dict lookup: calling the enum on an unknown label
+# raises and catches a ValueError.
+_ENTITY_TYPES = {member.value: member for member in EntityType}
+_ASSERTION_TYPES = {member.value: member for member in AssertionType}
+_RELATION_TYPES = {member.value: member for member in RelationType}
+
+
 def parse_entity_type(label: str) -> EntityType | None:
-    try:
-        return EntityType(label)
-    except ValueError:
-        return None
+    return _ENTITY_TYPES.get(label)
 
 
 def parse_assertion_type(label: str) -> AssertionType | None:
-    try:
-        return AssertionType(label)
-    except ValueError:
-        return None
+    return _ASSERTION_TYPES.get(label)
 
 
 def parse_relation_type(label: str) -> RelationType | None:
-    try:
-        return RelationType(label)
-    except ValueError:
-        return None
+    return _RELATION_TYPES.get(label)

@@ -1,5 +1,6 @@
 """Tree parsing and labeled-bracketing agreement."""
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from clincorp.errors import LengthMismatchError, ParseError
 from clincorp.parseval import (
-    _TOKEN_RE,
     EvalParams,
     ParseTree,
     brackets,
@@ -118,6 +118,43 @@ def test_tree_value_semantics_match_a_record_field_by_field():
     assert ParseTree("NP", [leaf]) != ParseTree("NP", (leaf,))
 
 
+def test_parsed_tree_leaf_record_is_invisible():
+    # parse_tree records the root's leaves; a hand-built tree walks for them.
+    parsed = parse_tree("(IP (NN a) (NP (VV b) (PU c)))")
+    built = ParseTree("IP", (
+        ParseTree("NN", (), "a"),
+        ParseTree("NP", (ParseTree("VV", (), "b"), ParseTree("PU", (), "c"))),
+    ))
+    assert parsed == built and built == parsed
+    assert hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    for tree in (parsed, built):
+        leaves = tree.leaves()
+        assert leaves == [("NN", "a"), ("VV", "b"), ("PU", "c")]
+        assert tree.leaf_count() == len(leaves) == 3
+        leaves.append(("NN", "x"))
+        leaves[0] = ("NN", "y")
+        assert tree.leaves() == [("NN", "a"), ("VV", "b"), ("PU", "c")]
+        assert tree.leaf_count() == 3
+
+
+@pytest.mark.parametrize("text, bracketed", [
+    ("( (IP (NN a) (VV b)) )", "(IP (NN a) (VV b))"),
+    ("( (NN a) )", "(NN a)"),
+    ("((NN a))", "(NN a)"),
+    ("(NN a)", "(NN a)"),
+    ("( NN\ta )", "(NN a)"),
+])
+def test_every_parsed_root_carries_its_leaf_record(text, bracketed):
+    # The anonymous wrapper returns the tree it wraps, and a lone leaf is
+    # its own root: both carry the record.
+    tree = parse_tree(text)
+    assert tree.to_string() == bracketed
+    recorded = getattr(tree, "_leaves", None)
+    assert recorded == [node for node in tree.nodes() if node.is_preterminal]
+    assert tree.leaves() == parse_tree(bracketed).leaves()
+    assert tree.leaf_count() == len(recorded)
+
+
 def test_parse_error_kinds_named():
     with pytest.raises(ParseError, match="unknown-syntactic-label"):
         parse_tree("(XX (NN a))")
@@ -188,11 +225,17 @@ def test_random_trees_roundtrip():
         assert parse_tree(t.to_string()) == t
 
 
+# The tokenizer the reference parser below was written with: every bracket and
+# every run of other non-space characters is a token.  A copy, so that a change
+# to parse_tree's own tokenizer cannot change the reference with it.
+_REFERENCE_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
+
+
 def _parse_tree_before(text, *, path=None, line=None, refuse_subtree_after_surface=False):
     """The recursive parser that parse_tree replaced, the reference for the
     differential test below.  `refuse_subtree_after_surface` adds the one
     intended change: a subtree after a surface is refused once it closes."""
-    tokens = _TOKEN_RE.findall(text)
+    tokens = _REFERENCE_TOKEN_RE.findall(text)
     if not tokens:
         raise ParseError("empty tree", path=path, line=line)
     pos = 0
@@ -306,6 +349,12 @@ def _outcome(parse, text):
 @example("(IP (NN a (NN b)) (VV c))")
 @example("(IP (NN a (QQ b)) (XX c))")
 @example("( (IP (NN a)) )")
+@example("( NN a )")
+@example("(NN a)")
+@example("((NN a))")
+@example("(NN a) x")
+@example("(QQ a) x")
+@example("(IP ( ) a))")
 def test_parse_tree_matches_recursive_parser(text):
     new = _outcome(parse_tree, text)
     fixed = _outcome(
