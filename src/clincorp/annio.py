@@ -173,7 +173,7 @@ def serialize_ptb(trees: list[ParseTree]) -> str:
     from .parseval import LEAF_BREAK_RE
 
     for tree in trees:
-        for _, surface in tree.leaves():
+        for surface in tree.leaf_surfaces():
             if not surface or LEAF_BREAK_RE.search(surface):
                 raise InputError(
                     f"leaf surface {surface!r} cannot be written to the "
@@ -312,10 +312,8 @@ def parse_ann(
                 path=path, line=lineno,
             )
         seen_targets.add(target)
-        old = ann.entities[target]
-        ann.entities[target] = Entity(
-            old.eid, old.etype, old.start, old.end, old.surface, assertion
-        )
+        # The entity was built above and nothing else holds it yet.
+        ann.entities[target].assertion = assertion
     for g in ann.groups.values():
         for m in g.members:
             if m not in ann.entities:

@@ -17,21 +17,20 @@ from .tagsets import POS_TAG_SET, SYN_TAG_ALIASES, SYN_TAG_SET
 
 PUNCT_POS = "PU"
 
-# One token of a bracketed tree.  A whole leaf, "(POS surface)" with any white
-# space inside its brackets, is one token, found as (pos, surface, ""); any
-# other bracket or word is found as ("", "", token).
-_TOKEN_RE = re.compile(r"\(\s*([^\s()]+)\s+([^\s()]+)\s*\)|(\(|\)|[^\s()]+)")
-# A character _TOKEN_RE splits at, which a leaf surface therefore cannot hold.
+# A character parse_tree splits tokens at, which a leaf surface therefore
+# cannot hold: a bracket, or white space as str.isspace() defines it (the
+# same set as the regular expression `\s`).
 LEAF_BREAK_RE = re.compile(r"[\s()]")
+_BRACKETS = frozenset("()")
 
 
 class ParseTree(Record):
     """A tree node.  Preterminals carry a surface string and no children.
 
     A root that parse_tree returns also holds `_leaves`, its preterminals in
-    the order the parser read them, so leaves() and leaf_count() need no
-    walk.  The slot is left unset on every other node, and equality, hash
-    and repr ignore it."""
+    the order the parser read them, so leaves(), leaf_surfaces() and
+    leaf_count() need no walk.  The slot is left unset on every other node,
+    and equality, hash and repr ignore it."""
 
     __slots__ = ("label", "children", "surface", "_leaves")
 
@@ -60,6 +59,13 @@ class ParseTree(Record):
             else:
                 out.append((node.label, node.surface))
         return out
+
+    def leaf_surfaces(self) -> list[str]:
+        """Leaf surfaces in left-to-right order, in a new list."""
+        recorded = getattr(self, "_leaves", None)
+        if recorded is not None:
+            return [leaf.surface for leaf in recorded]
+        return [surface for _, surface in self.leaves()]
 
     def leaf_count(self) -> int:
         """Number of leaves, counted without building a list of them."""
@@ -156,51 +162,90 @@ def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -
     errors.  A label-less outer wrapper around a single tree is unwrapped.
 
     One pass over the tokens with an explicit stack of the open nodes; the
-    first error met in that left-to-right pass is the one raised.  A leaf
-    token is a finished node, so each leaf costs one step of the pass."""
-    tokens = _TOKEN_RE.findall(text)
+    first error met in that left-to-right pass is the one raised.  A token
+    is a bracket or a run of other characters up to white space; a leaf, the
+    four tokens `( POS surface )`, is read as one step of the pass."""
+    # str.split() breaks at exactly the characters the regular expression
+    # `\s` matches, so these are the tokens of `\(|\)|[^\s()]+`.
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise ParseError("empty tree", path=path, line=line)
-    pos, surface, tok = tokens[0]
-    if pos:
+    n = len(tokens)
+    if tokens[0] != "(":
+        raise ParseError("expected '('", path=path, line=line)
+    if n == 1:
+        raise ParseError("unexpected end of tree", path=path, line=line)
+    label = tokens[1]
+    if (
+        n >= 4 and tokens[3] == ")"
+        and label not in _BRACKETS and tokens[2] not in _BRACKETS
+    ):
         # The whole tree is one leaf, (NN a).
-        if pos not in POS_TAG_SET:
-            raise ParseError(f"unknown-pos-label {pos!r}", path=path, line=line)
-        if len(tokens) > 1:
+        if label not in POS_TAG_SET:
+            raise ParseError(f"unknown-pos-label {label!r}", path=path, line=line)
+        if n > 4:
             raise ParseError("trailing material after tree", path=path, line=line)
-        node = ParseTree(pos, (), surface)
+        node = ParseTree(label, (), tokens[2])
         node._leaves = [node]
         return node
-    if tok != "(":
-        raise ParseError("expected '('", path=path, line=line)
-    if len(tokens) == 1:
-        raise ParseError("unexpected end of tree", path=path, line=line)
-    pos, _, label = tokens[1]
-    if pos or label == "(":
+    it = iter(tokens)
+    next(it)
+    if label == "(":
         # Anonymous wrapper: ( (IP ...) ); legal only as the outermost node.
-        label, it = "", iter(tokens[1:])
+        label = ""
     else:
-        it = iter(tokens[2:])
+        next(it)
     leaves: list[ParseTree] = []
     # The open node is (label, children, surface); its ancestors are on `stack`.
     children: list[ParseTree] = []
     surface = None
     stack: list[tuple[str, list[ParseTree], str | None]] = []
-    for pos, leaf_surface, tok in it:
-        if pos:
-            if pos not in POS_TAG_SET:
-                raise ParseError(f"unknown-pos-label {pos!r}", path=path, line=line)
-            node = ParseTree(pos, (), leaf_surface)
-            leaves.append(node)
-        elif tok == "(":
-            following = next(it, None)
-            if following is None:
-                raise ParseError("unexpected end of tree", path=path, line=line)
-            if following[0] or following[2] == "(":
-                raise ParseError("missing constituent label", path=path, line=line)
-            stack.append((label, children, surface))
-            label, children, surface = following[2], [], None
-            continue
+    for tok in it:
+        if tok == "(":
+            # Open nodes until a leaf is read, or a node whose next token
+            # is not an opening bracket.
+            while True:
+                first = next(it, None)
+                if first is None:
+                    raise ParseError("unexpected end of tree", path=path, line=line)
+                if first == "(":
+                    raise ParseError("missing constituent label", path=path, line=line)
+                if first == ")":
+                    node = None
+                    break
+                second = next(it, None)
+                if second == "(":
+                    stack.append((label, children, surface))
+                    label, children, surface = first, [], None
+                    continue
+                if second is None:
+                    raise ParseError("unbalanced parentheses", path=path, line=line)
+                if second == ")":
+                    raise ParseError(f"empty constituent ({first})", path=path, line=line)
+                third = next(it, None)
+                if third == ")":
+                    if first not in POS_TAG_SET:
+                        raise ParseError(
+                            f"unknown-pos-label {first!r}", path=path, line=line
+                        )
+                    node = ParseTree(first, (), second)
+                    leaves.append(node)
+                    break
+                if third is None:
+                    raise ParseError("unbalanced parentheses", path=path, line=line)
+                if third != "(":
+                    raise ParseError(
+                        "a node may hold either a surface or subtrees, not both",
+                        path=path, line=line,
+                    )
+                # (NN a (...: the subtree is read, and refused once it closes.
+                stack.append((label, children, surface))
+                label, children, surface = first, [], second
+            if node is None:
+                # The label ")" opens a node, as in (IP ( ) a)).
+                stack.append((label, children, surface))
+                label, children, surface = ")", [], None
+                continue
         elif tok != ")":
             if surface is not None or children:
                 raise ParseError(
@@ -211,8 +256,8 @@ def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -
             continue
         else:
             if surface is not None:
-                # "(L s)" for a word L is one leaf token, so a node with a
-                # surface closes here only when its label is ")".
+                # "( L s )" for a word L is a leaf, so a node with a surface
+                # closes here only when its label is ")".
                 raise ParseError(f"unknown-pos-label {label!r}", path=path, line=line)
             if not children:
                 raise ParseError(f"empty constituent ({label})", path=path, line=line)

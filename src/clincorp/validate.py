@@ -14,9 +14,10 @@ from .errors import InputError
 from .model import DocAnnotations, Document, Entity
 from .record import Record
 from .tagsets import (
+    SYN_TAG_ALIASES,
+    SYN_TAG_SET,
     VALID_ASSERTIONS,
     assertion_valid,
-    normalize_syn_tag,
     relation_signature,
 )
 
@@ -93,17 +94,18 @@ def validate_chunks(doc: Document) -> list[Diagnostic]:
             else None
         )
         for ci, ch in enumerate(block):
-            loc = f"sentence {si} chunk {ci}"
-            if normalize_syn_tag(ch.label) is None:
+            label = ch.label
+            if SYN_TAG_ALIASES.get(label, label) not in SYN_TAG_SET:
                 out.append(Diagnostic(
-                    "unknown-label", f"chunk label {ch.label!r} is not in the tagset",
-                    "chunk", doc.doc_id, loc,
+                    "unknown-label", f"chunk label {label!r} is not in the tagset",
+                    "chunk", doc.doc_id, f"sentence {si} chunk {ci}",
                 ))
             if n_tokens is not None and ch.last_exclusive > n_tokens:
                 out.append(Diagnostic(
                     "span-out-of-range",
                     f"chunk covers tokens [{ch.first}, {ch.last_exclusive}) but "
-                    f"the sentence has {n_tokens} tokens", "chunk", doc.doc_id, loc,
+                    f"the sentence has {n_tokens} tokens", "chunk", doc.doc_id,
+                    f"sentence {si} chunk {ci}",
                 ))
     return out
 
@@ -112,7 +114,7 @@ def validate_trees(doc: Document) -> list[Diagnostic]:
     """Check that each tree's leaves spell its sentence's tokens."""
     out: list[Diagnostic] = []
     for si, (tree, sent) in enumerate(zip(doc.trees, doc.sentences)):
-        leaf_surfaces = [surface for _, surface in tree.leaves()]
+        leaf_surfaces = tree.leaf_surfaces()
         tok_surfaces = [t.surface for t in sent.tokens]
         if leaf_surfaces != tok_surfaces:
             out.append(Diagnostic(

@@ -22,7 +22,7 @@ from clincorp.annio import (
     serialize_tok,
 )
 from clincorp.errors import InputError, ParseError
-from clincorp.model import DOC_TYPES, Chunk, Sentence, Token
+from clincorp.model import DOC_TYPES, Chunk, Entity, Sentence, Token
 from clincorp.tagsets import AssertionType, EntityType
 from helpers import random_document, write_bundle
 
@@ -119,6 +119,16 @@ def test_parse_ann_structure():
     assert ann.entities["T3"].etype is EntityType.DISEASE
     assert ann.groups["G1"].members == ("T1", "T2")
     assert ann.relations["R1"].arg1 == "G1"
+
+
+def test_parsed_asserted_entity_is_a_plain_value():
+    # parse_ann sets the assertion on the entity it built for the T line.
+    ann = parse_ann(ANN, doc_id="d", text="发热咳嗽\n复查血常规")
+    built = Entity("T3", EntityType.DISEASE, 5, 7, "复查", AssertionType.POSSIBLE)
+    parsed = ann.entities["T3"]
+    assert parsed == built and built == parsed
+    assert hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert parsed != Entity("T3", EntityType.DISEASE, 5, 7, "复查")
 
 
 @pytest.mark.parametrize(

@@ -131,6 +131,22 @@ def test_tree_validation():
     assert "tree-token-mismatch" in rules(validate_trees(doc))
 
 
+def test_tree_validation_walks_a_tree_without_a_leaf_record():
+    # A hand-built tree records no leaves; validate_trees walks it instead.
+    doc = make_doc()
+    doc.trees = [
+        ParseTree("IP", (ParseTree("NN", (), "发热"), ParseTree("NN", (), "咳嗽"))),
+        ParseTree("IP", (
+            ParseTree("VV", (), "复查"), ParseTree("NP", (ParseTree("NN", (), "血液"),)),
+        )),
+    ]
+    assert not hasattr(doc.trees[1], "_leaves")
+    assert [d.render() for d in validate_trees(doc)] == [
+        "d1: tree: tree-token-mismatch [sentence 1]: tree leaves disagree with the "
+        "token layer (2 leaves vs 2 tokens)",
+    ]
+
+
 def test_tree_findings_in_preorder():
     # Leaves are read in preorder, so nesting is no mismatch but the same
     # leaves in another order are; findings follow sentence order.

@@ -135,6 +135,12 @@ def test_parsed_tree_leaf_record_is_invisible():
         leaves[0] = ("NN", "y")
         assert tree.leaves() == [("NN", "a"), ("VV", "b"), ("PU", "c")]
         assert tree.leaf_count() == 3
+        surfaces = tree.leaf_surfaces()
+        assert surfaces == ["a", "b", "c"]
+        surfaces.append("x")
+        surfaces[0] = "y"
+        assert tree.leaf_surfaces() == ["a", "b", "c"]
+        assert tree.leaf_count() == 3
 
 
 @pytest.mark.parametrize("text, bracketed", [
@@ -152,6 +158,7 @@ def test_every_parsed_root_carries_its_leaf_record(text, bracketed):
     recorded = getattr(tree, "_leaves", None)
     assert recorded == [node for node in tree.nodes() if node.is_preterminal]
     assert tree.leaves() == parse_tree(bracketed).leaves()
+    assert tree.leaf_surfaces() == [surface for _, surface in tree.leaves()]
     assert tree.leaf_count() == len(recorded)
 
 
@@ -229,6 +236,20 @@ def test_random_trees_roundtrip():
 # every run of other non-space characters is a token.  A copy, so that a change
 # to parse_tree's own tokenizer cannot change the reference with it.
 _REFERENCE_TOKEN_RE = re.compile(r"\(|\)|[^\s()]+")
+
+# The white space docs/FORMATS.md lists as breaking a leaf surface.
+WHITE_SPACE = "".join(map(chr, (
+    *range(0x09, 0x0E), *range(0x1C, 0x21), 0x85, 0xA0, 0x1680,
+    *range(0x2000, 0x200B), 0x2028, 0x2029, 0x202F, 0x205F, 0x3000,
+)))
+
+
+def test_str_split_breaks_where_the_regex_s_matches():
+    # parse_tree tokenizes with str.split(), the reference with `\s`: the
+    # two agree only while both accept exactly the listed white space.
+    every = "".join(map(chr, range(0x110000)))
+    assert {c for c in every if c.isspace()} == set(WHITE_SPACE)
+    assert set(re.findall(r"\s", every)) == set(WHITE_SPACE)
 
 
 def _parse_tree_before(text, *, path=None, line=None, refuse_subtree_after_surface=False):
@@ -316,8 +337,9 @@ TREES = st.recursive(
 @st.composite
 def bracket_strings(draw):
     """A random token list, or a random tree's tokens after a few random
-    insertions and deletions, joined by random white space (an empty
-    separator glues two words into one)."""
+    insertions and deletions, joined by random white space drawn from every
+    character the format lists (an empty separator glues two words into
+    one)."""
     if draw(st.integers(0, 3)):
         tokens = draw(TREES)
     else:
@@ -331,7 +353,7 @@ def bracket_strings(draw):
         else:
             tokens.insert(i, draw(TOKENS))
     seps = draw(st.lists(
-        st.sampled_from((" ",) * 12 + ("", "\t", "\u3000", " \n ")),
+        st.sampled_from((" ",) * 12 + ("", " \n ") + tuple(WHITE_SPACE)),
         min_size=len(tokens) + 1, max_size=len(tokens) + 1,
     ))
     return "".join(sep + tok for sep, tok in zip(seps, [*tokens, ""]))
@@ -355,6 +377,9 @@ def _outcome(parse, text):
 @example("(NN a) x")
 @example("(QQ a) x")
 @example("(IP ( ) a))")
+@example("(IP (NN")
+@example("(IP (NN a) (")
+@example("(IP\x1c(NN a))")
 def test_parse_tree_matches_recursive_parser(text):
     new = _outcome(parse_tree, text)
     fixed = _outcome(
