@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import re
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterator
 
@@ -387,57 +388,78 @@ def serialize_ann(ann: DocAnnotations) -> str:
 
 # --------------------------------------------------------------- bundles ---
 
+# Bit i of BundlePaths.mask marks LAYER_FILES[i] present.
+_LAYER_BITS = {layer: 1 << i for i, layer in enumerate(LAYER_FILES)}
+
+
 class BundlePaths(Record):
     """Filesystem locations of one document's layer files, each the string
-    str(Path(root) / relative_path) gives."""
+    str(Path(root) / relative_path) gives, or None for an absent layer.
 
-    __slots__ = ("doc_id", "txt", "tok", "ptb", "chk", "ann", "doc_type")
+    A bundle keeps only what the directory walk saw: `prefix`, its
+    directory's path with a trailing slash or empty (one string shared by
+    the directory's bundles), `name`, the .txt entry, and `mask`, with bit i
+    set when LAYER_FILES[i] is present.  The path properties build their
+    string on each access.  Equality and repr use doc_id, the five paths and
+    doc_type."""
+
+    __slots__ = ("doc_id", "prefix", "name", "mask", "doc_type")
+    _fields = ("doc_id", "txt", "tok", "ptb", "chk", "ann", "doc_type")
     __hash__ = None
 
     def __init__(
-        self,
-        doc_id: str,
-        txt: str,
-        tok: str | None = None,
-        ptb: str | None = None,
-        chk: str | None = None,
-        ann: str | None = None,
+        self, doc_id: str, prefix: str, name: str, mask: int = 0,
         doc_type: str | None = None,
     ):
         self.doc_id = doc_id
-        self.txt = txt
-        self.tok = tok
-        self.ptb = ptb
-        self.chk = chk
-        self.ann = ann
+        self.prefix = prefix
+        self.name = name
+        self.mask = mask
         self.doc_type = doc_type
+
+    @property
+    def txt(self) -> str:
+        return self.prefix + self.name
+
+    def _layer(self, layer: str) -> str | None:
+        if not self.mask & _LAYER_BITS[layer]:
+            return None
+        # The sibling's stem is the one corpusdir.bundle_stems gives.
+        return f"{self.prefix}{self.name[:-4] or self.name}.{layer}"
+
+    tok = property(lambda self: self._layer("tok"))
+    ptb = property(lambda self: self._layer("ptb"))
+    chk = property(lambda self: self._layer("chk"))
+    ann = property(lambda self: self._layer("ann"))
 
 
 def discover(root: str | Path) -> dict[str, BundlePaths]:
     """Find document bundles under a directory tree, keyed by doc id in
     ascending order.  Every entry corpusdir.bundle_stems names roots a
-    bundle; sibling files with the same stem fill in the layers.  A parent
+    bundle; sibling entries with the same stem fill in the layers.  A parent
     directory named after a known document type tags the bundle.
 
-    The tree is listed as corpusdir.walk lists it, and a sibling is looked up
-    in its directory's listing; only a symlinked sibling is stat'ed, so a
-    broken link counts as absent."""
-    bundles: dict[str, BundlePaths] = {}
+    The tree is listed as corpusdir.walk lists it, and each directory's
+    layer entries are grouped by stem in one pass over its names; only a
+    symlinked entry is stat'ed, so a broken link counts as absent."""
+    bundles: list[BundlePaths] = []
     for prefix, rel, dir_name, names, links in walk(root):
         doc_type = dir_name if dir_name in DOC_TYPES else None
-        present = set(names)
+        masks: dict[str, int] = {}
+        for name in names:
+            # A name without a dot files under the stem "", which no bundle has.
+            stem, _, ext = name.rpartition(".")
+            bit = _LAYER_BITS.get(ext)
+            if bit and (name not in links or os.path.exists(prefix + name)):
+                masks[stem] = masks.get(stem, 0) | bit
         for name, stem in bundle_stems(names):
-            layer_paths = []
-            for layer in LAYER_FILES:
-                sib = f"{stem}.{layer}"
-                if sib in present and (sib not in links or os.path.exists(prefix + sib)):
-                    layer_paths.append(prefix + sib)
-                else:
-                    layer_paths.append(None)
-            bundles[rel + stem] = BundlePaths(
-                rel + stem, prefix + name, *layer_paths, doc_type=doc_type
+            bundles.append(
+                BundlePaths(rel + stem, prefix, name, masks.get(stem, 0), doc_type)
             )
-    return {doc_id: bundles[doc_id] for doc_id in sorted(bundles)}
+        # Let go of this directory's names before the walk lists the next.
+        del names, masks
+    bundles.sort(key=attrgetter("doc_id"))
+    return {paths.doc_id: paths for paths in bundles}
 
 
 def load_document(

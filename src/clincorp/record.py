@@ -10,14 +10,21 @@ every command; this module imports nothing.
 class Record:
     """Value semantics for a `__slots__` class: equality with a record of the
     same type and equal fields, a hash of the fields and a dataclass-style
-    repr, all taken from `__slots__` in order.  Nothing refuses assignment:
-    treat a hashable record as immutable, as its hash assumes.  A mutable
-    record sets `__hash__ = None`."""
+    repr, all taken from `_fields` in order.  `_fields` is the class's
+    `__slots__` unless the class body names other attributes, such as
+    properties computed from the slots.  Nothing refuses assignment: treat a
+    hashable record as immutable, as its hash assumes.  A mutable record sets
+    `__hash__ = None`."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
     def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -28,5 +35,5 @@ class Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"

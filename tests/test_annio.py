@@ -1,9 +1,13 @@
 """File formats: parsing, canonical serialization, bundle loading."""
 import os
 import random
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clincorp import annio, corpusdir
 from clincorp.annio import (
@@ -383,6 +387,67 @@ def test_discover_makes_no_stat_per_bundle(tmp_path, monkeypatch):
     few, many = count_for(2), count_for(40)
     assert few == many
     assert len(many) <= 1  # the root's is_dir check
+
+
+# A drawn name is up to two pieces with dots, a backslash, "txt" or "TXT",
+# then a suffix: none, a layer's, ".txt" or ".TXT" (which roots no bundle).
+# So few stems are drawn often, and siblings share them.
+_NAMES = st.builds(
+    lambda pieces, suffix: "".join(pieces) + suffix,
+    st.lists(st.sampled_from(("a", "a.b", ".", "..", "\\", "txt", "TXT")), max_size=2),
+    st.sampled_from(("", ".txt", ".TXT", *("." + layer for layer in LAYER_FILES))),
+).filter(lambda name: name not in ("", ".", ".."))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    top=st.sets(_NAMES, max_size=12),
+    dirs=st.sets(_NAMES, max_size=2),
+    sub=st.sets(_NAMES, max_size=6),
+)
+@example(top={".txt", ".txt.txt", ".txt.tok"}, dirs={"a.ptb"}, sub={".txt", "a.txt", ".txt.ann"})
+def test_discover_matches_rglob_walk_on_drawn_names(top, dirs, sub):
+    """Files named `top` and directories named `dirs` at the root (a name
+    in both is a file), and files named `sub` in one document-type
+    directory: discover lists what the rglob walk did."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in top:
+            (root / name).touch()
+        for name in dirs - top:
+            (root / name).mkdir()
+        (root / "progress_note").mkdir()
+        for name in sub:
+            (root / "progress_note" / name).touch()
+        assert _bundle_tuples(discover(root)) == sorted(_rglob_bundles(root))
+
+
+def test_listing_keeps_about_200_bytes_per_bundle(tmp_path):
+    # 2,000 five-file bundles with names of one length, 500 to a directory.
+    # On CPython 3.11 the listing keeps about 220 B per bundle: the
+    # BundlePaths (72 B), its doc id and .txt name strings and its dict
+    # entry; a directory's path is one string its bundles share.  Building
+    # it peaks at about 1.35 times that, one directory's names and stems on
+    # top.  The bounds leave room for the larger dict entries of 3.10.  A
+    # listing of five whole path strings per bundle keeps 700-900 B here,
+    # by the length of the temporary directory's path.
+    n, per_dir = 2000, 500
+    for d in range(n // per_dir):
+        directory = tmp_path / f"dir{d}"
+        directory.mkdir()
+        for i in range(d * per_dir, (d + 1) * per_dir):
+            for suffix in (".txt",) + tuple("." + s for s in LAYER_FILES):
+                (directory / f"doc{i:05d}{suffix}").touch()
+    discover(tmp_path)  # leave lazy imports and caches out of the count
+    tracemalloc.start()
+    try:
+        bundles = discover(tmp_path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(bundles) == n
+    assert retained <= 300 * n, retained / n
+    assert peak <= 2.5 * retained, peak / retained
 
 
 def test_load_document_reads_only_the_named_layers(tmp_path):

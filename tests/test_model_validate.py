@@ -230,7 +230,7 @@ def test_records_compare_by_value(make, args, changed, text):
             "annotations=None, doc_type=None)",
         ),
         (
-            BundlePaths, ("a", "a.txt", "a.tok"),
+            BundlePaths, ("a", "", "a.txt", 0b0001),
             "BundlePaths(doc_id='a', txt='a.txt', tok='a.tok', ptb=None, chk=None, "
             "ann=None, doc_type=None)",
         ),
