@@ -19,9 +19,7 @@ import importlib
 _EXPORTS = {
     "agreement": (
         "AgreementReport", "CorpusAgreement", "Disagreement", "add_counts",
-        "chunk_counts", "corpus_agreement", "diff_report", "entity_counts",
-        "macro_average", "prf", "relation_counts", "score_trees",
-        "token_counts", "tree_counts",
+        "corpus_agreement", "diff_report", "macro_average", "prf",
     ),
     "annio": (
         "BundlePaths", "discover", "iter_documents", "iter_pairs",
@@ -61,10 +59,7 @@ _EXPORTS = {
         "EntityType", "MatchPolicy", "RelationMode", "RelationType",
         "assertion_valid", "normalize_syn_tag", "relation_signature",
     ),
-    "validate": (
-        "Diagnostic", "validate_annotations", "validate_chunks",
-        "validate_document", "validate_tokens", "validate_trees",
-    ),
+    "validate": ("Diagnostic", "validate_document"),
     "workflow": (
         "ConvergencePolicy", "FoldManifest", "RoundState", "SplitMix64",
         "assign_duplicates", "check_convergence", "kfold", "load_state",

@@ -5,24 +5,24 @@ recall is the share of A's annotations that B also produced, precision the
 share of B's that A produced.  Swapping the annotators therefore swaps
 precision with recall and leaves F unchanged.
 
-All layer scorers return raw (agreed, count_a, count_b) triples; `prf` turns
-a triple into an AgreementReport.  When both sides are empty there is
+All layer scorers return raw (agreed, count_a, count_b) triples, each from
+one list of match keys per side and parseval.match_keys; `prf` turns a
+triple into an AgreementReport.  When both sides are empty there is
 nothing to disagree about, so all three measures are 1 and the report is
 flagged vacuous.  `diff_report` lists the disagreements themselves, one
 adjudication item each, on the entity, group and relation layers.
 """
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable
 
 from .errors import InputError, LengthMismatchError
 from .groups import endpoint_key, expand_all, relation_match_key
 from .model import Chunk, DocAnnotations, Document, Entity, Sentence
 from .numfmt import round_half_up
-from .parseval import EvalParams, ParseTree, match_counts, score_corpus
+from .parseval import EvalParams, ParseTree, match_counts, match_keys, score_corpus
 from .record import Record
-from .tagsets import LAYERS, MatchPolicy, RelationMode, normalize_syn_tag
+from .tagsets import LAYERS, SYN_TAG_ALIASES, SYN_TAG_SET, MatchPolicy, RelationMode
 
 
 class AgreementReport(Record):
@@ -79,10 +79,6 @@ def prf(agreed: int, count_a: int, count_b: int, beta: float = 1.0) -> Agreement
 Counts = tuple[int, int, int]
 
 
-def _match(ca: Counter, cb: Counter) -> Counts:
-    return sum((ca & cb).values()), sum(ca.values()), sum(cb.values())
-
-
 def add_counts(*counts: Counts) -> Counts:
     agreed = sum(c[0] for c in counts)
     count_a = sum(c[1] for c in counts)
@@ -98,15 +94,13 @@ def token_counts(
     """Segmentation agreement over absolute character spans; with labeled=True
     a token must also carry the same part-of-speech to count."""
 
-    def spans(sents: list[Sentence]) -> Counter:
-        c: Counter = Counter()
-        for sent in sents:
-            for tok in sent.tokens:
-                s, e = sent.abs_span(tok)
-                c[(s, e, tok.pos) if labeled else (s, e)] += 1
-        return c
+    def keys(sents: list[Sentence]) -> list:
+        return [
+            (s + t.start, s + t.end, t.pos) if labeled else (s + t.start, s + t.end)
+            for sent in sents for s in (sent.start,) for t in sent.tokens
+        ]
 
-    return _match(spans(sents_a), spans(sents_b))
+    return match_keys(keys(sents_a), keys(sents_b))
 
 
 def chunk_counts(
@@ -119,16 +113,16 @@ def chunk_counts(
             f"chunk layers have {len(blocks_a)} vs {len(blocks_b)} sentences"
         )
 
-    def keys(block: list[Chunk]) -> Counter:
-        return Counter(
-            (c.first, c.last_exclusive, normalize_syn_tag(c.label) or c.label)
-            for c in block
-        )
+    def keys(blocks: list[list[Chunk]]) -> list:
+        # (sentence, first, last, label), the label as normalize_syn_tag
+        # gives it, or as written when it is unknown.
+        return [
+            (i, c.first, c.last_exclusive, label if label in SYN_TAG_SET else c.label)
+            for i, block in enumerate(blocks) for c in block
+            for label in (SYN_TAG_ALIASES.get(c.label, c.label),)
+        ]
 
-    total: Counts = (0, 0, 0)
-    for ba, bb in zip(blocks_a, blocks_b):
-        total = add_counts(total, _match(keys(ba), keys(bb)))
-    return total
+    return match_keys(keys(blocks_a), keys(blocks_b))
 
 
 def tree_counts(
@@ -158,22 +152,17 @@ def entity_counts(
     ann_b: DocAnnotations,
     policy: MatchPolicy = MatchPolicy.SPAN_TYPE,
 ) -> Counts:
-    def keys(ann: DocAnnotations) -> Counter:
-        c: Counter = Counter()
-        for e in ann.entities.values():
-            if policy is MatchPolicy.SPAN:
-                key: tuple = (e.start, e.end)
-            elif policy is MatchPolicy.SPAN_TYPE:
-                key = (e.start, e.end, e.etype.value)
-            else:
-                key = (
-                    e.start, e.end, e.etype.value,
-                    e.assertion.value if e.assertion else None,
-                )
-            c[key] += 1
-        return c
+    def keys(ann: DocAnnotations) -> list:
+        # The type and assertion members stand for their values: each value
+        # names one member.
+        entities = ann.entities.values()
+        if policy is MatchPolicy.SPAN:
+            return [(e.start, e.end) for e in entities]
+        if policy is MatchPolicy.SPAN_TYPE:
+            return [(e.start, e.end, e.etype) for e in entities]
+        return [(e.start, e.end, e.etype, e.assertion) for e in entities]
 
-    return _match(keys(ann_a), keys(ann_b))
+    return match_keys(keys(ann_a), keys(ann_b))
 
 
 def relation_counts(
@@ -182,12 +171,12 @@ def relation_counts(
     mode: RelationMode = RelationMode.ONE_TO_ONE,
 ) -> Counts:
     if mode is RelationMode.GROUP_PRESERVED:
-        ka = Counter(relation_match_key(ann_a, r) for r in ann_a.relations.values())
-        kb = Counter(relation_match_key(ann_b, r) for r in ann_b.relations.values())
+        ka = [relation_match_key(ann_a, r) for r in ann_a.relations.values()]
+        kb = [relation_match_key(ann_b, r) for r in ann_b.relations.values()]
     else:
-        ka = Counter(p.key for p in expand_all(ann_a))
-        kb = Counter(p.key for p in expand_all(ann_b))
-    return _match(ka, kb)
+        ka = [p.key for p in expand_all(ann_a)]
+        kb = [p.key for p in expand_all(ann_b)]
+    return match_keys(ka, kb)
 
 
 # ------------------------------------------------------------ aggregation ---

@@ -204,6 +204,11 @@ def _listing(directory: str) -> dict[str, BundlePaths]:
     return bundles
 
 
+def _has_layer(ext: str, *listings: dict[str, BundlePaths]) -> bool:
+    """Whether any bundle of the listings has the .`ext` layer file."""
+    return any(getattr(bp, ext) for bundles in listings for bp in bundles.values())
+
+
 def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
     # One document at a time, keeping only the rendered findings; stdout is
     # written only once the whole corpus has been read.
@@ -250,9 +255,7 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     report = corpus.report(beta)
     # Empty layer files agree vacuously; absent ones are no evidence at all.
     (ext,) = layers
-    if report.vacuous and not any(
-        getattr(bp, ext) for bundles in (bundles_a, bundles_b) for bp in bundles.values()
-    ):
+    if report.vacuous and not _has_layer(ext, bundles_a, bundles_b):
         raise InputError(f"no .{ext} file under {args.dir_a} or {args.dir_b}")
     out = _json_object(report.to_dict(rounded=False), fmt_metric)
     if args.details:
@@ -312,7 +315,11 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
         bundles = {k: bp for k, bp in bundles.items() if bp.doc_type == args.doc_type}
         if not bundles:
             raise InputError(f"no {args.doc_type} bundles under {args.directory}")
-    docs = annio.iter_documents(bundles, _LAYER_FILES[args.report])
+    layers = _LAYER_FILES[args.report]
+    (ext,) = layers
+    if not _has_layer(ext, bundles):
+        raise InputError(f"no .{ext} file under {args.directory}")
+    docs = annio.iter_documents(bundles, layers)
 
     if args.report == "length":
         tokens, sentences = stats.token_and_sentence_counts(docs)

@@ -4,7 +4,9 @@ A tree file holds one parenthesized tree per line, leaves written as
 ``(POS surface)``.  Agreement between two parses of the same sentence is
 computed over the multisets of internal brackets ``(label, first,
 last_exclusive)`` in token-index space; preterminals never count as brackets
-(part-of-speech agreement is the token layer's job).
+(part-of-speech agreement is the token layer's job).  `match_keys` counts
+the agreement of two such key lists, here and on every layer `agreement`
+scores.
 """
 from __future__ import annotations
 
@@ -320,15 +322,16 @@ def brackets(tree: ParseTree, params: EvalParams = EvalParams()) -> Counter:
     the non-punctuation tokens.  Zero-width constituents (all punctuation)
     vanish along with their leaves.
     """
-    return _brackets(tree, params)[0]
+    return Counter(_brackets(tree, params)[0])
 
 
-def _brackets(tree: ParseTree, params: EvalParams) -> tuple[Counter, int]:
-    """brackets(tree, params) and the number of leaves left after filtering,
-    from one walk without recursion.  `stack` holds the open nodes, each
-    with an iterator over its remaining children and its first leaf index;
-    a node spans from that index to the leaf count when it closes."""
-    out: Counter = Counter()
+def _brackets(tree: ParseTree, params: EvalParams) -> tuple[list[Bracket], int]:
+    """The brackets of brackets(tree, params), as a list in the order their
+    nodes close, and the number of leaves left after filtering, from one
+    walk without recursion.  `stack` holds the open nodes, each with an
+    iterator over its remaining children and its first leaf index; a node
+    spans from that index to the leaf count when it closes."""
+    out: list[Bracket] = []
     labeled, include_root = params.labeled, params.include_root
     skip = PUNCT_POS if params.ignore_punct else None
     if tree.surface is not None:
@@ -346,8 +349,20 @@ def _brackets(tree: ParseTree, params: EvalParams) -> tuple[Counter, int]:
         else:
             stack.pop()
             if pos > start and (include_root or stack):
-                out[(node.label, start, pos) if labeled else (start, pos)] += 1
+                out.append((node.label, start, pos) if labeled else (start, pos))
     return out, pos
+
+
+def match_keys(keys_a: list, keys_b: list) -> tuple[int, int, int]:
+    """(agreed, len(keys_a), len(keys_b)) for two lists of hashable match
+    keys, where agreed is the size of their multiset intersection: for each
+    key, the smaller of its two counts.  When neither list repeats a key,
+    that is the size of the set intersection."""
+    set_a, set_b = set(keys_a), set(keys_b)
+    count_a, count_b = len(keys_a), len(keys_b)
+    if len(set_a) == count_a and len(set_b) == count_b:
+        return len(set_a & set_b), count_a, count_b
+    return sum((Counter(keys_a) & Counter(keys_b)).values()), count_a, count_b
 
 
 def match_counts(
@@ -364,8 +379,7 @@ def match_counts(
         raise LengthMismatchError(
             f"trees have {na} vs {nb} scorable leaves and cannot be compared"
         )
-    agreed = sum((ba & bb).values())
-    return agreed, sum(ba.values()), sum(bb.values())
+    return match_keys(ba, bb)
 
 
 class TreeScore(Record):

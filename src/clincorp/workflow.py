@@ -155,11 +155,20 @@ def load_state(path: str | Path) -> RoundState:
 
 def save_state(state: RoundState, path: str | Path) -> None:
     """Write the state next to `path` and rename it over `path`, so a failed
-    write leaves the old file whole.  No fsync: this guards against a crash
-    of the process, not of the machine."""
-    tmp = f"{path}.tmp"
-    Path(tmp).write_text(state.to_json(), encoding="utf-8")
-    os.replace(tmp, path)
+    write leaves the old file whole.  The temporary file's name holds the
+    process id, so two writers never rename each other's half-written file,
+    and it is removed when the write or the rename fails.  No fsync: this
+    guards against a crash of the process, not of the machine."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        Path(tmp).write_text(state.to_json(), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def sample_round(

@@ -152,6 +152,71 @@ def test_entity_policies_grow_stricter():
     assert entity_counts(a, b_type, MatchPolicy.SPAN_TYPE_ASSERTION) == (0, 1, 1)
 
 
+def both_orders(count, a, b, *args):
+    """count(a, b, *args), checked against count(b, a, *args): swapping the
+    sides swaps count_a with count_b and keeps agreed."""
+    agreed, count_a, count_b = count(a, b, *args)
+    assert count(b, a, *args) == (agreed, count_b, count_a)
+    return agreed, count_a, count_b
+
+
+def test_repeated_tree_brackets_agree_by_multiplicity():
+    # The unary chain has two NP brackets over one span.
+    chain = [parse_tree("(IP (NP (NP (NN a))))")]
+    single = [parse_tree("(IP (NP (NN a)))")]
+    assert both_orders(lambda a, b: tree_counts(a, b)[0], chain, single) == (2, 3, 2)
+    assert both_orders(lambda a, b: tree_counts(a, b)[0], chain, chain) == (3, 3, 3)
+    report = score_trees(chain[0], single[0])
+    assert (report.agreed, report.count_a, report.count_b) == (2, 3, 2)
+
+
+def test_repeated_entity_keys_agree_by_multiplicity():
+    twice = DocAnnotations("d", "", entities={
+        "T1": entity("T1", EntityType.DISEASE, 0, 2, AssertionType.PRESENT),
+        "T2": entity("T2", EntityType.DISEASE, 0, 2, AssertionType.PRESENT),
+    })
+    once = DocAnnotations("d", "", entities={
+        "T1": entity("T1", EntityType.DISEASE, 0, 2, AssertionType.PRESENT),
+    })
+    other_assertion = DocAnnotations("d", "", entities={
+        "T1": entity("T1", EntityType.DISEASE, 0, 2, AssertionType.ABSENT),
+    })
+    for policy in MatchPolicy:
+        assert both_orders(entity_counts, twice, once, policy) == (1, 2, 1)
+        assert both_orders(entity_counts, twice, twice, policy) == (2, 2, 2)
+    assert both_orders(
+        entity_counts, twice, other_assertion, MatchPolicy.SPAN_TYPE_ASSERTION
+    ) == (0, 2, 1)
+    assert both_orders(entity_counts, twice, other_assertion, MatchPolicy.SPAN_TYPE) == (1, 2, 1)
+    # No assertion is a value of its own.
+    unasserted = DocAnnotations("d", "", entities={
+        "T1": entity("T1", EntityType.DISEASE, 0, 2),
+        "T2": entity("T2", EntityType.DISEASE, 0, 2),
+    })
+    assert both_orders(
+        entity_counts, unasserted, once, MatchPolicy.SPAN_TYPE_ASSERTION
+    ) == (0, 2, 1)
+    assert both_orders(
+        entity_counts, unasserted, unasserted, MatchPolicy.SPAN_TYPE_ASSERTION
+    ) == (2, 2, 2)
+
+
+def test_chunk_labels_that_normalize_alike_repeat_a_key():
+    # VS is an alias of VSB, so the first sentence holds one key twice.
+    aliased = [[Chunk(0, 1, "VS"), Chunk(0, 1, "VSB")], [Chunk(0, 1, "NP")]]
+    canonical = [[Chunk(0, 1, "VSB")], [Chunk(0, 1, "NP")]]
+    assert both_orders(chunk_counts, aliased, canonical) == (2, 3, 2)
+    assert both_orders(chunk_counts, aliased, aliased) == (3, 3, 3)
+
+
+def test_repeated_group_preserved_relations_agree_by_multiplicity():
+    a, b = dual_mode_fixture()
+    a.relations["R2"] = a.relations["R1"]
+    b.groups["G1"] = a.groups["G1"]
+    b.relations["R1"] = a.relations["R1"]
+    assert both_orders(relation_counts, a, b, RelationMode.GROUP_PRESERVED) == (1, 2, 1)
+
+
 def dual_mode_fixture():
     """One annotator groups two symptoms, the other relates only one."""
     text = "甲乙丙丁"

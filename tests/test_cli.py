@@ -339,6 +339,25 @@ def test_stats_doc_type_filter(tmp_path, capsys):
     assert main(["stats", "--report", "length", "--doc-type", "letter", str(root)]) == 2
 
 
+@pytest.mark.parametrize("report, ext", [
+    ("pos", "tok"), ("syn", "ptb"), ("length", "tok"), ("entity", "ann"),
+    ("relation", "ann"),
+])
+def test_stats_refuses_a_report_without_its_layer_file(tmp_path, capsys, report, ext):
+    # Only .txt files, then the report's layer file only under the type that
+    # --doc-type does not select: no selected bundle has the file to read.
+    root = tmp_path / "corpus"
+    for subdir in ("discharge_summary", "progress_note"):
+        (root / subdir).mkdir(parents=True)
+        (root / subdir / "d.txt").write_text("发热", encoding="utf-8")
+    for argv in ([], ["--doc-type", "discharge_summary"]):
+        assert main(["stats", "--report", report, *argv, str(root)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no .{ext} file under {root}\n"
+        (root / "progress_note" / f"d.{ext}").write_text("", encoding="utf-8")
+
+
 def test_kfold_manifest(tmp_path, capsys):
     root = make_corpus(tmp_path, "a", seed=10, n_docs=7)
     assert main(["kfold", "--k", "3", "--seed", "42", str(root)]) == 0
@@ -851,6 +870,20 @@ def test_record_iaa_rejects_non_finite_value(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == f"error: --value must be a finite number, got {float(value)!r}\n"
         assert state.read_bytes() == before
+
+
+def test_record_iaa_ignores_a_directory_at_the_shared_temp_name(tmp_path, capsys):
+    # The state is written to a temporary name that holds the process id, so
+    # what sits at <path>.tmp, such as another writer's file, is never used.
+    state = tmp_path / "state.json"
+    assert main(["round", "new", "--state", str(state), "--pool", "d1"]) == 0
+    (tmp_path / "state.json.tmp").mkdir()
+    capsys.readouterr()
+    argv = ["round", "record-iaa", "--state", str(state), "--task", "seg", "--value", "0.5"]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(state.read_text(encoding="utf-8"))["iaa_history"] == {"seg": [0.5]}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.tmp"]
 
 
 def test_round_rejects_mistyped_state_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tree parsing and labeled-bracketing agreement."""
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from clincorp.parseval import (
     brackets,
     filtered_leaf_count,
     match_counts,
+    match_keys,
     parse_tree,
     score_corpus,
 )
@@ -213,6 +215,33 @@ def test_duplicate_brackets_match_by_multiplicity():
     b = parse_tree("(NP (NP (NP (NN a) (NN b))))")
     agreed, ca, cb = match_counts(a, b)
     assert (agreed, ca, cb) == (2, 2, 3)
+
+
+def _greedy_intersection(keys_a: list, keys_b: list) -> int:
+    """Multiset intersection size by removing each matched key from a copy."""
+    remaining = list(keys_b)
+    agreed = 0
+    for key in keys_a:
+        if key in remaining:
+            remaining.remove(key)
+            agreed += 1
+    return agreed
+
+
+# Keys from a small alphabet, so that drawn lists overlap and repeat keys;
+# unique=True draws lists that repeat none, for the set-intersection path.
+_KEYS = st.one_of(st.integers(0, 5), st.tuples(st.sampled_from("ab"), st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.booleans(), st.booleans())
+def test_match_keys_is_the_multiset_intersection(data, unique_a, unique_b):
+    keys_a = data.draw(st.lists(_KEYS, max_size=12, unique=unique_a))
+    keys_b = data.draw(st.lists(_KEYS, max_size=12, unique=unique_b))
+    expected = sum((Counter(keys_a) & Counter(keys_b)).values())
+    assert match_keys(keys_a, keys_b) == (expected, len(keys_a), len(keys_b))
+    assert expected == _greedy_intersection(keys_a, keys_b)
+    assert match_keys(keys_b, keys_a) == (expected, len(keys_b), len(keys_a))
 
 
 def test_length_mismatch_reported_and_excluded():

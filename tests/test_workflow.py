@@ -1,6 +1,7 @@
 """Deterministic RNG, sampling rounds, convergence, folds, and diffs."""
 import json
 import math
+import os
 import random
 from pathlib import Path
 
@@ -256,10 +257,30 @@ def test_save_state_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         save_state(RoundState(round_index=2, pool=["d2"]), path)
     monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
     assert path.read_bytes() == before
     assert load_state(path) == old
     save_state(RoundState(round_index=2, pool=["d2"]), path)
     assert load_state(path) == RoundState(round_index=2, pool=["d2"])
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
+def test_save_state_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    path = tmp_path / "state.json"
+    save_state(RoundState(pool=["d1"]), path)
+    before = path.read_bytes()
+    renamed = []
+
+    def fail_replace(src, dst):
+        renamed.append(Path(src).name)
+        raise OSError(18, "Invalid cross-device link")
+
+    monkeypatch.setattr(os, "replace", fail_replace)
+    with pytest.raises(OSError):
+        save_state(RoundState(round_index=2, pool=[]), path)
+    monkeypatch.undo()
+    assert renamed == [f"state.json.{os.getpid()}.tmp"]
+    assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
 
