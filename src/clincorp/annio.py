@@ -30,6 +30,7 @@ from .errors import (
     InputError,
     ParseError,
     ResolutionError,
+    is_comment_line,
     numbered_lines,
     read_text_file,
 )
@@ -73,15 +74,11 @@ HEADERS = {
 # The first characters a comment or blank line can start with: '#', each
 # character str.strip() removes, and "" for an empty line.  Any other first
 # character makes a data line, so one set lookup settles most lines and only
-# the rest are tested with _is_comment and str.strip().
+# the rest are tested with is_comment_line and str.strip().
 _MAY_SKIP = frozenset([
     "", "#", *"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
     "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000",
 ])
-
-
-def _is_comment(line: str) -> bool:
-    return line.lstrip().startswith("#")
 
 
 # ---------------------------------------------------------------- tokens ---
@@ -96,7 +93,7 @@ def parse_tok(content: str, *, path: str | None = None) -> list[Sentence]:
     sent_start = prev_end = 0
     for lineno, line in numbered_lines(content):
         if line[:1] in _MAY_SKIP:
-            if _is_comment(line):
+            if is_comment_line(line):
                 continue
             if not line.strip():
                 if block:
@@ -164,7 +161,7 @@ def parse_ptb(content: str, *, path: str | None = None) -> list[ParseTree]:
 
     trees: list[ParseTree] = []
     for lineno, line in numbered_lines(content):
-        if line[:1] in _MAY_SKIP and (_is_comment(line) or not line.strip()):
+        if line[:1] in _MAY_SKIP and (is_comment_line(line) or not line.strip()):
             continue
         trees.append(parse_tree(line, path=path, line=lineno))
     return trees
@@ -193,7 +190,7 @@ def parse_chk(content: str, *, path: str | None = None) -> list[list[Chunk]]:
     block: list[Chunk] = []
     for lineno, line in numbered_lines(content):
         if line[:1] in _MAY_SKIP:
-            if _is_comment(line):
+            if is_comment_line(line):
                 continue
             if not line.strip():
                 blocks.append(block)
@@ -247,7 +244,7 @@ def parse_ann(
     assertions: list[tuple[int, str, AssertionType, str]] = []  # (line, aid, type, target)
     ref_lines: dict[str, int] = {}  # group/relation id -> source line
     for lineno, line in numbered_lines(content):
-        if line[:1] in _MAY_SKIP and (_is_comment(line) or not line.strip()):
+        if line[:1] in _MAY_SKIP and (is_comment_line(line) or not line.strip()):
             continue
         kind = line[0]
         if kind == "T":

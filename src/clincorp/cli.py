@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ClincorpError, InputError, ParseError, read_text_file
-from .numfmt import fmt_metric, fmt_percent, is_finite_number
+from .numfmt import fmt_metric, fmt_percent, in_unit_interval, is_finite_number
 
 if TYPE_CHECKING:
     from .agreement import CorpusAgreement
@@ -96,11 +96,7 @@ def _one_of(choices) -> tuple:
              lambda v: isinstance(v, str) and v in choices),)
 
 
-def _in_unit(v) -> bool:
-    return 0 <= v <= 1
-
-
-_UNIT = (("be a finite number", is_finite_number), ("be in [0, 1]", _in_unit))
+_UNIT = (("be a finite number", is_finite_number), ("be in [0, 1]", in_unit_interval))
 _COUNT = (("be an integer >= 1", lambda v: type(v) is int and v >= 1),)
 _SWITCH = (("be true or false", lambda v: type(v) is bool),)
 
@@ -376,6 +372,17 @@ def _cmd_seg_advise(args: argparse.Namespace, config: dict) -> int:
 # ------------------------------------------------------------------ round ---
 
 def _cmd_round(args: argparse.Namespace, config: dict) -> int:
+    if args.action in ("sample", "record-iaa"):
+        from . import workflow
+
+        # These load, change and save the state: the lock keeps a second
+        # writer from loading it in between, which would lose one update.
+        with workflow.lock_state(args.state):
+            return _round(args, config)
+    return _round(args, config)
+
+
+def _round(args: argparse.Namespace, config: dict) -> int:
     from . import workflow
 
     if args.action == "new":
@@ -389,11 +396,9 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
                 raise _no_bundles(args.pool_from)
         else:
             pool = list(args.pool or [])
-            seen: set[str] = set()
-            for doc_id in pool:
-                if doc_id in seen:
-                    raise InputError(f"--pool repeats document id {doc_id!r}")
-                seen.add(doc_id)
+            repeat = workflow.first_repeat(pool)
+            if repeat is not None:
+                raise InputError(f"--pool repeats document id {repeat!r}")
         if not pool:
             raise InputError("round new needs --pool-from or --pool")
         state = workflow.RoundState(round_index=1, pool=pool)
@@ -448,7 +453,7 @@ def _cmd_round(args: argparse.Namespace, config: dict) -> int:
     for task, tau in tau_map.items():
         _check("config key 'tau'", tau, (
             (f"map {task!r} to a finite number", is_finite_number),
-            (f"map {task!r} to a number in [0, 1]", _in_unit),
+            (f"map {task!r} to a number in [0, 1]", in_unit_interval),
         ))
     policy = workflow.ConvergencePolicy(
         window=window,

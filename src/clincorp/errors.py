@@ -1,6 +1,6 @@
 """Exception hierarchy shared across the toolkit, the one reader of text
 files, which turns undecodable bytes into a located ParseError, and the one
-line splitter every line-oriented parser numbers its lines with."""
+line splitter and comment test every line-oriented parser uses."""
 from __future__ import annotations
 
 import os
@@ -91,3 +91,8 @@ def numbered_lines(content: str) -> Iterator[tuple[int, str]]:
     if "\r" in content:  # most files are LF-only and skip this pass
         lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     return enumerate(lines, start=1)
+
+
+def is_comment_line(line: str) -> bool:
+    """A comment line: '#' after any leading white space."""
+    return line.lstrip().startswith("#")

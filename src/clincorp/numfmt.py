@@ -2,9 +2,9 @@
 
 All published figures round half away from zero (so 18.575 prints as 18.58),
 which differs from Python's built-in banker's rounding.  Metrics show three
-decimals, percentages two.  The finite-number test that command-line values,
-config values and state files share lives here too, since every command
-loads this module anyway.
+decimals, percentages two.  The finite-number and unit-interval tests that
+command-line values, config values and state files share live here too,
+since every command loads this module anyway.
 """
 from __future__ import annotations
 
@@ -48,6 +48,12 @@ def is_finite_number(x) -> bool:
         return math.isfinite(x)
     except OverflowError:  # an int beyond the float range
         return False
+
+
+def in_unit_interval(x) -> bool:
+    """Whether the number `x` lies in [0, 1], the range of a share or an
+    agreement value.  NaN does not."""
+    return 0 <= x <= 1
 
 
 def fmt_metric(value: float) -> str:

@@ -31,8 +31,9 @@ class ParseTree(Record):
 
     A root that parse_tree returns also holds `_leaves`, its preterminals in
     the order the parser read them, so leaves(), leaf_surfaces() and
-    leaf_count() need no walk.  The slot is left unset on every other node,
-    and equality, hash and repr ignore it."""
+    leaf_count() need no walk; on any other node the first of them fills the
+    slot.  Equality, hash and repr ignore it, and like the hash it assumes
+    the tree is not changed once built."""
 
     __slots__ = ("label", "children", "surface", "_leaves")
 
@@ -47,42 +48,36 @@ class ParseTree(Record):
     def is_preterminal(self) -> bool:
         return self.surface is not None
 
-    def leaves(self) -> list[tuple[str, str]]:
-        """(pos, surface) pairs in left-to-right order, in a new list."""
-        recorded = getattr(self, "_leaves", None)
-        if recorded is not None:
-            return [(leaf.label, leaf.surface) for leaf in recorded]
-        out: list[tuple[str, str]] = []
+    def _leaf_nodes(self) -> list["ParseTree"]:
+        """The preterminals in left-to-right order, as parse_tree recorded
+        them; a tree built by hand is walked once and the list kept in the
+        same slot.  The list is shared: the public accessors return copies."""
+        try:
+            return self._leaves
+        except AttributeError:
+            pass
+        leaves: list[ParseTree] = []
         stack = [self]
         while stack:
             node = stack.pop()
             if node.surface is None:
                 stack.extend(reversed(node.children))
             else:
-                out.append((node.label, node.surface))
-        return out
+                leaves.append(node)
+        self._leaves = leaves
+        return leaves
+
+    def leaves(self) -> list[tuple[str, str]]:
+        """(pos, surface) pairs in left-to-right order, in a new list."""
+        return [(leaf.label, leaf.surface) for leaf in self._leaf_nodes()]
 
     def leaf_surfaces(self) -> list[str]:
         """Leaf surfaces in left-to-right order, in a new list."""
-        recorded = getattr(self, "_leaves", None)
-        if recorded is not None:
-            return [leaf.surface for leaf in recorded]
-        return [surface for _, surface in self.leaves()]
+        return [leaf.surface for leaf in self._leaf_nodes()]
 
     def leaf_count(self) -> int:
-        """Number of leaves, counted without building a list of them."""
-        recorded = getattr(self, "_leaves", None)
-        if recorded is not None:
-            return len(recorded)
-        n = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.surface is None:
-                stack.extend(node.children)
-            else:
-                n += 1
-        return n
+        """Number of leaves."""
+        return len(self._leaf_nodes())
 
     def nodes(self) -> list["ParseTree"]:
         """All nodes, preorder."""
@@ -307,11 +302,6 @@ class EvalParams(Record):
 
 
 Bracket = tuple  # (label, first, last_exclusive) or (first, last_exclusive)
-
-
-def filtered_leaf_count(tree: ParseTree, params: EvalParams) -> int:
-    """Number of leaves left after punctuation filtering."""
-    return _brackets(tree, params)[1]
 
 
 def brackets(tree: ParseTree, params: EvalParams = EvalParams()) -> Counter:

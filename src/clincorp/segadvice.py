@@ -13,7 +13,7 @@ Rules, checked in order:
 """
 from __future__ import annotations
 
-from .errors import LexiconError, ParseError, numbered_lines
+from .errors import LexiconError, ParseError, is_comment_line, numbered_lines
 from .record import Record
 
 MAX_EXPANSION_DEPTH = 3
@@ -152,7 +152,7 @@ def load_lexicon(content: str, *, path: str | None = None) -> dict[str, TermEntr
     """
     lexicon: dict[str, TermEntry] = {}
     for lineno, line in numbered_lines(content):
-        if not line.strip() or line.lstrip().startswith("#"):
+        if not line.strip() or is_comment_line(line):
             continue
         fields = line.split("\t")
         if len(fields) != 7:

@@ -10,6 +10,8 @@ the layer parsers' to refuse: a document read from files has passed them.
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 from .errors import InputError
 from .model import DocAnnotations, Document, Entity
 from .record import Record
@@ -126,7 +128,7 @@ def validate_trees(doc: Document) -> list[Diagnostic]:
     return out
 
 
-def _entity_sentence(e: Entity, spans: list[tuple[int, int]]) -> int | None:
+def _entity_sentence(e: Entity, spans: Sequence[tuple[int, int]]) -> int | None:
     for i, (s0, s1) in enumerate(spans):
         if s0 <= e.start and e.end <= s1:
             return i
@@ -135,10 +137,12 @@ def _entity_sentence(e: Entity, spans: list[tuple[int, int]]) -> int | None:
 
 def validate_annotations(
     ann: DocAnnotations,
-    sentence_spans: list[tuple[int, int]] | None = None,
+    sentence_spans: Sequence[tuple[int, int]] = (),
 ) -> list[Diagnostic]:
-    """Check the entity layer.  Sentence containment rules only run when the
-    caller supplies sentence spans; this validator never re-splits text."""
+    """Check the entity layer.  The sentence containment rules use the
+    caller's sentence spans, as (start, end) character offsets; an entity in
+    none of them belongs to no sentence, so with no spans they find nothing.
+    This validator never re-splits text."""
     out: list[Diagnostic] = []
     text = ann.text
     doc = ann.doc_id
@@ -202,9 +206,8 @@ def validate_annotations(
                     f"member {m} is {ent.etype.value} but the group is "
                     f"{g.etype.value}", "group", doc, g.gid,
                 ))
-            if sentence_spans is not None:
-                member_sents.add(_entity_sentence(ent, sentence_spans))
-        if sentence_spans is not None and len(member_sents) > 1:
+            member_sents.add(_entity_sentence(ent, sentence_spans))
+        if len(member_sents) > 1:
             out.append(Diagnostic(
                 "cross-sentence-group",
                 "group members span more than one sentence", "group", doc, g.gid,
@@ -247,14 +250,12 @@ def validate_annotations(
                 f"{r.rtype.value} requires ({want[0].value}, {want[1].value}) "
                 f"but arguments are ({got})", "relation", doc, r.rid,
             ))
-        if sentence_spans is not None and arg_entities:
-            sents = {_entity_sentence(e, sentence_spans) for e in arg_entities}
-            if len(sents) > 1:
-                out.append(Diagnostic(
-                    "cross-sentence-relation",
-                    "relation arguments span more than one sentence",
-                    "relation", doc, r.rid,
-                ))
+        if len({_entity_sentence(e, sentence_spans) for e in arg_entities}) > 1:
+            out.append(Diagnostic(
+                "cross-sentence-relation",
+                "relation arguments span more than one sentence",
+                "relation", doc, r.rid,
+            ))
         rkey = (r.rtype.value, r.arg1, r.arg2)
         if rkey in seen_relations:
             out.append(Diagnostic(
@@ -282,7 +283,6 @@ def validate_document(doc: Document) -> list[Diagnostic]:
                 f"annotations for document {doc.annotations.doc_id!r} cannot "
                 f"be validated against document {doc.doc_id!r}"
             )
-        spans = doc.sentence_spans() if doc.sentences else None
-        out.extend(validate_annotations(doc.annotations, spans))
+        out.extend(validate_annotations(doc.annotations, doc.sentence_spans()))
     return out
 

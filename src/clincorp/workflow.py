@@ -17,10 +17,16 @@ import json
 import math
 import os
 from pathlib import Path
+from typing import BinaryIO
 
 from .errors import InputError, ParseError, read_text_file
-from .numfmt import is_finite_number
+from .numfmt import in_unit_interval, is_finite_number
 from .record import Record
+
+try:
+    import fcntl
+except ImportError:  # Windows: state files are not locked (docs/FORMATS.md)
+    fcntl = None
 
 GROUP_A = "AG1"
 GROUP_B = "AG2"
@@ -104,14 +110,13 @@ class RoundState(Record):
             raise ParseError("round_index must be an integer >= 1", path=path)
         if not _is_list_of(data["pool"], _is_str):
             raise ParseError("pool must be a list of strings", path=path)
-        seen: set[str] = set()
-        for doc_id in data["pool"]:
-            if doc_id in seen:
-                raise ParseError(f"pool repeats document id {doc_id!r}", path=path)
-            seen.add(doc_id)
+        repeat = first_repeat(data["pool"])
+        if repeat is not None:
+            raise ParseError(f"pool repeats document id {repeat!r}", path=path)
         for key, what, item_ok in (
             ("assignments", "lists of strings", _is_str),
-            ("iaa_history", "lists of finite numbers in [0, 1]", _is_unit),
+            ("iaa_history", "lists of finite numbers in [0, 1]",
+             lambda x: is_finite_number(x) and in_unit_interval(x)),
         ):
             if not isinstance(data[key], dict) or not all(
                 _is_list_of(v, item_ok) for v in data[key].values()
@@ -144,9 +149,39 @@ def _is_str(x) -> bool:
     return isinstance(x, str)
 
 
-def _is_unit(x) -> bool:
-    """A finite JSON number in [0, 1], the range of an agreement value."""
-    return is_finite_number(x) and 0 <= x <= 1
+def first_repeat(ids: list[str]) -> str | None:
+    """The first id in `ids` equal to an earlier one, or None."""
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for doc_id in ids:
+            if doc_id in seen:
+                return doc_id
+            seen.add(doc_id)
+    return None
+
+
+def lock_state(path: str | Path) -> BinaryIO:
+    """Open the state file at `path` and hold an exclusive advisory lock on
+    it until the returned file is closed, so that a command which loads the
+    state, changes it and saves it runs whole before the next one loads it.
+
+    save_state renames a new file over `path`, which leaves a waiting lock
+    on the file it replaced: a lock taken on a file no longer at `path` is
+    dropped and taken again on the one that is.  Without fcntl the file is
+    opened but not locked."""
+    while True:
+        f = open(path, "rb")
+        if fcntl is None:
+            return f
+        try:
+            fcntl.flock(f, fcntl.LOCK_EX)
+            held, current = os.fstat(f.fileno()), os.stat(path)
+        except BaseException:
+            f.close()
+            raise
+        if (held.st_dev, held.st_ino) == (current.st_dev, current.st_ino):
+            return f
+        f.close()
 
 
 def load_state(path: str | Path) -> RoundState:
@@ -204,7 +239,7 @@ def assign_duplicates(
     can be scored; the remainder alternates between the groups.  The small
     epsilon keeps fractions like 1/3 from rounding up through float error.
     """
-    if not 0.0 <= fraction <= 1.0:
+    if not in_unit_interval(fraction):
         raise InputError(f"duplicate fraction must be in [0, 1], got {fraction}")
     shuffled = seeded_shuffle(docs, seed)
     n_shared = math.ceil(fraction * len(docs) - 1e-9)

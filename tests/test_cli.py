@@ -425,20 +425,23 @@ def test_round_status_empty_history_unconverged(tmp_path, capsys):
 
 
 def test_round_refuses_a_repeated_pool_id(tmp_path, capsys):
-    state = tmp_path / "state.json"
-    assert main(["round", "new", "--state", str(state), "--pool", "a", "a", "b"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: --pool repeats document id 'a'\n"
-    assert not state.exists()
-    # A state file written by hand is refused the same way before sampling.
-    content = '{"round_index": 1, "pool": ["a", "a", "b"], "assignments": {}, "iaa_history": {}}'
-    state.write_text(content, encoding="utf-8")
-    assert main(["round", "sample", "--state", str(state), "--n", "2", "--seed", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {state}: pool repeats document id 'a'\n"
-    assert state.read_text(encoding="utf-8") == content
+    for i, pool in enumerate((["a", "a", "b"], ["d1", "d2", "d1"])):
+        state = tmp_path / f"state{i}.json"
+        assert main(["round", "new", "--state", str(state), "--pool", *pool]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --pool repeats document id {pool[0]!r}\n"
+        assert not state.exists()
+        # A state file written by hand is refused the same way before sampling.
+        content = json.dumps(
+            {"round_index": 1, "pool": pool, "assignments": {}, "iaa_history": {}}
+        )
+        state.write_text(content, encoding="utf-8")
+        assert main(["round", "sample", "--state", str(state), "--n", "2", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {state}: pool repeats document id {pool[0]!r}\n"
+        assert state.read_text(encoding="utf-8") == content
 
 
 @pytest.mark.parametrize("pool", [["x", "y"], []])

@@ -300,11 +300,17 @@ def test_annotation_structural_findings():
     ann.relations["R2"] = Relation(
         "R2", RelationType.SYMPTOM_INDICATES_DISEASE, "T2", "T1"
     )
-    found = rules(validate_annotations(ann, doc.sentence_spans()))
+    with_spans = validate_annotations(ann, doc.sentence_spans())
+    found = rules(with_spans)
     assert "heterogeneous-group" in found
     assert "cross-sentence-group" in found
     assert "cross-sentence-relation" in found
     assert "signature-mismatch" in found  # R2 has swapped argument types
+    # Without spans no entity belongs to a sentence, so only the two
+    # cross-sentence findings go.
+    assert validate_annotations(ann) == validate_annotations(ann, []) == [
+        d for d in with_spans if not d.rule.startswith("cross-sentence-")
+    ]
 
 
 def test_duplicate_annotations_flagged():

@@ -12,7 +12,6 @@ from clincorp.parseval import (
     EvalParams,
     ParseTree,
     brackets,
-    filtered_leaf_count,
     match_counts,
     match_keys,
     parse_tree,
@@ -189,7 +188,6 @@ def test_hand_example_scores_one_third():
 def test_punctuation_removed_from_index_space():
     a = parse_tree("(IP (NP (NN a) (PU ,) (NN b)) (VP (VV c)))")
     b = parse_tree("(IP (NP (NN a) (NN b)) (VP (VV c)))")
-    assert filtered_leaf_count(a, EvalParams()) == 3
     assert match_counts(a, b) == (3, 3, 3)
     # Keeping punctuation makes the leaf counts differ.
     with pytest.raises(LengthMismatchError):
@@ -361,6 +359,36 @@ TREES = st.recursive(
     ).map(lambda t: ["(", t[0], *(tok for kid in t[1] for tok in kid), ")"]),
     max_leaves=12,
 )
+
+VALID_TREES = st.recursive(
+    st.tuples(st.sampled_from(POS_TAGS), WORDS).map(lambda t: f"({t[0]} {t[1]})"),
+    lambda kids: st.tuples(
+        st.sampled_from((*SYN_TAGS, *SYN_TAG_ALIASES)), st.lists(kids, min_size=1, max_size=4),
+    ).map(lambda t: f"({t[0]} {' '.join(t[1])})"),
+    max_leaves=12,
+)
+ACCESSORS = ("leaves", "leaf_surfaces", "leaf_count")
+
+
+def _rebuilt(tree: ParseTree) -> ParseTree:
+    if tree.is_preterminal:
+        return ParseTree(tree.label, (), tree.surface)
+    return ParseTree(tree.label, tuple(_rebuilt(child) for child in tree.children))
+
+
+@settings(max_examples=200, deadline=None)
+@given(VALID_TREES, st.permutations(ACCESSORS))
+def test_hand_built_tree_leaf_accessors_agree_with_parsed_tree(text, order):
+    # A hand-built tree has no leaf record until the first accessor call
+    # fills it; in whatever order they are called, and on every call, the
+    # three accessors give what they give on the parsed tree.
+    parsed = parse_tree(text)
+    built = _rebuilt(parsed)
+    assert not hasattr(built, "_leaves")
+    for _ in range(2):
+        for name in order:
+            assert getattr(built, name)() == getattr(parsed, name)()
+    assert built == parsed and hash(built) == hash(parsed) and repr(built) == repr(parsed)
 
 
 @st.composite

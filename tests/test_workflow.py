@@ -3,6 +3,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,6 +25,7 @@ from clincorp.workflow import (
     SplitMix64,
     assign_duplicates,
     check_convergence,
+    first_repeat,
     kfold,
     load_state,
     sample_round,
@@ -202,6 +205,14 @@ def test_round_state_rejects_a_repeated_pool_id(tmp_path):
     assert str(err.value) == f"{path}: pool repeats document id 'a'"
 
 
+@pytest.mark.parametrize("ids, repeat", [
+    ([], None), (["d1", "d2"], None), (["d1", "d2", "d1"], "d1"),
+    (["d1", "d2", "d2", "d1"], "d2"),
+])
+def test_first_repeat_names_the_first_id_seen_before(ids, repeat):
+    assert first_repeat(ids) == repeat
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_round_state_rejects_non_finite_history(tmp_path, token):
     path = tmp_path / "state.json"
@@ -281,6 +292,43 @@ def test_save_state_removes_its_temp_file_when_the_rename_fails(tmp_path, monkey
     monkeypatch.undo()
     assert renamed == [f"state.json.{os.getpid()}.tmp"]
     assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+RECORDER = """
+import sys
+from clincorp.cli import main
+state, value, n = sys.argv[1:]
+argv = ["round", "record-iaa", "--state", state, "--task", "seg", "--value", value]
+sys.exit(max(main(argv) for _ in range(int(n))))
+"""
+
+
+def test_concurrent_record_iaa_loses_no_update(tmp_path):
+    # Three processes each record N values on one state file at once.  Each
+    # command loads, appends and saves; without the state lock a process
+    # that loads between another's load and save drops that one's value.
+    path = tmp_path / "state.json"
+    save_state(RoundState(pool=["d1"]), path)
+    n = 60
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    values = ("0.25", "0.5", "0.75")
+    procs = [
+        subprocess.Popen([sys.executable, "-c", RECORDER, str(path), value, str(n)],
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
+        for value in values
+    ]
+    try:
+        errors = [proc.communicate(timeout=30)[1] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait(timeout=10)
+    assert [proc.returncode for proc in procs] == [0, 0, 0], errors
+    history = load_state(path).iaa_history["seg"]
+    assert len(history) == 3 * n
+    assert sorted(history) == sorted(float(v) for v in values for _ in range(n))
     assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
 
