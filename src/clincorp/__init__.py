@@ -45,8 +45,7 @@ _EXPORTS = {
         "parse_tree", "score_corpus",
     ),
     "segadvice": (
-        "MAX_EXPANSION_DEPTH", "SegDecision", "TermEntry", "advise",
-        "advise_chain", "load_lexicon",
+        "SegDecision", "TermEntry", "advise", "advise_chain", "load_lexicon",
     ),
     "stats": (
         "CrossRow", "Deviation", "DistributionRow", "assertion_cross_table",

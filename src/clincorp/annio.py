@@ -58,8 +58,11 @@ from .tagsets import (
 if TYPE_CHECKING:  # parse_ptb and serialize_ptb import parseval when they run
     from .parseval import ParseTree
 
-# The optional layer files; the .txt file roots every bundle and is always read.
+# The optional layer files of a bundle, and every file a bundle can have.  The
+# .txt file roots the bundle but, like a layer file, is read only when the
+# caller of load_document names it; the default, BUNDLE_FILES, names all five.
 LAYER_FILES = ("tok", "ptb", "chk", "ann")
+BUNDLE_FILES = ("txt",) + LAYER_FILES
 
 # First line of every serialized layer file; parsers skip all '#' lines, so
 # an empty layer serializes to the header alone.
@@ -91,6 +94,7 @@ def parse_tok(content: str, *, path: str | None = None) -> list[Sentence]:
     sentences: list[Sentence] = []
     block: list[Token] = []
     sent_start = prev_end = 0
+    new = object.__new__  # records are built by slot stores (see record.py)
     for lineno, line in numbered_lines(content):
         if line[:1] in _MAY_SKIP:
             if is_comment_line(line):
@@ -129,7 +133,12 @@ def parse_tok(content: str, *, path: str | None = None) -> list[Sentence]:
             raise ParseError(f"unknown-pos-label {pos!r}", path=path, line=lineno)
         if not block:
             sent_start = start
-        block.append(Token(start - sent_start, end - sent_start, surface, pos))
+        token = new(Token)
+        token.start = start - sent_start
+        token.end = end - sent_start
+        token.surface = surface
+        token.pos = pos
+        block.append(token)
     if block:
         sentences.append(Sentence(sent_start, tuple(block)))
     return sentences
@@ -188,6 +197,7 @@ def parse_chk(content: str, *, path: str | None = None) -> list[list[Chunk]]:
     terminator is tolerated."""
     blocks: list[list[Chunk]] = []
     block: list[Chunk] = []
+    new = object.__new__  # records are built by slot stores (see record.py)
     for lineno, line in numbered_lines(content):
         if line[:1] in _MAY_SKIP:
             if is_comment_line(line):
@@ -211,7 +221,11 @@ def parse_chk(content: str, *, path: str | None = None) -> list[list[Chunk]]:
             raise ParseError(f"bad token range [{first}, {last})", path=path, line=lineno)
         if not label:
             raise ParseError("empty chunk label", path=path, line=lineno)
-        block.append(Chunk(first, last, label))
+        chunk = new(Chunk)
+        chunk.first = first
+        chunk.last_exclusive = last
+        chunk.label = label
+        block.append(chunk)
     if block:
         blocks.append(block)
     return blocks
@@ -243,6 +257,7 @@ def parse_ann(
     ann = DocAnnotations(doc_id=doc_id, text=text)
     assertions: list[tuple[int, str, AssertionType, str]] = []  # (line, aid, type, target)
     ref_lines: dict[str, int] = {}  # group/relation id -> source line
+    new = object.__new__  # entities are built by slot stores (see record.py)
     for lineno, line in numbered_lines(content):
         if line[:1] in _MAY_SKIP and (is_comment_line(line) or not line.strip()):
             continue
@@ -257,7 +272,14 @@ def parse_ann(
                 raise ParseError(f"unknown entity type {label!r}", path=path, line=lineno)
             if tid in ann.entities:
                 raise ParseError(f"duplicate entity id {tid}", path=path, line=lineno)
-            ann.entities[tid] = Entity(tid, etype, int(start), int(end), surface)
+            entity = new(Entity)
+            entity.eid = tid
+            entity.etype = etype
+            entity.start = int(start)
+            entity.end = int(end)
+            entity.surface = surface
+            entity.assertion = None
+            ann.entities[tid] = entity
         elif kind == "A":
             m = _A_RE.match(line)
             if not m:
@@ -460,23 +482,25 @@ def discover(root: str | Path) -> dict[str, BundlePaths]:
 
 
 def load_document(
-    paths: BundlePaths, layers: Collection[str] = LAYER_FILES
+    paths: BundlePaths, layers: Collection[str] = BUNDLE_FILES
 ) -> Document:
-    """Read a bundle's .txt file and those of `layers` that are present into a
-    Document.  A layer left out stays empty: no sentences, trees or chunks,
-    no annotations.
+    """Read the files of a bundle that `layers` names and that are present
+    into a Document.  `layers` holds names from BUNDLE_FILES: "txt" for the
+    text, read into Document.text and DocAnnotations.text, and the
+    LAYER_FILES.  A file left out stays empty: text "", no sentences, trees
+    or chunks, no annotations.
 
     When both are loaded, tree and token layers must agree sentence-for-
     sentence on leaf counts; a mismatch means the files describe different
     segmentations and is a format error, not a validation finding.
     """
-    unknown = set(layers) - set(LAYER_FILES)
+    unknown = set(layers) - set(BUNDLE_FILES)
     if unknown:
-        raise ValueError(f"unknown layers {sorted(unknown)}; expected some of {LAYER_FILES}")
+        raise ValueError(f"unknown layers {sorted(unknown)}; expected some of {BUNDLE_FILES}")
     tok, ptb, chk, ann = (
         getattr(paths, layer) if layer in layers else None for layer in LAYER_FILES
     )
-    text = read_text_file(paths.txt)
+    text = read_text_file(paths.txt) if "txt" in layers else ""
     doc = Document(doc_id=paths.doc_id, text=text, doc_type=paths.doc_type)
     if tok is not None:
         doc.sentences = parse_tok(read_text_file(tok), path=tok)
@@ -506,7 +530,7 @@ def load_document(
 
 def iter_documents(
     corpus: str | Path | dict[str, BundlePaths],
-    layers: Collection[str] = LAYER_FILES,
+    layers: Collection[str] = BUNDLE_FILES,
 ) -> Iterator[Document]:
     """Every bundle of `corpus`, read as load_document does, one at a time in
     listing order, which is ascending doc-id order.  `corpus` is a directory,
@@ -519,7 +543,7 @@ def iter_documents(
 
 def iter_pairs(
     bundles_a: dict[str, BundlePaths], bundles_b: dict[str, BundlePaths],
-    layers: Collection[str] = LAYER_FILES,
+    layers: Collection[str] = BUNDLE_FILES,
 ) -> Iterator[tuple[Document | None, Document | None]]:
     """Two discover listings paired by doc id: (doc_a, doc_b) for every id of
     either, in ascending order, read as load_document does, with None for a
@@ -535,7 +559,7 @@ def iter_pairs(
 
 
 def load_corpus(
-    root: str | Path, layers: Collection[str] = LAYER_FILES
+    root: str | Path, layers: Collection[str] = BUNDLE_FILES
 ) -> dict[str, Document]:
     """Every bundle under `root`, keyed by doc id in ascending order, all held
     in memory at once; iter_documents reads the same documents one at a time."""

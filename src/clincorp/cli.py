@@ -66,8 +66,9 @@ _LAYERS = ("seg", "pos", "chunk", "tree", "entity", "relation")
 _POLICIES = ("span", "span_type", "span_type_assertion")
 _MODES = {"group": "GROUP_PRESERVED", "one2one": "ONE_TO_ONE"}
 
-# The layer files each agreement layer or stats report reads, besides the .txt
-# file every bundle has.  Only validate reads every layer.
+# The one layer file each agreement layer or stats report reads.  No score or
+# table uses the text, so these commands leave the .txt file unread; only
+# validate reads every file of a bundle.
 _LAYER_FILES = {
     "seg": ("tok",), "pos": ("tok",), "length": ("tok",),
     "chunk": ("chk",),

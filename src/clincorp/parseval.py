@@ -193,6 +193,7 @@ def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -
     else:
         next(it)
     leaves: list[ParseTree] = []
+    new = object.__new__  # nodes are built by slot stores (see record.py)
     # The open node is (label, children, surface); its ancestors are on `stack`.
     children: list[ParseTree] = []
     surface = None
@@ -225,7 +226,10 @@ def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -
                         raise ParseError(
                             f"unknown-pos-label {first!r}", path=path, line=line
                         )
-                    node = ParseTree(first, (), second)
+                    node = new(ParseTree)
+                    node.label = first
+                    node.children = ()
+                    node.surface = second
                     leaves.append(node)
                     break
                 if third is None:
@@ -270,7 +274,10 @@ def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -
                     raise ParseError(
                         f"unknown-syntactic-label {label!r}", path=path, line=line
                     )
-                node = ParseTree(label, tuple(children))
+                node = new(ParseTree)
+                node.label = label
+                node.children = tuple(children)
+                node.surface = None
             if not stack:
                 if next(it, None) is not None:
                     raise ParseError("trailing material after tree", path=path, line=line)

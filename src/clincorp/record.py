@@ -4,6 +4,14 @@ Records are plain `__slots__` classes with an explicit `__init__`.  A frozen
 slots dataclass costs about three times as much to construct, and importing
 `dataclasses` (which pulls in `inspect`) would add to the start-up time of
 every command; this module imports nothing.
+
+The constructor is the public way to build a record.  The parsers, which
+build one record per line or tree node, skip it: each makes its records with
+`object.__new__(cls)` and stores every slot itself, which costs about two
+thirds of a constructor call (timeit, CPython 3.11 on a 2-core Xeon: about
+0.17 against 0.27 us per `Token`).  So a slot added to `Token`, `Chunk`, `Entity` or `ParseTree`
+must also be stored by its parser; a test checks that every record a parser
+builds has each slot set and equals the one its constructor builds.
 """
 
 

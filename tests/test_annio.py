@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from clincorp import annio, corpusdir
 from clincorp.annio import (
+    BUNDLE_FILES,
     HEADERS,
     LAYER_FILES,
     discover,
@@ -25,8 +26,9 @@ from clincorp.annio import (
     serialize_ptb,
     serialize_tok,
 )
-from clincorp.errors import InputError, ParseError
+from clincorp.errors import InputError, ParseError, read_text_file
 from clincorp.model import DOC_TYPES, Chunk, Entity, Sentence, Token
+from clincorp.parseval import ParseTree, parse_tree
 from clincorp.tagsets import AssertionType, EntityType
 from helpers import random_document, write_bundle
 
@@ -450,20 +452,87 @@ def test_listing_keeps_about_200_bytes_per_bundle(tmp_path):
     assert peak <= 2.5 * retained, peak / retained
 
 
-def test_load_document_reads_only_the_named_layers(tmp_path):
+def test_load_document_reads_only_the_named_layers(tmp_path, monkeypatch):
     doc = random_document(random.Random(23), "d")
     write_bundle(tmp_path, doc)
     bundle = discover(tmp_path)["d"]
-    loaded = load_document(bundle, layers=("ann",))
-    assert loaded.text == doc.text
+    read: list[str] = []
+
+    def recording_read(path):
+        read.append(Path(path).suffix)
+        return read_text_file(path)
+
+    monkeypatch.setattr(annio, "read_text_file", recording_read)
+
+    def load(layers):
+        read.clear()
+        return load_document(bundle, layers=layers)
+
+    loaded = load(("ann",))
+    assert read == [".ann"]
+    assert loaded.text == loaded.annotations.text == ""
     assert loaded.sentences == [] and loaded.trees == [] and loaded.chunks == []
     assert loaded.annotations.entities == doc.annotations.entities
-    loaded = load_document(bundle, layers=("tok", "chk"))
+    loaded = load(("txt", "ann"))
+    assert read == [".txt", ".ann"]
+    assert loaded.text == loaded.annotations.text == doc.text
+    loaded = load(("tok", "chk"))
+    assert read == [".tok", ".chk"] and loaded.text == ""
     assert loaded.sentences == doc.sentences and loaded.chunks == doc.chunks
     assert loaded.trees == [] and loaded.annotations is None
-    assert load_corpus(tmp_path, layers=())["d"].text == doc.text
-    with pytest.raises(ValueError, match="unknown layers"):
-        load_document(bundle, layers=("txt",))
+    loaded = load(("txt",))
+    assert read == [".txt"] and loaded.text == doc.text
+    assert loaded.sentences == [] and loaded.trees == [] and loaded.chunks == []
+    assert loaded.annotations is None
+    loaded = load(BUNDLE_FILES)
+    assert read == [".txt", ".tok", ".ptb", ".chk", ".ann"]
+    assert load_document(bundle) == loaded and loaded.text == doc.text
+    read.clear()
+    assert load_corpus(tmp_path, layers=())["d"].text == "" and read == []
+    for layers in (("text",), ("txt", "tree")):
+        with pytest.raises(ValueError, match="unknown layers"):
+            load_document(bundle, layers=layers)
+
+
+def _assert_whole(record, built):
+    """`record` has every slot of its class set, and equals, hashes like and
+    reprs like `built`, the record its class's constructor makes from the
+    same fields."""
+    for name in type(record).__slots__:
+        if name != "_leaves":
+            assert hasattr(record, name), (type(record).__name__, name)
+    assert record == built and built == record
+    assert hash(record) == hash(built)
+    assert repr(record) == repr(built)
+
+
+def test_parser_built_records_are_whole():
+    # The parsers build records by slot stores, without the constructor; a
+    # slot added to a class and not to its parser is left unset here.
+    rng = random.Random(29)
+    docs = [random_document(rng, f"d{i}") for i in range(12)]
+    trees = [parse_tree("(NN 发热)"), parse_tree("( (IP (NN 发热)) )")]
+    assertions = set()
+    for doc in docs:
+        for sent in parse_tok(serialize_tok(doc.sentences)):
+            for t in sent.tokens:
+                _assert_whole(t, Token(t.start, t.end, t.surface, t.pos))
+        for block in parse_chk(serialize_chk(doc.chunks)):
+            for c in block:
+                _assert_whole(c, Chunk(c.first, c.last_exclusive, c.label))
+        ann = parse_ann(serialize_ann(doc.annotations), doc_id=doc.doc_id)
+        for e in ann.entities.values():
+            _assert_whole(e, Entity(e.eid, e.etype, e.start, e.end, e.surface, e.assertion))
+            assertions.add(e.assertion)
+        trees.extend(parse_ptb(serialize_ptb(doc.trees)))
+    assert None in assertions and len(assertions) > 2
+    for tree in trees:
+        nodes = tree.nodes()
+        # Only the root records its leaves, as parse_tree read them.
+        assert [id(n) for n in tree._leaves] == [id(n) for n in nodes if n.is_preterminal]
+        assert not any(hasattr(n, "_leaves") for n in nodes[1:])
+        for n in nodes:
+            _assert_whole(n, ParseTree(n.label, n.children, n.surface))
 
 
 def test_leaf_check_needs_both_layers(tmp_path):

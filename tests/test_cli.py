@@ -794,6 +794,29 @@ def test_rendered_reports_are_pinned(tmp_path, capsys):
         assert got == digest, f"{key} changed:\n{out}{err}"
 
 
+def test_only_validate_reads_the_text(tmp_path, capsys):
+    # No score or table uses the text, so a .txt file that is not UTF-8
+    # changes nothing but validate.
+    a, b = _pinned_pair(tmp_path)
+    runs = [
+        [cmd, "--layer", layer, str(a), str(b)]
+        for cmd in ("iaa", "score") for layer in ("seg", "tree", "entity")
+    ] + [["stats", "--report", report, str(a)] for report in ("pos", "syn", "entity", "length")]
+
+    def outcomes():
+        return [(main(argv), capsys.readouterr()) for argv in runs]
+
+    intact = outcomes()
+    for txt in [*a.rglob("*.txt"), *b.rglob("*.txt")]:
+        txt.write_bytes(b"\xe5\x8f\n\xff\xfe")
+    assert outcomes() == intact
+    assert main(["validate", str(a)]) == 2
+    out, err = capsys.readouterr()
+    first = a / "discharge_summary" / "doc0.txt"
+    assert out == ""
+    assert err == f"error: {first}:line 1: invalid UTF-8 at byte offset 0\n"
+
+
 def test_config_rejects_unknown_policy_and_mode(tmp_path, capsys):
     root = make_corpus(tmp_path, "a", seed=16, n_docs=1)
     cfg = tmp_path / "cfg.json"
