@@ -209,13 +209,16 @@ def _has_layer(ext: str, *listings: dict[str, BundlePaths]) -> bool:
 def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
     # One document at a time, keeping only the rendered findings; stdout is
     # written only once the whole corpus has been read.
-    from . import annio
+    from . import annio, fanout
 
     validate_document = _library("validate_document")
     bundles = _listing(args.directory)
-    lines: list[str] = []
-    for doc in annio.iter_documents(bundles):
-        lines.extend(d.render() for d in validate_document(doc))
+
+    def step(ids: list[str]) -> list[str]:
+        docs = (annio.load_document(bundles[k]) for k in ids)
+        return [d.render() for doc in docs for d in validate_document(doc)]
+
+    lines = [line for part in fanout.fan_out(list(bundles), step) for line in part]
     sys.stdout.write("".join(line + "\n" for line in lines))
     print(
         f"{len(lines)} finding(s) in {len(bundles)} document(s)", file=sys.stderr
@@ -240,15 +243,30 @@ def _agreement_args(args: argparse.Namespace, config: dict):
 def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     # For score, gold (dir_a) plays the reference (recall) role and the
     # predictions (dir_b) the response role.
-    from . import annio
+    from . import annio, fanout
+    from .agreement import CorpusAgreement
 
     policy, mode, beta, params = _agreement_args(args, config)
     layers = _LAYER_FILES[args.layer]
     bundles_a, bundles_b = _listing(args.dir_a), _listing(args.dir_b)
-    corpus = _library("corpus_agreement")(
-        annio.iter_pairs(bundles_a, bundles_b, layers),
-        args.layer, policy=policy, mode=mode, params=params,
-    )
+    corpus_agreement = _library("corpus_agreement")
+
+    def step(ids: list[str]) -> tuple:
+        part = corpus_agreement(
+            annio.iter_pairs(
+                *({k: b[k] for k in ids if k in b} for b in (bundles_a, bundles_b)),
+                layers,
+            ),
+            args.layer, policy=policy, mode=mode, params=params,
+        )
+        return part.per_doc, part.excluded_docs, part.excluded_sentences
+
+    corpus = CorpusAgreement(args.layer, {}, [], {})
+    doc_ids = sorted(bundles_a.keys() | bundles_b.keys())
+    for per_doc, excluded_docs, excluded_sentences in fanout.fan_out(doc_ids, step):
+        corpus.per_doc.update(per_doc)
+        corpus.excluded_docs.extend(excluded_docs)
+        corpus.excluded_sentences.update(excluded_sentences)
     report = corpus.report(beta)
     # Empty layer files agree vacuously; absent ones are no evidence at all.
     (ext,) = layers

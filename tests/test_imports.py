@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Modules a command that does not score, parse layer files or compute
 # statistics must not load.
 NOT_FOR_ROUND = {"agreement", "annio", "parseval", "groups", "model", "stats",
-                 "refdata", "validate", "segadvice", "tagsets"}
+                 "refdata", "validate", "segadvice", "tagsets", "fanout"}
 # seg-advise reads one lexicon file and needs none of the corpus code.
 NOT_FOR_SEG_ADVISE = NOT_FOR_ROUND - {"segadvice"}
 
