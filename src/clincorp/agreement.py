@@ -227,6 +227,14 @@ class CorpusAgreement(Record):
     def doc_reports(self, beta: float = 1.0) -> dict[str, AgreementReport]:
         return {d: prf(*c, beta=beta) for d, c in self.per_doc.items()}
 
+    def join(self, part: tuple) -> None:
+        """Add (per_doc, excluded_docs, excluded_sentences) of documents that
+        come after this result's, as a worker sends them back."""
+        per_doc, excluded_docs, excluded_sentences = part
+        self.per_doc.update(per_doc)
+        self.excluded_docs.extend(excluded_docs)
+        self.excluded_sentences.update(excluded_sentences)
+
 
 def _doc_counts(
     layer: str, da: Document, db: Document, policy: MatchPolicy,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import re
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterator
@@ -541,21 +542,38 @@ def iter_documents(
     return (load_document(paths, layers) for paths in bundles.values())
 
 
+def paired_ids(
+    bundles_a: dict[str, BundlePaths], bundles_b: dict[str, BundlePaths]
+) -> list[str]:
+    """Every doc id of either of two discover listings, in ascending order."""
+    return sorted(bundles_a.keys() | bundles_b.keys())
+
+
+def load_pair(
+    bundles_a: dict[str, BundlePaths], bundles_b: dict[str, BundlePaths],
+    doc_id: str, layers: Collection[str] = BUNDLE_FILES,
+) -> tuple[Document | None, Document | None]:
+    """(doc_a, doc_b) for `doc_id` of two discover listings, each read as
+    load_document does, with None for a side that lacks the id.  A's
+    document is read before B's, so over ids in paired_ids order the first
+    malformed file raised is the one with the smallest id, A before B."""
+    paths_a, paths_b = bundles_a.get(doc_id), bundles_b.get(doc_id)
+    return (
+        None if paths_a is None else load_document(paths_a, layers),
+        None if paths_b is None else load_document(paths_b, layers),
+    )
+
+
 def iter_pairs(
     bundles_a: dict[str, BundlePaths], bundles_b: dict[str, BundlePaths],
     layers: Collection[str] = BUNDLE_FILES,
 ) -> Iterator[tuple[Document | None, Document | None]]:
-    """Two discover listings paired by doc id: (doc_a, doc_b) for every id of
-    either, in ascending order, read as load_document does, with None for a
-    side that lacks the id.  A's document is read before B's, so the first
-    malformed file raised is the one with the smallest id, A before B.  No
-    pair is kept once the next one is read."""
-    for doc_id in sorted(bundles_a.keys() | bundles_b.keys()):
-        paths_a, paths_b = bundles_a.get(doc_id), bundles_b.get(doc_id)
-        yield (
-            None if paths_a is None else load_document(paths_a, layers),
-            None if paths_b is None else load_document(paths_b, layers),
-        )
+    """load_pair for every id of paired_ids, one pair at a time: no pair is
+    kept once the next one is read."""
+    return map(
+        partial(load_pair, bundles_a, bundles_b, layers=layers),
+        paired_ids(bundles_a, bundles_b),
+    )
 
 
 def load_corpus(

@@ -209,16 +209,25 @@ def _has_layer(ext: str, *listings: dict[str, BundlePaths]) -> bool:
 def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
     # One document at a time, keeping only the rendered findings; stdout is
     # written only once the whole corpus has been read.
-    from . import annio, fanout
+    from . import annio
+    from .fanout import fold_slices
+    from .validate import Diagnostic
 
     validate_document = _library("validate_document")
     bundles = _listing(args.directory)
 
-    def step(ids: list[str]) -> list[str]:
-        docs = (annio.load_document(bundles[k]) for k in ids)
-        return [d.render() for doc in docs for d in validate_document(doc)]
+    def findings(doc_id: str) -> list[str]:
+        try:
+            doc = annio.load_document(bundles[doc_id])
+        except ParseError as exc:
+            if not args.keep_going:
+                raise
+            ext = exc.path.rpartition(".")[2]
+            return [Diagnostic("parse-error", str(exc), ext, doc_id).render()]
+        return [d.render() for d in validate_document(doc)]
 
-    lines = [line for part in fanout.fan_out(list(bundles), step) for line in part]
+    lines = fold_slices(list(bundles), findings, lambda found: [
+        line for doc_lines in found for line in doc_lines], [], list.extend)
     sys.stdout.write("".join(line + "\n" for line in lines))
     print(
         f"{len(lines)} finding(s) in {len(bundles)} document(s)", file=sys.stderr
@@ -243,30 +252,26 @@ def _agreement_args(args: argparse.Namespace, config: dict):
 def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     # For score, gold (dir_a) plays the reference (recall) role and the
     # predictions (dir_b) the response role.
-    from . import annio, fanout
+    from functools import partial
+
+    from . import annio
     from .agreement import CorpusAgreement
+    from .fanout import fold_slices
 
     policy, mode, beta, params = _agreement_args(args, config)
     layers = _LAYER_FILES[args.layer]
     bundles_a, bundles_b = _listing(args.dir_a), _listing(args.dir_b)
     corpus_agreement = _library("corpus_agreement")
 
-    def step(ids: list[str]) -> tuple:
-        part = corpus_agreement(
-            annio.iter_pairs(
-                *({k: b[k] for k in ids if k in b} for b in (bundles_a, bundles_b)),
-                layers,
-            ),
-            args.layer, policy=policy, mode=mode, params=params,
-        )
+    def step(pairs) -> tuple:
+        part = corpus_agreement(pairs, args.layer, policy=policy, mode=mode, params=params)
         return part.per_doc, part.excluded_docs, part.excluded_sentences
 
-    corpus = CorpusAgreement(args.layer, {}, [], {})
-    doc_ids = sorted(bundles_a.keys() | bundles_b.keys())
-    for per_doc, excluded_docs, excluded_sentences in fanout.fan_out(doc_ids, step):
-        corpus.per_doc.update(per_doc)
-        corpus.excluded_docs.extend(excluded_docs)
-        corpus.excluded_sentences.update(excluded_sentences)
+    corpus = fold_slices(
+        annio.paired_ids(bundles_a, bundles_b),
+        partial(annio.load_pair, bundles_a, bundles_b, layers=layers),
+        step, CorpusAgreement(args.layer, {}, [], {}), CorpusAgreement.join,
+    )
     report = corpus.report(beta)
     # Empty layer files agree vacuously; absent ones are no evidence at all.
     (ext,) = layers
@@ -303,20 +308,10 @@ def _cmd_expand(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _stats_rows(args: argparse.Namespace, docs) -> list:
-    from . import stats
-
-    if args.report == "pos":
-        return stats.distribution(docs, "pos")
-    if args.report == "syn":
-        return stats.distribution(docs, "syntactic")
-    if args.report == "entity":
-        return stats.assertion_cross_table(docs)
-    return stats.relation_table(docs)
-
-
 def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
-    from . import annio, stats
+    from collections import Counter
+
+    from . import annio, fanout, stats
     from .model import DOC_TYPES
 
     if args.doc_type is not None and args.doc_type not in DOC_TYPES:
@@ -334,25 +329,25 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
     (ext,) = layers
     if not _has_layer(ext, bundles):
         raise InputError(f"no .{ext} file under {args.directory}")
-    docs = annio.iter_documents(bundles, layers)
-
+    # Only a slice's tally crosses the pipe; the table is made here.
+    tally_of, table_of = stats.REPORTS[args.report]
+    cheap = args.report in ("entity", "relation")
+    table = table_of(fanout.fold_slices(
+        list(bundles), lambda k: annio.load_document(bundles[k], layers),
+        lambda docs: dict(tally_of(docs)), Counter(), Counter.update,
+        fanout.MIN_CHEAP_SLICE_DOCS if cheap else None,
+    ))
     if args.report == "length":
-        tokens, sentences = stats.token_and_sentence_counts(docs)
-        values = {
-            "tokens": tokens,
-            "sentences": sentences,
-            "avg_tokens_per_sentence": stats.tokens_per_sentence(tokens, sentences),
-        }
         if fmt == "tsv":
-            out = "".join(f"{k}\t{_text(v)}\n" for k, v in values.items())
+            out = "".join(f"{k}\t{_text(v)}\n" for k, v in table.items())
         else:
-            out = _json_object(values)
+            out = _json_object(table)
         sys.stdout.write(out)
         return 0
 
     row_type = stats.DistributionRow if args.report in ("pos", "syn") else stats.CrossRow
     names = row_type.__slots__
-    rows = [{n: getattr(r, n) for n in names} for r in _stats_rows(args, docs)]
+    rows = [{n: getattr(r, n) for n in names} for r in table]
     if fmt == "tsv":
         lines = ["\t".join(names)] + ["\t".join(map(_text, r.values())) for r in rows]
         out = "".join(line + "\n" for line in lines)
@@ -529,6 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("validate", help="check one annotated corpus directory")
+    p.add_argument("--keep-going", action="store_true",
+                   help="report each malformed file as a parse-error finding and go on")
     p.add_argument("directory")
     p.set_defaults(func=_cmd_validate)
 

@@ -6,6 +6,13 @@ calling process, every other one in a forked worker that sends its result
 back through a pipe, marshalled.  The results come back in slice order, so a
 caller that joins them gets what one step over the whole list gives.
 
+fold_slices is the one way the corpus commands use it: validate, iaa, score
+and stats each give it their doc ids, what to do with one id (read its
+bundle, or pair of bundles, as annio does, and for validate check it), a
+step that takes those one at a time over a slice and returns plain data
+(rendered findings, per-document agreement counts, a statistics tally), and
+a fold that joins the slices' results here, in doc-id order.
+
 One slice, run in the calling process with no fork, is what every case
 below gets: one usable CPU, fewer than two slices' worth of documents, a
 platform without os.fork or os.sched_getaffinity (Windows, macOS), and a
@@ -17,20 +24,33 @@ from __future__ import annotations
 
 import marshal
 import os
-import signal
 import threading
-from typing import Callable, NoReturn, TypeVar
+from typing import Callable, Iterator, NoReturn, TypeVar
 
 from .errors import ClincorpError
 
 # In a process that holds a 9,920-bundle listing, one fork, pipe and reap
 # costs about 3.3-4 ms: what validate spends on about 10 documents (0.32-0.36
-# ms each), and agreement on 20-65 (0.06-0.22 ms each, by layer).  Slices of
-# at least 100 documents keep it under a tenth of a validate slice's work
-# and below the agreement work a worker takes off the caller.
+# ms each), agreement on 20-65 (0.06-0.22 ms each, by layer), and stats on
+# 15-60.  Reading and tallying one document of the 992-document benchmark
+# corpus takes 0.06-0.07 ms for the entity report, 0.08-0.10 for relation,
+# 0.11-0.17 for pos, 0.14-0.16 for length and 0.20-0.25 for syn, on a 2-CPU
+# x86-64 host under Python 3.11.  Slices of at least 100 documents keep the
+# fork under a tenth of a validate slice's work and below the agreement or
+# stats work a worker takes off the caller.
 MIN_SLICE_DOCS = 100
 
+# The entity and relation reports' slices of 496 documents (half the
+# benchmark corpus, 30-50 ms of tallying each) did not show that they pay for
+# their worker on the same host: a fresh `stats --report entity` was faster
+# with the fork in 17 of 40 and 10 of 20 paired runs, relation in 26 of 40
+# and 10 of 20, against 19 of 20 for pos and syn.  So their slices are at
+# least twice that long.
+MIN_CHEAP_SLICE_DOCS = 1000
+
+D = TypeVar("D")
 T = TypeVar("T")
+U = TypeVar("U")
 
 
 class WorkerError(ClincorpError):
@@ -38,16 +58,20 @@ class WorkerError(ClincorpError):
     command would have printed, or a worker that ended without a result."""
 
 
-def slice_count(n_docs: int) -> int:
-    """How many slices fan_out cuts `n_docs` documents into."""
+def slice_count(n_docs: int, min_docs: int | None = None) -> int:
+    """How many slices fan_out cuts `n_docs` documents into, each at least
+    `min_docs` (by default MIN_SLICE_DOCS) long."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     if threading.active_count() > 1:  # a fork could deadlock
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_docs // MIN_SLICE_DOCS))
+    cpus = len(os.sched_getaffinity(0))
+    return max(1, min(cpus, n_docs // (min_docs or MIN_SLICE_DOCS)))
 
 
-def fan_out(doc_ids: list[str], step: Callable[[list[str]], T]) -> list[T]:
+def fan_out(
+    doc_ids: list[str], step: Callable[[list[str]], T], min_docs: int | None = None,
+) -> list[T]:
     """[step(s) for s in slices of `doc_ids`], each slice a contiguous run of
     ids, the first run here and the others in forked workers.  A step's
     result must be plain data that marshal can carry.
@@ -55,7 +79,7 @@ def fan_out(doc_ids: list[str], step: Callable[[list[str]], T]) -> list[T]:
     The error raised is the one of the first failing slice, which is the
     error one step over the whole list would raise.  No worker outlives the
     call, however it ends."""
-    n = slice_count(len(doc_ids))
+    n = slice_count(len(doc_ids), min_docs)
     cuts = [len(doc_ids) * i // n for i in range(n + 1)]
     slices = [doc_ids[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     live: dict[int, int] = {}  # pid -> read end, for each worker not yet reaped
@@ -82,10 +106,29 @@ def fan_out(doc_ids: list[str], step: Callable[[list[str]], T]) -> list[T]:
             results.append(_unpack(payload, status, ids))
         return results
     finally:
+        if live:
+            # Imported only here: signal builds its enums on import, about
+            # 1 ms, and a command whose workers all succeed needs none.
+            import signal
         for pid, read_end in live.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read_end)
+
+
+def fold_slices(
+    doc_ids: list[str], per_doc: Callable[[str], D],
+    step: Callable[[Iterator[D]], T], total: U, fold: Callable[[U, T], object],
+    min_docs: int | None = None,
+) -> U:
+    """`total` after fold(total, step(map(per_doc, ids))) for each slice `ids`
+    that fan_out cuts `doc_ids` into.  per_doc reads one doc id, as annio
+    reads a document or a pair, and may work on it; the step consumes the
+    map one item at a time and returns plain data.  The folds run here, in
+    slice order.  `min_docs` is fan_out's."""
+    for part in fan_out(doc_ids, lambda ids: step(map(per_doc, ids)), min_docs):
+        fold(total, part)
+    return total
 
 
 def _work(step, ids: list[str], write_end: int, inherited: list[int]) -> NoReturn:

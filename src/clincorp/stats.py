@@ -7,6 +7,7 @@ by count descending then label, which keeps output deterministic.
 from __future__ import annotations
 
 from collections import Counter
+from functools import partial
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -14,7 +15,7 @@ from .groups import expand_all
 from .model import DOC_TYPES, Document
 from .numfmt import round_half_up
 from .record import Record
-from .tagsets import EntityType, VALID_ASSERTIONS, relation_signature
+from .tagsets import EntityType, RelationType, VALID_ASSERTIONS, relation_signature
 
 DISTRIBUTION_LAYERS = ("pos", "syntactic")
 
@@ -56,13 +57,13 @@ def _pct(count: int, total: int) -> float:
     return round_half_up(100.0 * count / total, 2)
 
 
-def distribution(docs: Iterable[Document], layer: str) -> list[DistributionRow]:
-    """Label frequency table for one layer.
+# Each table is a finishing step over a tally: counts over a set of documents,
+# in a plain dict keyed by str or str tuples, so tallies of disjoint sets add
+# up (Counter.update) to the whole set's, wherever each was taken.
 
-    pos counts part-of-speech labels over tokens; syntactic counts internal
-    constituent labels over trees.  Entity and relation type counts are the
-    ":total" and relation rows of assertion_cross_table and relation_table.
-    """
+def label_tally(docs: Iterable[Document], layer: str) -> Counter:
+    """Label counts of one layer: part-of-speech labels over tokens for pos,
+    internal constituent labels over trees for syntactic."""
     if layer not in DISTRIBUTION_LAYERS:
         raise InputError(
             f"unknown layer {layer!r}; expected one of {DISTRIBUTION_LAYERS}"
@@ -78,6 +79,11 @@ def distribution(docs: Iterable[Document], layer: str) -> list[DistributionRow]:
                 tally.update(
                     n.label for n in tree.nodes() if not n.is_preterminal
                 )
+    return tally
+
+
+def distribution_rows(tally: dict[str, int], layer: str) -> list[DistributionRow]:
+    """The label frequency table of a label_tally."""
     total = sum(tally.values())
     if total == 0:
         raise InputError(f"corpus has no {layer} annotations")
@@ -87,6 +93,55 @@ def distribution(docs: Iterable[Document], layer: str) -> list[DistributionRow]:
     ]
 
 
+def distribution(docs: Iterable[Document], layer: str) -> list[DistributionRow]:
+    """Label frequency table for one layer.
+
+    pos counts part-of-speech labels over tokens; syntactic counts internal
+    constituent labels over trees.  Entity and relation type counts are the
+    ":total" and relation rows of assertion_cross_table and relation_table.
+    """
+    return distribution_rows(label_tally(docs, layer), layer)
+
+
+def assertion_tally(docs: Iterable[Document]) -> Counter:
+    """Entity counts keyed by (type value, assertion value or "none")."""
+    tally: Counter = Counter()
+    for doc in docs:
+        if doc.annotations:
+            tally.update(
+                (e.etype.value, e.assertion.value if e.assertion else "none")
+                for e in doc.annotations.entities.values()
+            )
+    return tally
+
+
+def assertion_rows(tally: dict[tuple[str, str], int]) -> list[CrossRow]:
+    """The entity cross-table of an assertion_tally."""
+    grand_total = sum(tally.values())
+    if grand_total == 0:
+        return []
+    rows: list[CrossRow] = []
+    for etype in _CROSS_TYPE_ORDER:
+        t = etype.value
+        type_total = sum(c for (k, _), c in tally.items() if k == t)
+        if type_total == 0:
+            continue
+        labels = {a.value for a in VALID_ASSERTIONS[etype]}
+        labels.update(a for (k, a) in tally if k == t)
+        per = sorted(
+            ((a, tally.get((t, a), 0)) for a in labels),
+            key=lambda kv: (-kv[1], kv[0]),
+        )
+        for a, count in per:
+            rows.append(CrossRow(
+                f"{t}:{a}", count, _pct(count, type_total), _pct(count, grand_total),
+            ))
+        rows.append(CrossRow(
+            f"{t}:total", type_total, 100.0, _pct(type_total, grand_total),
+        ))
+    return rows
+
+
 def assertion_cross_table(docs: Iterable[Document]) -> list[CrossRow]:
     """Entity counts broken down by type and assertion.
 
@@ -94,34 +149,36 @@ def assertion_cross_table(docs: Iterable[Document]) -> list[CrossRow]:
     plus a ":total" row per type; every valid combination gets a row even at
     count zero, so table shapes are comparable across corpora.
     """
-    pair_tally: Counter = Counter()
+    return assertion_rows(assertion_tally(docs))
+
+
+def relation_tally(docs: Iterable[Document]) -> Counter:
+    """One-to-one (expanded) relation counts keyed by relation type value."""
+    tally: Counter = Counter()
     for doc in docs:
-        if not doc.annotations:
-            continue
-        for e in doc.annotations.entities.values():
-            a = e.assertion.value if e.assertion else "none"
-            pair_tally[(e.etype, a)] += 1
-    grand_total = sum(pair_tally.values())
+        if doc.annotations:
+            tally.update(p.rtype.value for p in expand_all(doc.annotations))
+    return tally
+
+
+def relation_rows(tally: dict[str, int]) -> list[CrossRow]:
+    """The relation table of a relation_tally."""
+    grand_total = sum(tally.values())
     if grand_total == 0:
         return []
+    pair_of = {rt: frozenset(relation_signature(RelationType(rt))) for rt in tally}
     rows: list[CrossRow] = []
-    for etype in _CROSS_TYPE_ORDER:
-        type_total = sum(c for (t, _), c in pair_tally.items() if t is etype)
-        if type_total == 0:
+    for pair, pair_label in _PAIR_LABELS:
+        members = [(rt, c) for rt, c in tally.items() if pair_of[rt] == pair]
+        pair_total = sum(c for _, c in members)
+        if pair_total == 0:
             continue
-        labels = {a.value for a in VALID_ASSERTIONS[etype]}
-        labels.update(a for (t, a) in pair_tally if t is etype)
-        per = sorted(
-            ((a, pair_tally.get((etype, a), 0)) for a in labels),
-            key=lambda kv: (-kv[1], kv[0]),
-        )
-        for a, count in per:
+        for rt, count in sorted(members, key=lambda kv: (-kv[1], kv[0])):
             rows.append(CrossRow(
-                f"{etype.value}:{a}", count,
-                _pct(count, type_total), _pct(count, grand_total),
+                rt, count, _pct(count, pair_total), _pct(count, grand_total),
             ))
         rows.append(CrossRow(
-            f"{etype.value}:total", type_total, 100.0, _pct(type_total, grand_total),
+            pair_label, pair_total, 100.0, _pct(pair_total, grand_total),
         ))
     return rows
 
@@ -129,30 +186,7 @@ def assertion_cross_table(docs: Iterable[Document]) -> list[CrossRow]:
 def relation_table(docs: Iterable[Document]) -> list[CrossRow]:
     """One-to-one relation counts grouped by entity pair, with "R(x, y)"
     subtotal rows; percentages are within-pair and of all expanded relations."""
-    tally: Counter = Counter()
-    for doc in docs:
-        if doc.annotations:
-            tally.update(p.rtype for p in expand_all(doc.annotations))
-    grand_total = sum(tally.values())
-    if grand_total == 0:
-        return []
-    rows: list[CrossRow] = []
-    for pair, pair_label in _PAIR_LABELS:
-        members = [
-            (rt, c) for rt, c in tally.items()
-            if frozenset(relation_signature(rt)) == pair
-        ]
-        pair_total = sum(c for _, c in members)
-        if pair_total == 0:
-            continue
-        for rt, count in sorted(members, key=lambda kv: (-kv[1], kv[0].value)):
-            rows.append(CrossRow(
-                rt.value, count, _pct(count, pair_total), _pct(count, grand_total),
-            ))
-        rows.append(CrossRow(
-            pair_label, pair_total, 100.0, _pct(pair_total, grand_total),
-        ))
-    return rows
+    return relation_rows(relation_tally(docs))
 
 
 def avg_sentence_length(docs: Iterable[Document]) -> float:
@@ -168,11 +202,41 @@ def tokens_per_sentence(tokens: int, sentences: int) -> float:
 
 
 def token_and_sentence_counts(docs: Iterable[Document]) -> tuple[int, int]:
+    """The length tally: token and sentence counts over `docs`."""
     tokens = sentences = 0
     for doc in docs:
         sentences += len(doc.sentences)
         tokens += sum(len(s.tokens) for s in doc.sentences)
     return tokens, sentences
+
+
+def length_tally(docs: Iterable[Document]) -> dict[str, int]:
+    """token_and_sentence_counts, keyed "tokens" and "sentences"."""
+    tokens, sentences = token_and_sentence_counts(docs)
+    return {"tokens": tokens, "sentences": sentences}
+
+
+def length_values(tally: dict[str, int]) -> dict[str, int | float]:
+    """The counts of a length_tally and tokens_per_sentence of them."""
+    tokens, sentences = tally["tokens"], tally["sentences"]
+    return {
+        "tokens": tokens, "sentences": sentences,
+        "avg_tokens_per_sentence": tokens_per_sentence(tokens, sentences),
+    }
+
+
+# `clincorp stats --report R` prints REPORTS[R][1] of the sum of
+# REPORTS[R][0]'s tallies over any split of the documents into sets.
+REPORTS = {
+    "pos": (partial(label_tally, layer="pos"), partial(distribution_rows, layer="pos")),
+    "syn": (
+        partial(label_tally, layer="syntactic"),
+        partial(distribution_rows, layer="syntactic"),
+    ),
+    "entity": (assertion_tally, assertion_rows),
+    "relation": (relation_tally, relation_rows),
+    "length": (length_tally, length_values),
+}
 
 
 class Deviation(Record):

@@ -1,21 +1,27 @@
-"""validate, iaa and score split their documents across forked workers.
+"""validate, iaa, score and stats split their documents across forked
+workers through fanout.fold_slices.
 
-The minimum slice size is set to 1 here, and the affinity mask faked, so
+The minimum slice sizes are set to 1 here, and the affinity mask faked, so
 that the small corpora of tests/test_streaming.py take the forked path: what
-a command prints and returns must not depend on how many slices it ran, and
-no worker may outlive the command, however it ends."""
+a command prints and returns must not depend on how many slices it ran, the
+parent must read only its own slice, one document at a time, and no worker
+may outlive the command, however it ends."""
 import os
+import random
 import signal
 import threading
 
 import pytest
 
-from clincorp import annio, cli, fanout
-from clincorp.cli import main
+from clincorp import annio, cli, fanout, stats
+from clincorp.cli import _LAYER_FILES, main
+from clincorp.model import DOC_TYPES
 from clincorp.tagsets import LAYERS
-from test_streaming import IDS_A, IDS_B, _corpus_pair, _Liveness
+from helpers import random_document
+from test_streaming import IDS_A, IDS_B, _corpus_pair, _Liveness, _write
 
 ALL_IDS = sorted(set(IDS_A) | set(IDS_B))
+REPORTS = ("pos", "syn", "entity", "relation", "length")
 
 
 @pytest.fixture(autouse=True)
@@ -26,7 +32,7 @@ def no_ambient_config(monkeypatch):
 @pytest.fixture
 def cpus(monkeypatch):
     """Sets how many CPUs the affinity mask holds, with no minimum slice
-    size; returns the list that records every fork."""
+    sizes; returns the list that records every fork."""
     forks = []
     fork = os.fork
 
@@ -35,6 +41,7 @@ def cpus(monkeypatch):
         return fork()
 
     monkeypatch.setattr(fanout, "MIN_SLICE_DOCS", 1)
+    monkeypatch.setattr(fanout, "MIN_CHEAP_SLICE_DOCS", 1)
     monkeypatch.setattr(os, "fork", counted_fork)
 
     def set_cpus(n: int) -> list:
@@ -57,18 +64,33 @@ def _run(capsys, argv):
     return code, out, err
 
 
-def _argvs(a, b):
-    yield ["validate", a]
+def _typed_corpus(root, n_per_type: int = 4):
+    """n_per_type bundles under each document-type directory."""
+    for doc_type in DOC_TYPES:
+        for i in range(n_per_type):
+            doc_id = f"{doc_type}/d{i}"
+            _write(root, random_document(random.Random(doc_id), doc_id))
+    return root
+
+
+def _argvs(a, b, typed):
+    """Each corpus command with the number of documents it splits."""
+    yield ["validate", a], len(IDS_A)
+    yield ["validate", "--keep-going", a], len(IDS_A)
     for cmd in ("iaa", "score"):
         for layer in LAYERS:
-            yield [cmd, "--layer", layer, a, b]
-            yield [cmd, "--layer", layer, "--details", a, b]
+            yield [cmd, "--layer", layer, a, b], len(ALL_IDS)
+            yield [cmd, "--layer", layer, "--details", a, b], len(ALL_IDS)
+    for report in REPORTS:
+        yield ["stats", "--report", report, a], len(IDS_A)
+        yield ["stats", "--report", report, "--format", "json", a], len(IDS_A)
+        yield ["stats", "--report", report, "--doc-type", DOC_TYPES[1], typed], 4
 
 
 def test_output_does_not_depend_on_the_slice_count(tmp_path, capsys, cpus):
     a, b = _corpus_pair(tmp_path)
-    for argv in _argvs(a, b):
-        n_docs = len(IDS_A) if argv[0] == "validate" else len(ALL_IDS)
+    typed = _typed_corpus(tmp_path / "typed")
+    for argv, n_docs in _argvs(a, b, typed):
         cpus(1)
         want = _run(capsys, argv)
         assert want[0] in (0, 1)
@@ -117,6 +139,100 @@ def test_first_error_in_doc_id_order_wins(tmp_path, capsys, cpus, cmd):
             f.write_bytes(data)
 
 
+# Three slices of IDS_A: [a, a-b], [a/z, m1], [m3, m5, only_a].
+FIRST, MIDDLE, LAST = "a", "m1", "only_a"
+
+
+@pytest.mark.parametrize("report", REPORTS)
+def test_stats_reports_the_first_malformed_file_of_one_slice(tmp_path, capsys, cpus, report):
+    a, _ = _corpus_pair(tmp_path)
+    (ext,) = _LAYER_FILES[report]
+    cases = [[FIRST], [MIDDLE], [LAST], [MIDDLE, LAST], [FIRST, MIDDLE, LAST]]
+    for broken in cases:
+        files = [a / f"{doc_id}.{ext}" for doc_id in broken]
+        saved = [f.read_bytes() for f in files]
+        for f in files:
+            f.write_text("bad\n", encoding="utf-8")
+        argv = ["stats", "--report", report, a]
+        cpus(1)
+        want = _run(capsys, argv)
+        assert want[:2] == (2, ""), broken
+        assert want[2].startswith(f"error: {a / broken[0]}.{ext}:"), broken
+        forks = cpus(3)
+        assert _run(capsys, argv) == want, broken
+        assert len(forks) == 2
+        for f, data in zip(files, saved):
+            f.write_bytes(data)
+
+
+def _parse_error_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if ": parse-error: " in line]
+
+
+@pytest.mark.parametrize("broken", [
+    [(FIRST, "tok")],
+    [(FIRST, "ptb"), (MIDDLE, "ann")],
+    [(FIRST, "chk"), (MIDDLE, "tok"), (LAST, "txt")],
+], ids=["one-slice", "two-slices", "three-slices"])
+def test_keep_going_reports_every_malformed_file(tmp_path, capsys, cpus, broken):
+    a, _ = _corpus_pair(tmp_path)
+    cpus(1)
+    clean = _run(capsys, ["validate", a])
+    for doc_id, ext in broken:
+        # Bytes that are not UTF-8 for the text, a malformed line for the rest.
+        (a / f"{doc_id}.{ext}").write_bytes(b"\xff\n" if ext == "txt" else b"bad\n")
+    # Without the flag the first malformed file ends the run.
+    doc_id, ext = broken[0]
+    code, out, err = _run(capsys, ["validate", a])
+    assert (code, out) == (2, "") and err.startswith(f"error: {a / doc_id}.{ext}:line 1:")
+    argv = ["validate", "--keep-going", a]
+    want = _run(capsys, argv)
+    code, out, err = want
+    assert code == 1
+    # One parse-error finding per broken file, in doc-id order, each the
+    # error line the run without the flag would end with.
+    lines = _parse_error_lines(out)
+    assert [line.split(":", 1)[0] for line in lines] == [doc_id for doc_id, _ in broken]
+    for line, (doc_id, ext) in zip(lines, broken):
+        assert line.startswith(f"{doc_id}: {ext}: parse-error: {a / doc_id}.{ext}:line 1: ")
+    # The other documents' findings are those of the clean corpus.
+    skipped = {doc_id for doc_id, _ in broken}
+    assert [line for line in out.splitlines() if line not in lines] == [
+        line for line in clean[1].splitlines() if line.split(":", 1)[0] not in skipped
+    ]
+    assert err == f"{len(out.splitlines())} finding(s) in {len(IDS_A)} document(s)\n"
+    for n in (2, 3):
+        forks = cpus(n)
+        assert _run(capsys, argv) == want, n
+        assert len(forks) == n - 1
+
+
+def test_keep_going_exit_codes(tmp_path, capsys, cpus):
+    (tmp_path / "empty").mkdir()
+    cpus(2)
+    assert _run(capsys, ["validate", "--keep-going", tmp_path / "empty"]) == (
+        2, "", f"error: no document bundles under {tmp_path / 'empty'}\n")
+    root = _typed_corpus(tmp_path / "typed", n_per_type=1)
+    assert _run(capsys, ["validate", "--keep-going", root])[:2] == (0, "")
+    (root / DOC_TYPES[1] / "d0.ptb").write_text("bad\n", encoding="utf-8")
+    code, out, _ = _run(capsys, ["validate", "--keep-going", root])
+    assert code == 1 and len(_parse_error_lines(out)) == 1
+    # An unreadable file is not a parse error: it still ends the run.
+    (root / DOC_TYPES[0] / "d0.tok").unlink()
+    (root / DOC_TYPES[0] / "d0.tok").mkdir()
+    code, out, err = _run(capsys, ["validate", "--keep-going", root])
+    assert (code, out) == (2, "") and "Is a directory" in err
+
+
+def test_cheap_reports_have_their_own_slice_minimum(tmp_path, monkeypatch, capsys, cpus):
+    a, _ = _corpus_pair(tmp_path)
+    monkeypatch.setattr(fanout, "MIN_CHEAP_SLICE_DOCS", len(IDS_A) // 2)
+    for report, slices in (("entity", 2), ("relation", 2), ("pos", len(IDS_A))):
+        forks = cpus(100)
+        assert _run(capsys, ["stats", "--report", report, a])[0] == 0
+        assert len(forks) == slices - 1, report
+
+
 def test_worker_os_error_prints_the_serial_line(tmp_path, capsys, cpus):
     a, b = _corpus_pair(tmp_path)
     (a / "m5.tok").unlink()
@@ -130,7 +246,10 @@ def test_worker_os_error_prints_the_serial_line(tmp_path, capsys, cpus):
         assert len(forks) == 2
 
 
-@pytest.mark.parametrize("argv", [["validate", "A"], ["iaa", "--layer", "tree", "A", "B"]])
+@pytest.mark.parametrize("argv", [
+    ["validate", "A"], ["iaa", "--layer", "tree", "A", "B"],
+    *(["stats", "--report", report, "A"] for report in REPORTS),
+])
 def test_parent_loads_only_its_own_slice(tmp_path, monkeypatch, capsys, cpus, argv):
     a, b = _corpus_pair(tmp_path)
     dirs = {"A": str(a), "B": str(b)}
@@ -138,7 +257,7 @@ def test_parent_loads_only_its_own_slice(tmp_path, monkeypatch, capsys, cpus, ar
     monkeypatch.setattr(annio, "load_document", tracker)
     cpus(2)
     assert main([dirs.get(arg, arg) for arg in argv]) in (0, 1)
-    ids = IDS_A if argv[0] == "validate" else ALL_IDS
+    ids = ALL_IDS if "B" in argv else IDS_A
     first = ids[: len(ids) // 2]
     assert len(tracker.refs["A"]) == len(set(first) & set(IDS_A))
     assert len(tracker.refs["B"]) == (len(set(first) & set(IDS_B)) if "B" in argv else 0)
@@ -222,6 +341,7 @@ def test_one_slice_without_fork_affinity_or_a_single_thread(monkeypatch):
     n = 4 * fanout.MIN_SLICE_DOCS
     assert fanout.slice_count(n) == 4
     assert fanout.slice_count(2 * fanout.MIN_SLICE_DOCS - 1) == 1
+    assert fanout.slice_count(n, min_docs=2 * fanout.MIN_SLICE_DOCS) == 2
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -258,8 +378,14 @@ def test_the_parent_still_calls_the_names_the_benchmark_patches(tmp_path, monkey
 
     for name in ("validate_document", "corpus_agreement"):
         monkeypatch.setattr(cli, name, recorded(name))
+    # The benchmark's traced stats span is this name, in the stats module.
+    fn = stats.token_and_sentence_counts
+    monkeypatch.setattr(stats, "token_and_sentence_counts",
+                        lambda docs: seen.append("token_and_sentence_counts") or fn(docs))
     cpus(2)
     assert main(["validate", str(a)]) == 1
     assert main(["iaa", "--layer", "seg", str(a), str(b)]) in (0, 1)
+    assert main(["stats", "--report", "length", str(a)]) == 0
     # The workers' calls stay in the workers.
-    assert seen == ["validate_document"] * (len(IDS_A) // 2) + ["corpus_agreement"]
+    assert seen == ["validate_document"] * (len(IDS_A) // 2) + [
+        "corpus_agreement", "token_and_sentence_counts"]

@@ -1,9 +1,12 @@
 """Corpus statistics, rounding rules, and reference-table comparison."""
 import math
+import random
 
 import pytest
 
 from clincorp import refdata
+from clincorp.annio import iter_documents, serialize_ptb
+from clincorp.cli import main
 from clincorp.errors import InputError
 from clincorp.model import (
     DocAnnotations,
@@ -18,6 +21,8 @@ from clincorp.numfmt import fmt_metric, fmt_percent, round_half_up
 from clincorp.parseval import ParseTree
 from clincorp.refdata import matches_display
 from clincorp.stats import (
+    CrossRow,
+    DistributionRow,
     assertion_cross_table,
     avg_sentence_length,
     compare_reference,
@@ -27,6 +32,7 @@ from clincorp.stats import (
     token_and_sentence_counts,
 )
 from clincorp.tagsets import AssertionType, EntityType, RelationType
+from helpers import random_document, write_bundle
 
 
 def test_round_half_up_away_from_zero():
@@ -254,3 +260,75 @@ def test_reference_tables_internally_consistent():
     assert sum(
         c for label, c, _, _ in refdata.RELATION_TABLE if label.startswith("R(")
     ) == refdata.RELATION_TABLE_TOTAL
+
+
+TABLES = {
+    "pos": lambda docs: distribution(docs, "pos"),
+    "syn": lambda docs: distribution(docs, "syntactic"),
+    "entity": assertion_cross_table,
+    "relation": relation_table,
+}
+
+
+def _printed_by_the_library(report: str, docs: list) -> tuple[int, str, str]:
+    """What `clincorp stats --report REPORT` prints for `docs`, made with the
+    public table functions: (exit code, stdout, stderr)."""
+    def text(value):
+        return fmt_percent(value) if isinstance(value, float) else str(value)
+
+    try:
+        if report == "length":
+            tokens, sentences = token_and_sentence_counts(docs)
+            avg = avg_sentence_length(docs)
+            return 0, (f"tokens\t{tokens}\nsentences\t{sentences}\n"
+                       f"avg_tokens_per_sentence\t{text(avg)}\n"), ""
+        rows = TABLES[report](docs)
+    except InputError as exc:
+        return 2, "", f"error: {exc}\n"
+    names = (DistributionRow if report in ("pos", "syn") else CrossRow).__slots__
+    lines = ["\t".join(names)] + [
+        "\t".join(text(getattr(r, n)) for n in names) for r in rows
+    ]
+    return 0, "".join(line + "\n" for line in lines), ""
+
+
+def _sparse_document(doc_id: str) -> Document:
+    """Two one-token sentences without part-of-speech labels, one-leaf trees
+    (no internal constituent) and one entity without relations."""
+    tokens = [Sentence(0, (Token(0, 1, "a"),)), Sentence(2, (Token(0, 1, "b"),))]
+    ann = DocAnnotations(doc_id=doc_id, text="a b")
+    ann.entities["T1"] = Entity("T1", EntityType.TEST, 0, 1, "a")
+    return Document(doc_id, "a b", sentences=tokens,
+                    trees=[ParseTree("NN", surface="a"), ParseTree("NN", surface="b")],
+                    annotations=ann)
+
+
+@pytest.mark.parametrize("corpus", ["random", "sparse", "empty"])
+def test_each_table_function_prints_what_the_cli_prints(tmp_path, capsys, monkeypatch, corpus):
+    """The five library functions, rebuilt from a tally and a finishing step,
+    give the tables `clincorp stats` prints, zero-count errors included."""
+    monkeypatch.delenv("CLINCORP_CONFIG", raising=False)
+    root = tmp_path / corpus
+    for i in range(4):
+        doc_id = f"d{i}"
+        if corpus == "random":
+            doc = random_document(random.Random(i), doc_id)
+        elif corpus == "sparse":
+            doc = _sparse_document(doc_id)
+        else:
+            doc = Document(doc_id, "", annotations=DocAnnotations(doc_id=doc_id, text=""))
+        stem = write_bundle(root, doc)
+        stem.with_suffix(".ptb").write_text(serialize_ptb(doc.trees), encoding="utf-8")
+    docs = list(iter_documents(root))
+    for report in ("pos", "syn", "entity", "relation", "length"):
+        code = main(["stats", "--report", report, str(root)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == _printed_by_the_library(report, docs), report
+    if corpus == "sparse":
+        assert [r.label for r in assertion_cross_table(docs)][-1] == "test:total"
+        assert relation_table(docs) == []
+    if corpus != "random":
+        for report in ("pos", "syn"):
+            with pytest.raises(InputError, match="corpus has no"):
+                TABLES[report](iter(docs))
+    assert token_and_sentence_counts(iter(docs)) == token_and_sentence_counts(docs)
