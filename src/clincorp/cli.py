@@ -311,7 +311,8 @@ def _cmd_expand(args: argparse.Namespace, config: dict) -> int:
 def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
     from collections import Counter
 
-    from . import annio, fanout, stats
+    from . import annio, stats
+    from .fanout import fold_slices
     from .model import DOC_TYPES
 
     if args.doc_type is not None and args.doc_type not in DOC_TYPES:
@@ -330,14 +331,12 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
     if not _has_layer(ext, bundles):
         raise InputError(f"no .{ext} file under {args.directory}")
     # Only a slice's tally crosses the pipe; the table is made here.
-    tally_of, table_of = stats.REPORTS[args.report]
-    cheap = args.report in ("entity", "relation")
-    table = table_of(fanout.fold_slices(
+    tally_of, table_of, row_type = stats.REPORTS[args.report]
+    table = table_of(fold_slices(
         list(bundles), lambda k: annio.load_document(bundles[k], layers),
         lambda docs: dict(tally_of(docs)), Counter(), Counter.update,
-        fanout.MIN_CHEAP_SLICE_DOCS if cheap else None,
     ))
-    if args.report == "length":
+    if row_type is None:
         if fmt == "tsv":
             out = "".join(f"{k}\t{_text(v)}\n" for k, v in table.items())
         else:
@@ -345,7 +344,6 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
         sys.stdout.write(out)
         return 0
 
-    row_type = stats.DistributionRow if args.report in ("pos", "syn") else stats.CrossRow
     names = row_type.__slots__
     rows = [{n: getattr(r, n) for n in names} for r in table]
     if fmt == "tsv":

@@ -15,18 +15,21 @@ from .groups import expand_all
 from .model import DOC_TYPES, Document
 from .numfmt import round_half_up
 from .record import Record
-from .tagsets import EntityType, RelationType, VALID_ASSERTIONS, relation_signature
+from .tagsets import (
+    RELATION_PAIRS, VALID_ASSERTIONS, EntityType, RelationType, relation_signature,
+)
 
 DISTRIBUTION_LAYERS = ("pos", "syntactic")
 
 # Entity-pair subtotal labels, keyed by the unordered endpoint-type pair and
 # listed in canonical reporting order.
-_PAIR_LABELS: list[tuple[frozenset[EntityType], str]] = [
-    (frozenset({EntityType.TREATMENT, EntityType.DISEASE}), "R(Tr, D)"),
-    (frozenset({EntityType.TREATMENT, EntityType.SYMPTOM}), "R(Tr, S)"),
-    (frozenset({EntityType.TEST, EntityType.DISEASE}), "R(Te, D)"),
-    (frozenset({EntityType.TEST, EntityType.SYMPTOM}), "R(Te, S)"),
-    (frozenset({EntityType.DISEASE, EntityType.SYMPTOM}), "R(D, S)"),
+_SHORT_NAMES = {
+    EntityType.TREATMENT: "Tr", EntityType.TEST: "Te",
+    EntityType.DISEASE: "D", EntityType.SYMPTOM: "S",
+}
+_PAIR_LABELS = [
+    (frozenset(pair), f"R({_SHORT_NAMES[pair[0]]}, {_SHORT_NAMES[pair[1]]})")
+    for pair in RELATION_PAIRS
 ]
 
 _CROSS_TYPE_ORDER = (
@@ -226,16 +229,20 @@ def length_values(tally: dict[str, int]) -> dict[str, int | float]:
 
 
 # `clincorp stats --report R` prints REPORTS[R][1] of the sum of
-# REPORTS[R][0]'s tallies over any split of the documents into sets.
+# REPORTS[R][0]'s tallies over any split of the documents into sets, as rows
+# of type REPORTS[R][2], or for None (length) as one object of named values.
 REPORTS = {
-    "pos": (partial(label_tally, layer="pos"), partial(distribution_rows, layer="pos")),
+    "pos": (
+        partial(label_tally, layer="pos"), partial(distribution_rows, layer="pos"),
+        DistributionRow,
+    ),
     "syn": (
         partial(label_tally, layer="syntactic"),
-        partial(distribution_rows, layer="syntactic"),
+        partial(distribution_rows, layer="syntactic"), DistributionRow,
     ),
-    "entity": (assertion_tally, assertion_rows),
-    "relation": (relation_tally, relation_rows),
-    "length": (length_tally, length_values),
+    "entity": (assertion_tally, assertion_rows, CrossRow),
+    "relation": (relation_tally, relation_rows, CrossRow),
+    "length": (length_tally, length_values, None),
 }
 
 

@@ -1,7 +1,8 @@
 """validate, iaa, score and stats split their documents across forked
 workers through fanout.fold_slices.
 
-The minimum slice sizes are set to 1 here, and the affinity mask faked, so
+Every command forks by one rule, slices of at least fanout.MIN_SLICE_DOCS
+documents.  That minimum is set to 1 here, and the affinity mask faked, so
 that the small corpora of tests/test_streaming.py take the forked path: what
 a command prints and returns must not depend on how many slices it ran, the
 parent must read only its own slice, one document at a time, and no worker
@@ -22,6 +23,12 @@ from test_streaming import IDS_A, IDS_B, _corpus_pair, _Liveness, _write
 
 ALL_IDS = sorted(set(IDS_A) | set(IDS_B))
 REPORTS = ("pos", "syn", "entity", "relation", "length")
+# One command line of each corpus command and stats report, on corpora A and B.
+CORPUS_ARGVS = [
+    ["validate", "A"], ["iaa", "--layer", "tree", "A", "B"],
+    *(["stats", "--report", report, "A"] for report in REPORTS),
+    ["score", "--layer", "entity", "A", "B"],
+]
 
 
 @pytest.fixture(autouse=True)
@@ -32,7 +39,7 @@ def no_ambient_config(monkeypatch):
 @pytest.fixture
 def cpus(monkeypatch):
     """Sets how many CPUs the affinity mask holds, with no minimum slice
-    sizes; returns the list that records every fork."""
+    size; returns the list that records every fork."""
     forks = []
     fork = os.fork
 
@@ -41,7 +48,6 @@ def cpus(monkeypatch):
         return fork()
 
     monkeypatch.setattr(fanout, "MIN_SLICE_DOCS", 1)
-    monkeypatch.setattr(fanout, "MIN_CHEAP_SLICE_DOCS", 1)
     monkeypatch.setattr(os, "fork", counted_fork)
 
     def set_cpus(n: int) -> list:
@@ -224,13 +230,17 @@ def test_keep_going_exit_codes(tmp_path, capsys, cpus):
     assert (code, out) == (2, "") and "Is a directory" in err
 
 
-def test_cheap_reports_have_their_own_slice_minimum(tmp_path, monkeypatch, capsys, cpus):
-    a, _ = _corpus_pair(tmp_path)
-    monkeypatch.setattr(fanout, "MIN_CHEAP_SLICE_DOCS", len(IDS_A) // 2)
-    for report, slices in (("entity", 2), ("relation", 2), ("pos", len(IDS_A))):
-        forks = cpus(100)
-        assert _run(capsys, ["stats", "--report", report, a])[0] == 0
-        assert len(forks) == slices - 1, report
+@pytest.mark.parametrize("argv", CORPUS_ARGVS)
+def test_every_command_forks_by_the_one_slice_minimum(
+    tmp_path, monkeypatch, capsys, cpus, argv,
+):
+    a, b = _corpus_pair(tmp_path)
+    dirs = {"A": a, "B": b}
+    ids = ALL_IDS if "B" in argv else IDS_A
+    monkeypatch.setattr(fanout, "MIN_SLICE_DOCS", len(ids) // 2)
+    forks = cpus(100)
+    assert _run(capsys, [dirs.get(arg, arg) for arg in argv])[0] in (0, 1)
+    assert len(forks) == 1
 
 
 def test_worker_os_error_prints_the_serial_line(tmp_path, capsys, cpus):
@@ -246,10 +256,7 @@ def test_worker_os_error_prints_the_serial_line(tmp_path, capsys, cpus):
         assert len(forks) == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", "A"], ["iaa", "--layer", "tree", "A", "B"],
-    *(["stats", "--report", report, "A"] for report in REPORTS),
-])
+@pytest.mark.parametrize("argv", CORPUS_ARGVS)
 def test_parent_loads_only_its_own_slice(tmp_path, monkeypatch, capsys, cpus, argv):
     a, b = _corpus_pair(tmp_path)
     dirs = {"A": str(a), "B": str(b)}
@@ -341,7 +348,6 @@ def test_one_slice_without_fork_affinity_or_a_single_thread(monkeypatch):
     n = 4 * fanout.MIN_SLICE_DOCS
     assert fanout.slice_count(n) == 4
     assert fanout.slice_count(2 * fanout.MIN_SLICE_DOCS - 1) == 1
-    assert fanout.slice_count(n, min_docs=2 * fanout.MIN_SLICE_DOCS) == 2
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -358,9 +364,7 @@ def test_one_slice_without_fork_affinity_or_a_single_thread(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.delattr(os, "fork")
     assert fanout.slice_count(n) == 1
-    calls = []
-    assert fanout.fan_out(["a", "b"], lambda ids: calls.append(ids) or len(ids)) == [2]
-    assert calls == [["a", "b"]]
+    assert fanout.fold_slices(["a", "b"], str.upper, list, [], list.append) == [["A", "B"]]
 
 
 def test_the_parent_still_calls_the_names_the_benchmark_patches(tmp_path, monkeypatch, capsys, cpus):
