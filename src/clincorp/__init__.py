@@ -18,8 +18,8 @@ import importlib
 # The public names, by the submodule that defines each.
 _EXPORTS = {
     "agreement": (
-        "AgreementReport", "CorpusAgreement", "Disagreement", "add_counts",
-        "corpus_agreement", "diff_report", "macro_average", "prf",
+        "AgreementReport", "CorpusAgreement", "add_counts", "corpus_agreement",
+        "macro_average", "prf",
     ),
     "annio": (
         "BundlePaths", "discover", "iter_documents", "iter_pairs",

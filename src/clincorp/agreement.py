@@ -9,20 +9,18 @@ All layer scorers return raw (agreed, count_a, count_b) triples, each from
 one list of match keys per side and parseval.match_keys; `prf` turns a
 triple into an AgreementReport.  When both sides are empty there is
 nothing to disagree about, so all three measures are 1 and the report is
-flagged vacuous.  `diff_report` lists the disagreements themselves, one
-adjudication item each, on the entity, group and relation layers.
+flagged vacuous.
 """
 from __future__ import annotations
 
 from typing import Iterable
 
-from .errors import InputError, LengthMismatchError
-from .groups import endpoint_key, expand_all, relation_match_key
-from .model import Chunk, DocAnnotations, Document, Entity, Sentence
-from .numfmt import round_half_up
-from .parseval import EvalParams, ParseTree, match_counts, match_keys, score_corpus
+from .errors import LengthMismatchError
+from .groups import expand_all, relation_match_key
+from .model import Chunk, DocAnnotations, Document, Sentence
+from .parseval import EvalParams, ParseTree, match_keys, score_corpus
 from .record import Record
-from .tagsets import LAYERS, SYN_TAG_ALIASES, SYN_TAG_SET, MatchPolicy, RelationMode
+from .tagsets import LAYERS, SYN_CANONICAL, MatchPolicy, RelationMode
 
 
 class AgreementReport(Record):
@@ -40,17 +38,14 @@ class AgreementReport(Record):
         self.f = f
         self.vacuous = vacuous
 
-    def to_dict(self, *, rounded: bool = True) -> dict:
-        p, r, f = self.precision, self.recall, self.f
-        if rounded:
-            p, r, f = (round_half_up(x, 3) for x in (p, r, f))
+    def to_dict(self) -> dict:
         return {
             "agreed": self.agreed,
             "count_a": self.count_a,
             "count_b": self.count_b,
-            "precision": p,
-            "recall": r,
-            "f": f,
+            "precision": self.precision,
+            "recall": self.recall,
+            "f": self.f,
             "vacuous": self.vacuous,
         }
 
@@ -114,12 +109,11 @@ def chunk_counts(
         )
 
     def keys(blocks: list[list[Chunk]]) -> list:
-        # (sentence, first, last, label), the label as normalize_syn_tag
-        # gives it, or as written when it is unknown.
+        # (sentence, first, last, label), the label canonical, or as written
+        # when it is unknown.
         return [
-            (i, c.first, c.last_exclusive, label if label in SYN_TAG_SET else c.label)
+            (i, c.first, c.last_exclusive, SYN_CANONICAL.get(c.label, c.label))
             for i, block in enumerate(blocks) for c in block
-            for label in (SYN_TAG_ALIASES.get(c.label, c.label),)
         ]
 
     return match_keys(keys(blocks_a), keys(blocks_b))
@@ -134,17 +128,6 @@ def tree_counts(
     indices (pairs whose scorable leaf counts differ)."""
     score = score_corpus(trees_a, trees_b, params)
     return (score.agreed, score.count_a, score.count_b), score.excluded
-
-
-def score_trees(
-    gold: ParseTree,
-    cand: ParseTree,
-    params: EvalParams = EvalParams(),
-    beta: float = 1.0,
-) -> AgreementReport:
-    """Bracketing agreement for one sentence pair, gold on the recall side."""
-    agreed, ca, cb = match_counts(gold, cand, params)
-    return prf(agreed, ca, cb, beta=beta)
 
 
 def entity_counts(
@@ -295,139 +278,3 @@ def corpus_agreement(
         # Otherwise this pair stays alive while the next one is read.
         del da, db
     return result
-
-
-# ----------------------------------------------------------------- diffs ---
-
-class Disagreement(Record):
-    """One adjudication item: an annotation present on one side only, or
-    present on both with differing attributes."""
-
-    __slots__ = ("doc_id", "layer", "kind", "location", "surface", "detail")
-
-    def __init__(
-        self, doc_id: str, layer: str, kind: str, location: str, surface: str,
-        detail: str = "",
-    ):
-        self.doc_id = doc_id
-        self.layer = layer
-        self.kind = kind  # a-only | b-only | attribute-mismatch
-        self.location = location
-        self.surface = surface
-        self.detail = detail
-
-    def render(self) -> str:
-        return "\t".join(
-            (self.doc_id, self.layer, self.kind, self.location, self.surface,
-             self.detail)
-        )
-
-
-def _span_surface(ann: DocAnnotations, key: tuple[int, int, str]) -> str:
-    start, end, _ = key
-    return ann.text[start:end] if ann.text else ""
-
-
-def _diff_entities(
-    ann_a: DocAnnotations, ann_b: DocAnnotations, doc_id: str
-) -> list[Disagreement]:
-    def index(ann: DocAnnotations) -> dict[tuple, list[Entity]]:
-        idx: dict[tuple, list[Entity]] = {}
-        for e in ann.entities.values():
-            idx.setdefault(e.key(), []).append(e)
-        return idx
-
-    ia, ib = index(ann_a), index(ann_b)
-    out: list[Disagreement] = []
-    for key in sorted(set(ia) | set(ib)):
-        ea, eb = ia.get(key, []), ib.get(key, [])
-        start, end, etype = key
-        loc = f"[{start},{end}) {etype}"
-        surface = (ea or eb)[0].surface
-        for _ in range(len(ea) - len(eb)):
-            out.append(Disagreement(doc_id, "entity", "a-only", loc, surface))
-        for _ in range(len(eb) - len(ea)):
-            out.append(Disagreement(doc_id, "entity", "b-only", loc, surface))
-        if ea and eb:
-            aa = sorted(e.assertion.value if e.assertion else "none" for e in ea)
-            ab = sorted(e.assertion.value if e.assertion else "none" for e in eb)
-            if aa != ab:
-                out.append(Disagreement(
-                    doc_id, "entity", "attribute-mismatch", loc, surface,
-                    detail=f"assertion {'/'.join(aa)} vs {'/'.join(ab)}",
-                ))
-    return out
-
-
-def _endpoint_desc(ann: DocAnnotations, spans: tuple) -> str:
-    return ";".join(_span_surface(ann, k) or f"[{k[0]},{k[1]})" for k in spans)
-
-
-def _keyed(ann: DocAnnotations, layer: str) -> dict:
-    idx: dict = {}
-    if layer == "group":
-        for g in ann.groups.values():
-            members = tuple(sorted(
-                ann.entities[m].key() for m in g.members if m in ann.entities
-            ))
-            key = (g.etype.value, members)
-            desc = _endpoint_desc(ann, members)
-            idx.setdefault(key, []).append((f"group {g.etype.value}", desc))
-    else:
-        for r in ann.relations.values():
-            k1 = tuple(sorted(endpoint_key(ann, r.arg1)))
-            k2 = tuple(sorted(endpoint_key(ann, r.arg2)))
-            key = (r.rtype.value, k1, k2)
-            desc = f"{_endpoint_desc(ann, k1)} -> {_endpoint_desc(ann, k2)}"
-            idx.setdefault(key, []).append((r.rtype.value, desc))
-    return idx
-
-
-def _diff_keyed(
-    ann_a: DocAnnotations, ann_b: DocAnnotations, doc_id: str, layer: str
-) -> list[Disagreement]:
-    keys_a, keys_b = _keyed(ann_a, layer), _keyed(ann_b, layer)
-    out: list[Disagreement] = []
-    for key in sorted(set(keys_a) | set(keys_b)):
-        na = len(keys_a.get(key, []))
-        nb = len(keys_b.get(key, []))
-        loc, surface = (keys_a.get(key) or keys_b[key])[0]
-        for _ in range(na - nb):
-            out.append(Disagreement(doc_id, layer, "a-only", loc, surface))
-        for _ in range(nb - na):
-            out.append(Disagreement(doc_id, layer, "b-only", loc, surface))
-    return out
-
-
-def diff_report(
-    pairs: Iterable[tuple[Document | None, Document | None]], layer: str
-) -> list[Disagreement]:
-    """Itemized disagreements for adjudication.
-
-    `pairs` holds (doc_a, doc_b) for each doc id, as annio.iter_pairs yields
-    them; the first document on one side only (None on the other) raises
-    InputError.  Entities match by span and type, then compare assertions;
-    groups match by type and member set; relations match group-preserved
-    (type plus endpoint member sets).  Swapping the inputs swaps a-only with
-    b-only and leaves attribute mismatches in place with their sides
-    reversed.
-    """
-    if layer not in ("entity", "group", "relation"):
-        raise InputError(f"diff supports entity/group/relation, not {layer!r}")
-    out: list[Disagreement] = []
-    for da, db in pairs:
-        if da is None or db is None:
-            doc_id, side = (db.doc_id, "b") if da is None else (da.doc_id, "a")
-            raise InputError(
-                f"annotation sets cover different documents: {doc_id!r} is only in {side}"
-            )
-        doc_id = da.doc_id
-        ann_a = da.annotations or DocAnnotations(doc_id, "")
-        ann_b = db.annotations or DocAnnotations(doc_id, "")
-        if layer == "entity":
-            out.extend(_diff_entities(ann_a, ann_b, doc_id))
-        else:
-            out.extend(_diff_keyed(ann_a, ann_b, doc_id, layer))
-        # Otherwise this pair stays alive while the next one is read.
-        del da, db, ann_a, ann_b
-    return out

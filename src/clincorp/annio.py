@@ -236,6 +236,15 @@ def serialize_chk(blocks: list[list[Chunk]]) -> str:
     out: list[str] = [HEADERS["chk"] + "\n"]
     for block in blocks:
         for ch in block:
+            if ch.first < 0 or ch.last_exclusive <= ch.first:
+                raise InputError(
+                    f"chunk range [{ch.first}, {ch.last_exclusive}) cannot be "
+                    "written to the chunk format"
+                )
+            if not ch.label or any(c in ch.label for c in "\t\n\r"):
+                raise InputError(
+                    f"chunk label {ch.label!r} cannot be written to the chunk format"
+                )
             out.append(f"{ch.first}\t{ch.last_exclusive}\t{ch.label}\n")
         out.append("\n")
     return "".join(out)
@@ -352,17 +361,23 @@ def parse_ann(
     return ann
 
 
-def _id_num(ref: str) -> tuple[int, str]:
-    """Sort key for annotation ids: numeric part when present, else the raw
-    string after all numbered ids."""
-    m = re.fullmatch(r"[TAGR](\d+)", ref)
-    if m:
-        return (int(m.group(1)), "")
-    return (1 << 62, ref)
+_ID_RE = re.compile(r"[TGR](\d+)")
+
+
+def _id_num(ref: str, kind: str) -> int:
+    """The number of an entity, group or relation id, its sort key.  The id
+    must be `kind` followed by digits, the only ids parse_ann reads."""
+    m = _ID_RE.fullmatch(ref)
+    if m is None or ref[0] != kind:
+        raise InputError(
+            f"id {ref!r} cannot be written to the standoff format: expected "
+            f"{kind} followed by digits"
+        )
+    return int(m.group(1))
 
 
 def _entity_sort_key(e: Entity) -> tuple:
-    return (e.start, e.end, _id_num(e.eid))
+    return (e.start, e.end, _id_num(e.eid, "T"))
 
 
 def _resolved_span(ann: DocAnnotations, ref: str) -> tuple:
@@ -390,7 +405,7 @@ def serialize_ann(ann: DocAnnotations) -> str:
             lines.append(f"A{next_a}\t{e.assertion.value} {e.eid}")
             next_a += 1
     for g in sorted(
-        ann.groups.values(), key=lambda g: (_resolved_span(ann, g.gid), _id_num(g.gid))
+        ann.groups.values(), key=lambda g: (_resolved_span(ann, g.gid), _id_num(g.gid, "G"))
     ):
         lines.append(f"{g.gid}\t{g.etype.value}" + "".join(f" {m}" for m in g.members))
     for r in sorted(
@@ -399,7 +414,7 @@ def serialize_ann(ann: DocAnnotations) -> str:
             _resolved_span(ann, r.arg1),
             _resolved_span(ann, r.arg2),
             r.rtype.value,
-            _id_num(r.rid),
+            _id_num(r.rid, "R"),
         ),
     ):
         lines.append(f"{r.rid}\t{r.rtype.value} Arg1:{r.arg1} Arg2:{r.arg2}")

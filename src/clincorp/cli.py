@@ -277,7 +277,7 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     (ext,) = layers
     if report.vacuous and not _has_layer(ext, bundles_a, bundles_b):
         raise InputError(f"no .{ext} file under {args.dir_a} or {args.dir_b}")
-    out = _json_object(report.to_dict(rounded=False), fmt_metric)
+    out = _json_object(report.to_dict(), fmt_metric)
     if args.details:
         sys.stderr.write(_detail_table(corpus, beta))
     for doc_id in corpus.excluded_docs:

@@ -15,7 +15,7 @@ from collections import Counter
 
 from .errors import LengthMismatchError, ParseError
 from .record import Record
-from .tagsets import POS_TAG_SET, SYN_TAG_ALIASES, SYN_TAG_SET
+from .tagsets import POS_TAG_SET, SYN_CANONICAL
 
 PUNCT_POS = "PU"
 
@@ -269,13 +269,13 @@ def parse_tree(text: str, *, path: str | None = None, line: int | None = None) -
                     )
                 node = children[0]
             else:
-                label = SYN_TAG_ALIASES.get(label, label)
-                if label not in SYN_TAG_SET:
+                canonical = SYN_CANONICAL.get(label)
+                if canonical is None:
                     raise ParseError(
                         f"unknown-syntactic-label {label!r}", path=path, line=line
                     )
                 node = new(ParseTree)
-                node.label = label
+                node.label = canonical
                 node.children = tuple(children)
                 node.surface = None
             if not stack:

@@ -1,6 +1,6 @@
 """Descriptive corpus statistics and regression against reference tables.
 
-All percentages are rounded half away from zero to two decimals.  Tables
+All percentages round half away from zero to two decimals.  Tables
 list observed labels only (a label never annotated simply has no row), sorted
 by count descending then label, which keeps output deterministic.
 """

@@ -55,11 +55,13 @@ SYN_TAG_SET: frozenset[str] = frozenset(SYN_TAGS)
 
 SYN_TAG_ALIASES: dict[str, str] = {"VS": "VSB"}
 
+# Every accepted spelling of a syntactic label, mapped to its canonical label.
+SYN_CANONICAL: dict[str, str] = {**{tag: tag for tag in SYN_TAGS}, **SYN_TAG_ALIASES}
+
 
 def normalize_syn_tag(label: str) -> str | None:
     """Return the canonical syntactic label, or None if unknown."""
-    label = SYN_TAG_ALIASES.get(label, label)
-    return label if label in SYN_TAG_SET else None
+    return SYN_CANONICAL.get(label)
 
 
 class EntityType(enum.Enum):

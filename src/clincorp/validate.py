@@ -16,8 +16,7 @@ from .errors import InputError
 from .model import DocAnnotations, Document, Entity
 from .record import Record
 from .tagsets import (
-    SYN_TAG_ALIASES,
-    SYN_TAG_SET,
+    SYN_CANONICAL,
     VALID_ASSERTIONS,
     assertion_valid,
     relation_signature,
@@ -97,7 +96,7 @@ def validate_chunks(doc: Document) -> list[Diagnostic]:
         )
         for ci, ch in enumerate(block):
             label = ch.label
-            if SYN_TAG_ALIASES.get(label, label) not in SYN_TAG_SET:
+            if label not in SYN_CANONICAL:
                 out.append(Diagnostic(
                     "unknown-label", f"chunk label {label!r} is not in the tagset",
                     "chunk", doc.doc_id, f"sentence {si} chunk {ci}",

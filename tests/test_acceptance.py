@@ -20,7 +20,6 @@ from clincorp.agreement import (
     corpus_agreement,
     prf,
     relation_counts,
-    score_trees,
 )
 from clincorp.annio import (
     load_corpus,
@@ -421,13 +420,13 @@ def test_c03_bracket_scoring_matches_enumeration_oracle():
 
     for _ in range(50):
         tree = random_tree(rng)
-        report = score_trees(tree, tree)
+        report = prf(*match_counts(tree, tree))
         assert report.precision == report.recall == report.f == 1.0
 
     gold = parse_tree("(IP (NP (NN a) (NN b)) (VP (VV c)))")
     cand = parse_tree("(IP (NP (NN a)) (VP (NN b) (VV c)))")
     assert match_counts(gold, cand) == (1, 3, 3)
-    report = score_trees(gold, cand)
+    report = prf(*match_counts(gold, cand))
     assert report.precision == 1 / 3
     assert report.recall == 1 / 3
     assert abs(report.f - 1 / 3) <= 1e-12

@@ -14,7 +14,6 @@ from clincorp.agreement import (
     macro_average,
     prf,
     relation_counts,
-    score_trees,
     token_counts,
     tree_counts,
 )
@@ -29,6 +28,7 @@ from clincorp.model import (
     Sentence,
     Token,
 )
+from clincorp.numfmt import fmt_metric
 from clincorp.parseval import parse_tree
 from clincorp.tagsets import AssertionType, EntityType, RelationType
 from helpers import random_document
@@ -67,13 +67,13 @@ def test_prf_beta_weighting():
 
 
 def test_report_dict_rounding():
+    # to_dict keeps the raw measures; fmt_metric rounds them for display.
     d = prf(2, 3, 3).to_dict()
     assert d == {
         "agreed": 2, "count_a": 3, "count_b": 3,
-        "precision": 0.667, "recall": 0.667, "f": 0.667, "vacuous": False,
+        "precision": 2 / 3, "recall": 2 / 3, "f": 2 / 3, "vacuous": False,
     }
-    raw = prf(2, 3, 3).to_dict(rounded=False)
-    assert raw["precision"] == 2 / 3
+    assert fmt_metric(d["precision"]) == "0.667"
 
 
 def sentences_from(words: list[list[tuple[str, str]]]) -> list[Sentence]:
@@ -128,8 +128,6 @@ def test_tree_layer_counts_and_exclusions():
     counts, excluded = tree_counts(a, b)
     assert counts == (1, 1, 2)
     assert excluded == []
-    r = score_trees(a[0], b[0])
-    assert (r.agreed, r.count_a, r.count_b) == (1, 1, 2)
 
 
 def entity(eid, etype, start, end, assertion=None):
@@ -166,8 +164,6 @@ def test_repeated_tree_brackets_agree_by_multiplicity():
     single = [parse_tree("(IP (NP (NN a)))")]
     assert both_orders(lambda a, b: tree_counts(a, b)[0], chain, single) == (2, 3, 2)
     assert both_orders(lambda a, b: tree_counts(a, b)[0], chain, chain) == (3, 3, 3)
-    report = score_trees(chain[0], single[0])
-    assert (report.agreed, report.count_a, report.count_b) == (2, 3, 2)
 
 
 def test_repeated_entity_keys_agree_by_multiplicity():

@@ -27,9 +27,18 @@ from clincorp.annio import (
     serialize_tok,
 )
 from clincorp.errors import InputError, ParseError, read_text_file
-from clincorp.model import DOC_TYPES, Chunk, Entity, Sentence, Token
+from clincorp.model import (
+    DOC_TYPES,
+    Chunk,
+    DocAnnotations,
+    Entity,
+    EntityGroup,
+    Relation,
+    Sentence,
+    Token,
+)
 from clincorp.parseval import ParseTree, parse_tree
-from clincorp.tagsets import AssertionType, EntityType
+from clincorp.tagsets import AssertionType, EntityType, RelationType
 from helpers import random_document, write_bundle
 
 TOK = (
@@ -118,6 +127,29 @@ def test_chk_trailing_empty_block_survives():
     assert parse_chk(serialize_chk(blocks)) == blocks
 
 
+@pytest.mark.parametrize("chunk", [
+    Chunk(0, 1, "NP\r"),  # would read back as "NP"
+    Chunk(0, 1, "NP\t"),
+    Chunk(0, 1, "a\nb"),
+    Chunk(0, 1, ""),
+    Chunk(-1, 1, "NP"),
+    Chunk(2, 1, "NP"),
+    Chunk(1, 1, "NP"),
+])
+def test_serialize_chk_refuses_what_parse_chk_cannot_read_back(chunk):
+    with pytest.raises(InputError, match="cannot be written to the chunk format"):
+        serialize_chk([[chunk]])
+
+
+def test_serialize_chk_writes_unknown_labels():
+    # An unknown label is a validator finding, not a format error.
+    for label in ("XP", "NP ", "a\x0bb", "甲\u2028乙"):
+        blocks = [[Chunk(0, 1, label)], [Chunk(2, 5, "VP")]]
+        text = serialize_chk(blocks)
+        assert parse_chk(text) == blocks
+        assert serialize_chk(parse_chk(text)) == text
+
+
 def test_parse_ann_structure():
     ann = parse_ann(ANN, doc_id="d", text="发热咳嗽\n复查血常规")
     assert set(ann.entities) == {"T1", "T2", "T3"}
@@ -187,6 +219,33 @@ def test_serialize_ann_canonical_ordering():
     # Assertions are renumbered in entity order: A1 now belongs to T1.
     assert "A1\tpresent T1" in lines
     assert "A3\tpossible T3" in lines
+
+
+def annotations_with_ids(eid: str = "T1", gid: str = "G1", rid: str = "R1") -> DocAnnotations:
+    ann = DocAnnotations("d", "甲乙丙")
+    ann.entities[eid] = Entity(eid, EntityType.SYMPTOM, 0, 1, "甲")
+    ann.entities["T2"] = Entity("T2", EntityType.SYMPTOM, 1, 2, "乙")
+    ann.entities["T3"] = Entity("T3", EntityType.DISEASE, 2, 3, "丙")
+    ann.groups[gid] = EntityGroup(gid, EntityType.SYMPTOM, (eid, "T2"))
+    ann.relations[rid] = Relation(rid, RelationType.SYMPTOM_INDICATES_DISEASE, gid, "T3")
+    return ann
+
+
+@pytest.mark.parametrize("ids", [
+    {"eid": "E1"}, {"eid": "T"}, {"eid": "T1a"}, {"eid": "T1 "}, {"eid": "G7"},
+    {"gid": "E1"}, {"gid": "T9"}, {"gid": "G"},
+    {"rid": "E1"}, {"rid": "G9"}, {"rid": "R-1"},
+])
+def test_serialize_ann_refuses_ids_parse_ann_cannot_read(ids):
+    with pytest.raises(InputError, match="cannot be written to the standoff format"):
+        serialize_ann(annotations_with_ids(**ids))
+
+
+def test_serialize_ann_writes_numbered_ids():
+    ann = annotations_with_ids("T10", "G2", "R7")
+    text = serialize_ann(ann)
+    assert parse_ann(text, doc_id="d", text="甲乙丙") == ann
+    assert serialize_ann(parse_ann(text)) == text
 
 
 def test_serialize_parse_serialize_byte_identical():

@@ -1,7 +1,8 @@
 """Import scope: the package root loads nothing eagerly, each command
-loads only the library modules it runs, and no command loads `dataclasses`,
-`inspect` or `decimal`.  Each check runs in a fresh interpreter, since this test
+loads only the library modules it runs, no command loads `dataclasses`,
+`inspect` or `decimal`, and no module imports a name it does not use.  Each check runs in a fresh interpreter, since this test
 process has imported everything already."""
+import ast
 import importlib
 import json
 import os
@@ -138,9 +139,34 @@ def test_no_module_imports_dataclasses():
         assert not re.search(r"^\s*(from|import)\s+dataclasses\b", source, re.M), path.name
 
 
+def _top_level_imports(tree: ast.Module):
+    """(bound name, line) of each import at module level, including those
+    under a module-level `if` or `try` such as `if TYPE_CHECKING:`."""
+    body = list(tree.body)
+    while body:
+        node = body.pop(0)
+        if isinstance(node, (ast.If, ast.Try, ast.ExceptHandler)):
+            body.extend(ast.iter_child_nodes(node))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.partition(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_module_import_is_used():
+    for path in sorted((SRC / "clincorp").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = [f"{path.name}:{line} {name}"
+                  for name, line in _top_level_imports(tree) if name not in used]
+        assert unused == []
+
+
 def test_every_public_name_resolves_to_its_defining_module():
     names = clincorp.__all__
-    assert len(names) == len(set(names)) == 94
+    assert len(names) == len(set(names)) == 92
     listed = dir(clincorp)
     for name in names:
         value = getattr(clincorp, name)

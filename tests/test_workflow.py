@@ -1,4 +1,4 @@
-"""Deterministic RNG, sampling rounds, convergence, folds, and diffs."""
+"""Deterministic RNG, sampling rounds, convergence and folds."""
 import json
 import math
 import os
@@ -10,15 +10,6 @@ from pathlib import Path
 import pytest
 
 from clincorp.errors import InputError, ParseError
-from clincorp.model import (
-    DocAnnotations,
-    Document,
-    Entity,
-    EntityGroup,
-    Relation,
-)
-from clincorp.agreement import diff_report
-from clincorp.tagsets import AssertionType, EntityType, RelationType
 from clincorp.workflow import (
     ConvergencePolicy,
     RoundState,
@@ -357,78 +348,3 @@ def test_kfold_fold_sizes_differ_by_at_most_one():
         assert sum(sizes) == n
         assert max(sizes) - min(sizes) <= 1
         assert math.ceil(n / k) == max(sizes)
-
-
-def diff_fixture():
-    text = "甲乙丙"
-    ann_a = DocAnnotations("d", text)
-    ann_a.entities["T1"] = Entity(
-        "T1", EntityType.SYMPTOM, 0, 1, "甲", AssertionType.PRESENT
-    )
-    ann_a.entities["T2"] = Entity(
-        "T2", EntityType.SYMPTOM, 1, 2, "乙", AssertionType.PRESENT
-    )
-    ann_a.entities["T3"] = Entity(
-        "T3", EntityType.DISEASE, 2, 3, "丙", AssertionType.PRESENT
-    )
-    ann_a.groups["G1"] = EntityGroup("G1", EntityType.SYMPTOM, ("T1", "T2"))
-    ann_a.relations["R1"] = Relation(
-        "R1", RelationType.SYMPTOM_INDICATES_DISEASE, "G1", "T3"
-    )
-
-    ann_b = DocAnnotations("d", text)
-    ann_b.entities["T1"] = Entity(
-        "T1", EntityType.SYMPTOM, 0, 1, "甲", AssertionType.ABSENT
-    )
-    ann_b.entities["T9"] = Entity(
-        "T9", EntityType.DISEASE, 2, 3, "丙", AssertionType.PRESENT
-    )
-    ann_b.relations["R5"] = Relation(
-        "R5", RelationType.SYMPTOM_INDICATES_DISEASE, "T1", "T9"
-    )
-
-    return Document("d", text, annotations=ann_a), Document("d", text, annotations=ann_b)
-
-
-def test_diff_report_entities():
-    doc_a, doc_b = diff_fixture()
-    diffs = diff_report([(doc_a, doc_b)], "entity")
-    kinds = sorted(d.kind for d in diffs)
-    assert kinds == ["a-only", "attribute-mismatch"]
-    mismatch = next(d for d in diffs if d.kind == "attribute-mismatch")
-    assert "absent" in mismatch.detail and "present" in mismatch.detail
-    a_only = next(d for d in diffs if d.kind == "a-only")
-    assert a_only.surface == "乙"
-
-
-def test_diff_report_swap_symmetry():
-    doc_a, doc_b = diff_fixture()
-    for layer in ("entity", "group", "relation"):
-        fwd = diff_report([(doc_a, doc_b)], layer)
-        rev = diff_report([(doc_b, doc_a)], layer)
-        flip = {"a-only": "b-only", "b-only": "a-only",
-                "attribute-mismatch": "attribute-mismatch"}
-        assert sorted((d.location, flip[d.kind]) for d in fwd) == sorted(
-            (d.location, d.kind) for d in rev
-        )
-
-
-def test_diff_report_relations_group_preserved():
-    doc_a, doc_b = diff_fixture()
-    diffs = diff_report([(doc_a, doc_b)], "relation")
-    # The grouped SID and the single-entity SID are different relations.
-    assert sorted(d.kind for d in diffs) == ["a-only", "b-only"]
-    group_diffs = diff_report([(doc_a, doc_b)], "group")
-    assert [d.kind for d in group_diffs] == ["a-only"]
-
-
-def test_diff_report_requires_same_documents():
-    doc_a, doc_b = diff_fixture()
-    extra = Document("extra", "")
-    for pairs, side in (([(doc_a, doc_b), (None, extra)], "b"), ([(extra, None)], "a")):
-        with pytest.raises(
-            InputError, match=f"different documents: 'extra' is only in {side}$"
-        ):
-            diff_report(pairs, "entity")
-    with pytest.raises(InputError):
-        diff_report([(doc_a, doc_a)], "tok")
