@@ -14,14 +14,14 @@ Only a line feed ends a line, and one carriage return at the end of a line
 is dropped, so CRLF files read like LF files.  Lines starting with '#' are
 comments everywhere.  Serializers produce a canonical form: entity lines
 sorted by span, assertion ids renumbered in entity order, group and relation
-lines sorted by their resolved spans, so serialize(parse(serialize(x))) is
-byte-identical to serialize(x).
+lines sorted by their resolved spans.  Each serializer reads back what it
+wrote, so the parsers are the one statement of each format's rules.
 """
 from __future__ import annotations
 
 import os
 import re
-from functools import partial
+from functools import partial, wraps
 from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Collection, Iterator
@@ -30,7 +30,6 @@ from .corpusdir import bundle_stems, walk
 from .errors import (
     InputError,
     ParseError,
-    ResolutionError,
     is_comment_line,
     numbered_lines,
     read_text_file,
@@ -56,7 +55,7 @@ from .tagsets import (
     parse_relation_type,
 )
 
-if TYPE_CHECKING:  # parse_ptb and serialize_ptb import parseval when they run
+if TYPE_CHECKING:  # parse_ptb imports parseval when it runs
     from .parseval import ParseTree
 
 # The optional layer files of a bundle, and every file a bundle can have.  The
@@ -83,6 +82,32 @@ _MAY_SKIP = frozenset([
     "", "#", *"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
     "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000",
 ])
+
+
+def _reads_back(parse, fmt: str):
+    """Decorate serialize(value) -> text to raise InputError unless `parse`
+    reads the text and serialize writes what it read as the same bytes."""
+    def decorate(serialize):
+        @wraps(serialize)
+        def checked(value):
+            text = serialize(value)
+            try:
+                if serialize(parse(text)) == text:
+                    return text
+                reason = "it reads back as a value written differently"
+            except ParseError as exc:
+                reason = f"the reader refuses it: {exc}"
+            raise InputError(f"this value cannot be written to the {fmt} format: {reason}")
+        return checked
+    return decorate
+
+
+def _field(value: str, what: str, fmt: str) -> str:
+    """`value`, one field of a tab-separated line: a tab or line feed would
+    write other fields or lines, and docs/FORMATS.md forbids a CR as well."""
+    if "\t" in value or "\n" in value or "\r" in value:
+        raise InputError(f"{what} {value!r} cannot be written to the {fmt} format")
+    return value
 
 
 # ---------------------------------------------------------------- tokens ---
@@ -145,20 +170,16 @@ def parse_tok(content: str, *, path: str | None = None) -> list[Sentence]:
     return sentences
 
 
+@_reads_back(parse_tok, "token")
 def serialize_tok(sentences: list[Sentence]) -> str:
     blocks: list[str] = []
     for sent in sentences:
         lines = []
         for tok in sent.tokens:
-            if any(c in tok.surface for c in "\t\n\r"):
-                raise InputError(
-                    f"token surface {tok.surface!r} cannot be written to the "
-                    "tab-separated token format"
-                )
             s, e = sent.abs_span(tok)
-            fields = [str(s), str(e), tok.surface]
+            fields = [str(s), str(e), _field(tok.surface, "token surface", "token")]
             if tok.pos is not None:
-                fields.append(tok.pos)
+                fields.append(_field(tok.pos, "part-of-speech label", "token"))
             lines.append("\t".join(fields))
         blocks.append("\n".join(lines))
     return HEADERS["tok"] + "\n" + ("\n\n".join(blocks) + "\n" if blocks else "")
@@ -177,17 +198,14 @@ def parse_ptb(content: str, *, path: str | None = None) -> list[ParseTree]:
     return trees
 
 
+@_reads_back(parse_ptb, "bracketed tree")
 def serialize_ptb(trees: list[ParseTree]) -> str:
-    from .parseval import LEAF_BREAK_RE
-
-    for tree in trees:
-        for surface in tree.leaf_surfaces():
-            if not surface or LEAF_BREAK_RE.search(surface):
-                raise InputError(
-                    f"leaf surface {surface!r} cannot be written to the "
-                    "bracketed tree format"
-                )
-    return HEADERS["ptb"] + "\n" + "".join(t.to_string() + "\n" for t in trees)
+    text = HEADERS["ptb"] + "\n" + "".join(t.to_string() + "\n" for t in trees)
+    # Each node writes one "(".  More, from a label such as "NN a) (VP", can
+    # read back as other nodes that are written to the same bytes.
+    if text.count("(") != sum(len(t.nodes()) for t in trees):
+        raise InputError("a bracketed tree label or surface cannot hold a bracket")
+    return text
 
 
 # ---------------------------------------------------------------- chunks ---
@@ -232,20 +250,13 @@ def parse_chk(content: str, *, path: str | None = None) -> list[list[Chunk]]:
     return blocks
 
 
+@_reads_back(parse_chk, "chunk")
 def serialize_chk(blocks: list[list[Chunk]]) -> str:
     out: list[str] = [HEADERS["chk"] + "\n"]
     for block in blocks:
         for ch in block:
-            if ch.first < 0 or ch.last_exclusive <= ch.first:
-                raise InputError(
-                    f"chunk range [{ch.first}, {ch.last_exclusive}) cannot be "
-                    "written to the chunk format"
-                )
-            if not ch.label or any(c in ch.label for c in "\t\n\r"):
-                raise InputError(
-                    f"chunk label {ch.label!r} cannot be written to the chunk format"
-                )
-            out.append(f"{ch.first}\t{ch.last_exclusive}\t{ch.label}\n")
+            label = _field(ch.label, "chunk label", "chunk")
+            out.append(f"{ch.first}\t{ch.last_exclusive}\t{label}\n")
         out.append("\n")
     return "".join(out)
 
@@ -361,44 +372,35 @@ def parse_ann(
     return ann
 
 
-_ID_RE = re.compile(r"[TGR](\d+)")
+_ID_RE = re.compile(r"[TGR]\d+")
 
 
-def _id_num(ref: str, kind: str) -> int:
-    """The number of an entity, group or relation id, its sort key.  The id
-    must be `kind` followed by digits, the only ids parse_ann reads."""
-    m = _ID_RE.fullmatch(ref)
-    if m is None or ref[0] != kind:
+def _id_num(ref: str, kinds: str) -> int:
+    """The number of an id or reference to be written, its sort key.  It
+    must be one of the letters `kinds` followed by digits, the only ids
+    parse_ann reads: a group member "T1 T2" would read back as two."""
+    if _ID_RE.fullmatch(ref) is None or ref[0] not in kinds:
         raise InputError(
             f"id {ref!r} cannot be written to the standoff format: expected "
-            f"{kind} followed by digits"
+            f"{' or '.join(kinds)} followed by digits"
         )
-    return int(m.group(1))
-
-
-def _entity_sort_key(e: Entity) -> tuple:
-    return (e.start, e.end, _id_num(e.eid, "T"))
+    return int(ref[1:])
 
 
 def _resolved_span(ann: DocAnnotations, ref: str) -> tuple:
-    """Span-based sort key for a T or G reference; dangling refs sort last."""
-    try:
-        spans = tuple(sorted(e.span for e in endpoint_entities(ann, ref)))
-    except ResolutionError:
-        spans = ()
-    return spans or ((1 << 62, 1 << 62),)
+    """Span-based sort key for a T or G reference; ResolutionError if it names nothing."""
+    return tuple(sorted(e.span for e in endpoint_entities(ann, ref)))
 
 
+@_reads_back(parse_ann, "standoff")
 def serialize_ann(ann: DocAnnotations) -> str:
     lines: list[str] = [HEADERS["ann"]]
-    entities = sorted(ann.entities.values(), key=_entity_sort_key)
+    entities = sorted(
+        ann.entities.values(), key=lambda e: (e.start, e.end, _id_num(e.eid, "T"))
+    )
     for e in entities:
-        if any(c in e.surface for c in "\t\n\r"):
-            raise InputError(
-                f"entity surface {e.surface!r} cannot be written to the "
-                "standoff format"
-            )
-        lines.append(f"{e.eid}\t{e.etype.value} {e.start} {e.end}\t{e.surface}")
+        surface = _field(e.surface, "entity surface", "standoff")
+        lines.append(f"{e.eid}\t{e.etype.value} {e.start} {e.end}\t{surface}")
     next_a = 1
     for e in entities:
         if e.assertion is not None:
@@ -407,6 +409,8 @@ def serialize_ann(ann: DocAnnotations) -> str:
     for g in sorted(
         ann.groups.values(), key=lambda g: (_resolved_span(ann, g.gid), _id_num(g.gid, "G"))
     ):
+        for m in g.members:
+            _id_num(m, "T")
         lines.append(f"{g.gid}\t{g.etype.value}" + "".join(f" {m}" for m in g.members))
     for r in sorted(
         ann.relations.values(),
@@ -417,6 +421,8 @@ def serialize_ann(ann: DocAnnotations) -> str:
             _id_num(r.rid, "R"),
         ),
     ):
+        _id_num(r.arg1, "TG")
+        _id_num(r.arg2, "TG")
         lines.append(f"{r.rid}\t{r.rtype.value} Arg1:{r.arg1} Arg2:{r.arg2}")
     return "".join(line + "\n" for line in lines)
 

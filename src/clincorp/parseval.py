@@ -10,7 +10,6 @@ scores.
 """
 from __future__ import annotations
 
-import re
 from collections import Counter
 
 from .errors import LengthMismatchError, ParseError
@@ -19,10 +18,6 @@ from .tagsets import POS_TAG_SET, SYN_CANONICAL
 
 PUNCT_POS = "PU"
 
-# A character parse_tree splits tokens at, which a leaf surface therefore
-# cannot hold: a bracket, or white space as str.isspace() defines it (the
-# same set as the regular expression `\s`).
-LEAF_BREAK_RE = re.compile(r"[\s()]")
 _BRACKETS = frozenset("()")
 
 

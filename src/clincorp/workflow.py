@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO
 
 from .errors import InputError, ParseError, read_text_file
-from .numfmt import in_unit_interval, is_finite_number
+from .numfmt import in_unit_interval
 from .record import Record
 
 try:
@@ -80,17 +81,15 @@ class RoundState(Record):
 
     def to_json(self, indent: int | None = None) -> str:
         """The state as JSON with sorted keys and a final newline: compact,
-        as the state file holds it, or with `indent`, for people to read.
-        The compact form is the C encoder's; any indent falls back to the
-        slower pure-Python one."""
+        as the state file holds it, or with `indent`, for people to read
+        (the C encoder writes the compact form, the slower pure-Python one
+        any indent).  InputError if from_json would refuse or change it."""
+        data = {key: getattr(self, key) for key in self.__slots__}
+        problem = _state_problem(data)
+        if problem is not None:
+            raise InputError(f"cannot write the round state: {problem}")
         return json.dumps(
-            {
-                "round_index": self.round_index,
-                "pool": self.pool,
-                "assignments": self.assignments,
-                "iaa_history": self.iaa_history,
-            },
-            ensure_ascii=False, indent=indent, sort_keys=True, allow_nan=False,
+            data, ensure_ascii=False, indent=indent, sort_keys=True,
             separators=(",", ":") if indent is None else None,
         ) + "\n"
 
@@ -100,37 +99,45 @@ class RoundState(Record):
             data = json.loads(content)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
-        required = {"round_index", "pool", "assignments", "iaa_history"}
-        if not isinstance(data, dict) or set(data) != required:
-            raise ParseError(
-                f"state file must hold exactly the keys {sorted(required)}", path=path
-            )
-        round_index = data["round_index"]
-        if type(round_index) is not int or round_index < 1:
-            raise ParseError("round_index must be an integer >= 1", path=path)
-        if not _is_list_of(data["pool"], _is_str):
-            raise ParseError("pool must be a list of strings", path=path)
-        repeat = first_repeat(data["pool"])
-        if repeat is not None:
-            raise ParseError(f"pool repeats document id {repeat!r}", path=path)
-        for key, what, item_ok in (
-            ("assignments", "lists of strings", _is_str),
-            ("iaa_history", "lists of finite numbers in [0, 1]",
-             lambda x: is_finite_number(x) and in_unit_interval(x)),
+        problem = _state_problem(data)
+        if problem is not None:
+            raise ParseError(problem, path=path)
+        data["iaa_history"] = {k: list(map(float, v)) for k, v in data["iaa_history"].items()}
+        return cls(**data)
+
+
+def _state_problem(data) -> str | None:
+    """Why `data`, read from a state file or to be written to one, is not a
+    state that reads back unchanged, or None.  Types are exact, as json.loads
+    gives them: a tuple would read back as a list, an integer key as a string."""
+    keys = sorted(RoundState.__slots__)
+    if not isinstance(data, dict) or sorted(data) != keys:
+        return f"state file must hold exactly the keys {keys}"
+    round_index, pool = data["round_index"], data["pool"]
+    if type(round_index) is not int or round_index < 1:
+        return "round_index must be an integer >= 1"
+    if type(pool) is not list or not set(map(type, pool)) <= {str}:
+        return "pool must be a list of strings"
+    repeat = first_repeat(pool)
+    if repeat is not None:
+        return f"pool repeats document id {repeat!r}"
+    for key, what, item_types, item_ok in (
+        ("assignments", "lists of strings", {str}, None),
+        # A number in [0, 1] is finite: NaN and the infinities fail the test.
+        ("iaa_history", "lists of finite numbers in [0, 1]", {int, float}, in_unit_interval),
+    ):
+        names = data[key]
+        if not (
+            isinstance(names, dict) and set(map(type, names)) <= {str}
+            and set(map(type, names.values())) <= {list}
+            and set(map(type, chain.from_iterable(names.values()))) <= item_types
+            and (item_ok is None or all(map(item_ok, chain.from_iterable(names.values()))))
         ):
-            if not isinstance(data[key], dict) or not all(
-                _is_list_of(v, item_ok) for v in data[key].values()
-            ):
-                raise ParseError(f"{key} must map names to {what}", path=path)
-        for task in data["iaa_history"]:
-            if not is_task_name(task):
-                raise ParseError(f"iaa_history task {task!r} must {TASK_NAME}", path=path)
-        return cls(
-            round_index=round_index,
-            pool=data["pool"],
-            assignments=data["assignments"],
-            iaa_history={k: list(map(float, v)) for k, v in data["iaa_history"].items()},
-        )
+            return f"{key} must map names to {what}"
+    for task in data["iaa_history"]:
+        if not is_task_name(task):
+            return f"iaa_history task {task!r} must {TASK_NAME}"
+    return None
 
 
 # What `round status` needs of a task name to print it as one table cell.
@@ -139,14 +146,6 @@ TASK_NAME = "be a non-empty name without a tab or line break"
 
 def is_task_name(name: str) -> bool:
     return "\t" not in name and name.splitlines() == [name]
-
-
-def _is_list_of(value, item_ok) -> bool:
-    return isinstance(value, list) and all(item_ok(x) for x in value)
-
-
-def _is_str(x) -> bool:
-    return isinstance(x, str)
 
 
 def first_repeat(ids: list[str]) -> str | None:

@@ -239,7 +239,7 @@ def test_round_state_accepts_integer_history(tmp_path):
 
 def test_save_state_refuses_non_finite_values(tmp_path):
     path = tmp_path / "state.json"
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         save_state(RoundState(pool=["d1"], iaa_history={"seg": [math.nan]}), path)
     assert not path.exists()
 
