@@ -18,31 +18,27 @@ import importlib
 # The public names, by the submodule that defines each.
 _EXPORTS = {
     "agreement": (
-        "AgreementReport", "CorpusAgreement", "add_counts", "corpus_agreement",
-        "macro_average", "prf",
+        "AgreementReport", "CorpusAgreement", "corpus_agreement", "macro_average",
+        "prf",
     ),
     "annio": (
-        "BundlePaths", "discover", "iter_documents", "iter_pairs",
-        "load_corpus", "load_document", "parse_ann", "parse_chk", "parse_ptb",
-        "parse_tok", "serialize_ann", "serialize_chk", "serialize_ptb",
-        "serialize_tok",
+        "BundlePaths", "discover", "iter_pairs", "load_corpus", "load_document",
+        "parse_ann", "parse_chk", "parse_ptb", "parse_tok", "serialize_ann",
+        "serialize_chk", "serialize_ptb", "serialize_tok",
     ),
     "errors": (
         "ClincorpError", "InputError", "LengthMismatchError", "LexiconError",
         "ParseError", "ResolutionError",
     ),
-    "groups": (
-        "OneToOne", "endpoint_entities", "endpoint_key", "expand_all",
-        "expand_relation", "relation_match_key",
-    ),
+    "groups": ("OneToOne", "endpoint_entities", "expand_all", "relation_match_key"),
     "model": (
         "DOC_TYPES", "Chunk", "DocAnnotations", "Document", "Entity",
         "EntityGroup", "Relation", "Sentence", "Token",
     ),
     "numfmt": ("fmt_metric", "fmt_percent", "round_half_up"),
     "parseval": (
-        "EvalParams", "ParseTree", "TreeScore", "brackets", "match_counts",
-        "parse_tree", "score_corpus",
+        "EvalParams", "ParseTree", "brackets", "match_counts", "parse_tree",
+        "score_corpus",
     ),
     "segadvice": (
         "SegDecision", "TermEntry", "advise", "advise_chain", "load_lexicon",
@@ -51,12 +47,11 @@ _EXPORTS = {
         "CrossRow", "Deviation", "DistributionRow", "assertion_cross_table",
         "avg_sentence_length", "compare_reference", "distribution",
         "reference_column", "relation_table", "token_and_sentence_counts",
-        "tokens_per_sentence",
     ),
     "tagsets": (
         "LAYERS", "POS_TAGS", "SYN_TAGS", "VALID_ASSERTIONS", "AssertionType",
         "EntityType", "MatchPolicy", "RelationMode", "RelationType",
-        "assertion_valid", "normalize_syn_tag", "relation_signature",
+        "assertion_valid", "relation_signature",
     ),
     "validate": ("Diagnostic", "validate_document"),
     "workflow": (

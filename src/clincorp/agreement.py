@@ -18,7 +18,7 @@ from typing import Iterable
 from .errors import LengthMismatchError
 from .groups import expand_all, relation_match_key
 from .model import Chunk, DocAnnotations, Document, Sentence
-from .parseval import EvalParams, ParseTree, match_keys, score_corpus
+from .parseval import EvalParams, match_keys, score_corpus
 from .record import Record
 from .tagsets import LAYERS, SYN_CANONICAL, MatchPolicy, RelationMode
 
@@ -117,17 +117,6 @@ def chunk_counts(
         ]
 
     return match_keys(keys(blocks_a), keys(blocks_b))
-
-
-def tree_counts(
-    trees_a: list[ParseTree],
-    trees_b: list[ParseTree],
-    params: EvalParams = EvalParams(),
-) -> tuple[Counts, list[int]]:
-    """Labeled-bracketing agreement; returns counts plus excluded sentence
-    indices (pairs whose scorable leaf counts differ)."""
-    score = score_corpus(trees_a, trees_b, params)
-    return (score.agreed, score.count_a, score.count_b), score.excluded
 
 
 def entity_counts(
@@ -233,7 +222,9 @@ def _doc_counts(
     if layer == "chunk":
         return chunk_counts(da.chunks, db.chunks), []
     if layer == "tree":
-        return tree_counts(da.trees, db.trees, params)  # type: ignore[arg-type]
+        # Looked up in this module's globals on each call, where a caller
+        # may have replaced it, for instance to time it.
+        return score_corpus(da.trees, db.trees, params)  # type: ignore[arg-type]
     ann_a = da.annotations or DocAnnotations(doc_id=da.doc_id, text=da.text)
     ann_b = db.annotations or DocAnnotations(doc_id=db.doc_id, text=db.text)
     if layer == "entity":

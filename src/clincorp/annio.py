@@ -174,6 +174,13 @@ def parse_tok(content: str, *, path: str | None = None) -> list[Sentence]:
 def serialize_tok(sentences: list[Sentence]) -> str:
     blocks: list[str] = []
     for sent in sentences:
+        if sent.tokens and sent.tokens[0].start != 0:
+            # The reader anchors a sentence at its first token: this one
+            # would read back with another start and shifted token spans.
+            raise InputError(
+                f"a sentence whose first token starts at {sent.tokens[0].start}, "
+                "not 0, cannot be written to the token format"
+            )
         lines = []
         for tok in sent.tokens:
             s, e = sent.abs_span(tok)
@@ -392,11 +399,25 @@ def _resolved_span(ann: DocAnnotations, ref: str) -> tuple:
     return tuple(sorted(e.span for e in endpoint_entities(ann, ref)))
 
 
+def _own_ids(records: dict, id_of):
+    """The values of `records`, each of which must be keyed by its own id:
+    the text holds only the ids, so a reference that resolves through a
+    different key would read back naming another record."""
+    for key, record in records.items():
+        if key != id_of(record):
+            raise InputError(
+                f"a record keyed {key!r} with the id {id_of(record)!r} cannot be "
+                "written to the standoff format"
+            )
+    return records.values()
+
+
 @_reads_back(parse_ann, "standoff")
 def serialize_ann(ann: DocAnnotations) -> str:
     lines: list[str] = [HEADERS["ann"]]
     entities = sorted(
-        ann.entities.values(), key=lambda e: (e.start, e.end, _id_num(e.eid, "T"))
+        _own_ids(ann.entities, attrgetter("eid")),
+        key=lambda e: (e.start, e.end, _id_num(e.eid, "T")),
     )
     for e in entities:
         surface = _field(e.surface, "entity surface", "standoff")
@@ -407,13 +428,14 @@ def serialize_ann(ann: DocAnnotations) -> str:
             lines.append(f"A{next_a}\t{e.assertion.value} {e.eid}")
             next_a += 1
     for g in sorted(
-        ann.groups.values(), key=lambda g: (_resolved_span(ann, g.gid), _id_num(g.gid, "G"))
+        _own_ids(ann.groups, attrgetter("gid")),
+        key=lambda g: (_resolved_span(ann, g.gid), _id_num(g.gid, "G")),
     ):
         for m in g.members:
             _id_num(m, "T")
         lines.append(f"{g.gid}\t{g.etype.value}" + "".join(f" {m}" for m in g.members))
     for r in sorted(
-        ann.relations.values(),
+        _own_ids(ann.relations, attrgetter("rid")),
         key=lambda r: (
             _resolved_span(ann, r.arg1),
             _resolved_span(ann, r.arg2),
@@ -550,19 +572,6 @@ def load_document(
     return doc
 
 
-def iter_documents(
-    corpus: str | Path | dict[str, BundlePaths],
-    layers: Collection[str] = BUNDLE_FILES,
-) -> Iterator[Document]:
-    """Every bundle of `corpus`, read as load_document does, one at a time in
-    listing order, which is ascending doc-id order.  `corpus` is a directory,
-    listed with discover on the call, or a listing discover returned.
-    Nothing is parsed before the first document is asked for, and no
-    document is kept once the next one is read."""
-    bundles = corpus if isinstance(corpus, dict) else discover(corpus)
-    return (load_document(paths, layers) for paths in bundles.values())
-
-
 def paired_ids(
     bundles_a: dict[str, BundlePaths], bundles_b: dict[str, BundlePaths]
 ) -> list[str]:
@@ -600,6 +609,8 @@ def iter_pairs(
 def load_corpus(
     root: str | Path, layers: Collection[str] = BUNDLE_FILES
 ) -> dict[str, Document]:
-    """Every bundle under `root`, keyed by doc id in ascending order, all held
-    in memory at once; iter_documents reads the same documents one at a time."""
-    return {doc.doc_id: doc for doc in iter_documents(root, layers)}
+    """Every bundle under `root`, read as load_document does, keyed by doc id
+    in ascending order, all held in memory at once."""
+    return {
+        doc_id: load_document(paths, layers) for doc_id, paths in discover(root).items()
+    }

@@ -4,7 +4,7 @@ Subcommands: validate, iaa, score, expand, stats, kfold, round, seg-advise.
 Reports go to stdout; diagnostics and progress notes go to stderr.  Exit
 status is 0 on success, 1 when the run itself succeeded but produced
 findings (validation diagnostics, excluded documents, an unconverged
-process), and 2 on usage, I/O, or format errors.
+process), and 2 on usage, I/O, or format errors, and on a bug.
 
 Output is deterministic: stable ordering everywhere, metrics printed with
 three decimals and percentages with two.  A JSON configuration file can
@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ClincorpError, InputError, ParseError, read_text_file
+from .errors import InputError, ParseError, error_line, read_text_file
 from .numfmt import fmt_metric, fmt_percent, in_unit_interval, is_finite_number
 
 if TYPE_CHECKING:
@@ -596,11 +596,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         return args.func(args, config)
-    except ClincorpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # A bug too exits 2 with one line, never a traceback, which would
+        # exit 1 and read as findings.
+        print(f"error: {error_line(exc)}", file=sys.stderr)
         return 2
 
 

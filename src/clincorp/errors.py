@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the toolkit, the one reader of text
-files, which turns undecodable bytes into a located ParseError, and the one
-line splitter and comment test every line-oriented parser uses."""
+"""Exception hierarchy shared across the toolkit, the one line a command
+prints for any error, the one reader of text files, which turns undecodable
+bytes into a located ParseError, and the one line splitter and comment test
+every line-oriented parser uses."""
 from __future__ import annotations
 
 import os
@@ -41,6 +42,23 @@ class ResolutionError(InputError):
 
 class LexiconError(ClincorpError):
     """A term lexicon violates its own invariants."""
+
+
+def error_line(exc: Exception) -> str:
+    """What a command prints after "error: " when `exc` ends it.  A
+    ClincorpError or OSError carries its own located message.  Any other
+    exception is a bug: `<Type>: <message> (<file>:<line>)`, the place being
+    the innermost frame of this package's code the exception passed through,
+    so that a bug is reported on one line like every other failure."""
+    if isinstance(exc, (ClincorpError, OSError)):
+        return str(exc)
+    where = ""
+    tb = exc.__traceback__
+    while tb is not None:
+        if tb.tb_frame.f_globals.get("__package__") == __package__:
+            where = f" ({os.path.basename(tb.tb_frame.f_code.co_filename)}:{tb.tb_lineno})"
+        tb = tb.tb_next
+    return f"{type(exc).__name__}: {exc}{where}"
 
 
 # O_BINARY exists only where the platform would otherwise translate newlines.

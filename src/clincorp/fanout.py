@@ -26,7 +26,7 @@ import os
 import threading
 from typing import Callable, Iterator, NoReturn, TypeVar
 
-from .errors import ClincorpError
+from .errors import ClincorpError, error_line
 
 # In a process that holds a 9,920-bundle listing, one fork, pipe and reap
 # costs about 3.3-4 ms: what validate spends on about 10 documents (0.32-0.36
@@ -43,8 +43,8 @@ U = TypeVar("U")
 
 
 class WorkerError(ClincorpError):
-    """A worker's ClincorpError or OSError, carried back as the text the
-    command would have printed, or a worker that ended without a result."""
+    """A worker's error, carried back as the error_line the command would
+    have printed, or a worker that ended without a result."""
 
 
 def slice_count(n_docs: int) -> int:
@@ -123,14 +123,8 @@ def _work(step, ids: list[str], write_end: int, inherited: list[int]) -> NoRetur
             os.close(fd)
         try:
             outcome = ("ok", step(ids))
-        except (ClincorpError, OSError) as exc:
-            outcome = ("error", str(exc))
-        except Exception:
-            # Imported only here: traceback loads tokenize, and a command
-            # whose workers all succeed should not pay for that.
-            import traceback
-
-            outcome = ("crash", traceback.format_exc())
+        except Exception as exc:
+            outcome = ("error", error_line(exc))
         with open(write_end, "wb") as pipe:
             pipe.write(marshal.dumps(outcome))
         code = 0
@@ -151,7 +145,4 @@ def _unpack(payload: bytes, status: int, ids: list[str]):
         ) from None
     if kind == "error":
         raise WorkerError(value)
-    if kind == "crash":
-        # A bug, not an input error: it ends the run as it would serially.
-        raise RuntimeError(f"{where} failed:\n{value}")
     return value

@@ -374,28 +374,13 @@ def match_counts(
     return match_keys(ba, bb)
 
 
-class TreeScore(Record):
-    """Corpus-level bracket counts plus the sentences that had to be skipped."""
-
-    __slots__ = ("agreed", "count_a", "count_b", "excluded")
-    __hash__ = None
-
-    def __init__(
-        self, agreed: int = 0, count_a: int = 0, count_b: int = 0,
-        excluded: list[int] | None = None,
-    ):
-        self.agreed = agreed
-        self.count_a = count_a
-        self.count_b = count_b
-        self.excluded = [] if excluded is None else excluded
-
-
 def score_corpus(
     trees_a: list[ParseTree],
     trees_b: list[ParseTree],
     params: EvalParams = EvalParams(),
-) -> TreeScore:
-    """Aggregate bracket counts over aligned tree lists.
+) -> tuple[tuple[int, int, int], list[int]]:
+    """Bracket counts (agreed, count_a, count_b) summed over aligned tree
+    lists, and the indices of the sentences left out of them.
 
     Pairs whose leaf counts differ are excluded from the totals and recorded
     by sentence index; callers decide whether that is an error or a warning.
@@ -404,14 +389,15 @@ def score_corpus(
         raise LengthMismatchError(
             f"tree lists have {len(trees_a)} vs {len(trees_b)} sentences"
         )
-    score = TreeScore()
+    agreed = count_a = count_b = 0
+    excluded: list[int] = []
     for i, (ta, tb) in enumerate(zip(trees_a, trees_b)):
         try:
-            agreed, ca, cb = match_counts(ta, tb, params)
+            a, ca, cb = match_counts(ta, tb, params)
         except LengthMismatchError:
-            score.excluded.append(i)
+            excluded.append(i)
             continue
-        score.agreed += agreed
-        score.count_a += ca
-        score.count_b += cb
-    return score
+        agreed += a
+        count_a += ca
+        count_b += cb
+    return (agreed, count_a, count_b), excluded

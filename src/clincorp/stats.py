@@ -194,14 +194,7 @@ def relation_table(docs: Iterable[Document]) -> list[CrossRow]:
 
 def avg_sentence_length(docs: Iterable[Document]) -> float:
     """Mean tokens per sentence, to two decimals."""
-    return tokens_per_sentence(*token_and_sentence_counts(docs))
-
-
-def tokens_per_sentence(tokens: int, sentences: int) -> float:
-    """The mean of token_and_sentence_counts' counts, to two decimals."""
-    if sentences == 0:
-        raise InputError("corpus has no sentences")
-    return round_half_up(tokens / sentences, 2)
+    return length_values(length_tally(docs))["avg_tokens_per_sentence"]
 
 
 def token_and_sentence_counts(docs: Iterable[Document]) -> tuple[int, int]:
@@ -220,11 +213,14 @@ def length_tally(docs: Iterable[Document]) -> dict[str, int]:
 
 
 def length_values(tally: dict[str, int]) -> dict[str, int | float]:
-    """The counts of a length_tally and tokens_per_sentence of them."""
+    """The counts of a length_tally and their mean tokens per sentence, to
+    two decimals."""
     tokens, sentences = tally["tokens"], tally["sentences"]
+    if sentences == 0:
+        raise InputError("corpus has no sentences")
     return {
         "tokens": tokens, "sentences": sentences,
-        "avg_tokens_per_sentence": tokens_per_sentence(tokens, sentences),
+        "avg_tokens_per_sentence": round_half_up(tokens / sentences, 2),
     }
 
 

@@ -59,11 +59,6 @@ SYN_TAG_ALIASES: dict[str, str] = {"VS": "VSB"}
 SYN_CANONICAL: dict[str, str] = {**{tag: tag for tag in SYN_TAGS}, **SYN_TAG_ALIASES}
 
 
-def normalize_syn_tag(label: str) -> str | None:
-    """Return the canonical syntactic label, or None if unknown."""
-    return SYN_CANONICAL.get(label)
-
-
 class EntityType(enum.Enum):
     DISEASE = "disease"
     SYMPTOM = "symptom"

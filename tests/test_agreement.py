@@ -1,6 +1,8 @@
 """Precision/recall/F agreement across all layers."""
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,6 @@ from clincorp.agreement import (
     prf,
     relation_counts,
     token_counts,
-    tree_counts,
 )
 from clincorp.errors import LengthMismatchError
 from clincorp.model import (
@@ -29,7 +30,7 @@ from clincorp.model import (
     Token,
 )
 from clincorp.numfmt import fmt_metric
-from clincorp.parseval import parse_tree
+from clincorp.parseval import parse_tree, score_corpus
 from clincorp.tagsets import AssertionType, EntityType, RelationType
 from helpers import random_document
 
@@ -125,7 +126,7 @@ def test_chunk_indices_not_cross_sentence():
 def test_tree_layer_counts_and_exclusions():
     a = [parse_tree("(IP (NN a) (NN b))")]
     b = [parse_tree("(IP (NP (NN a) (NN b)))")]
-    counts, excluded = tree_counts(a, b)
+    counts, excluded = score_corpus(a, b)
     assert counts == (1, 1, 2)
     assert excluded == []
 
@@ -162,8 +163,8 @@ def test_repeated_tree_brackets_agree_by_multiplicity():
     # The unary chain has two NP brackets over one span.
     chain = [parse_tree("(IP (NP (NP (NN a))))")]
     single = [parse_tree("(IP (NP (NN a)))")]
-    assert both_orders(lambda a, b: tree_counts(a, b)[0], chain, single) == (2, 3, 2)
-    assert both_orders(lambda a, b: tree_counts(a, b)[0], chain, chain) == (3, 3, 3)
+    assert both_orders(lambda a, b: score_corpus(a, b)[0], chain, single) == (2, 3, 2)
+    assert both_orders(lambda a, b: score_corpus(a, b)[0], chain, chain) == (3, 3, 3)
 
 
 def test_repeated_entity_keys_agree_by_multiplicity():
@@ -322,3 +323,22 @@ def test_identical_sets_agree_perfectly():
         assert report.precision == 1.0
         assert report.recall == 1.0
         assert report.f == 1.0
+
+
+def test_readme_library_example(tmp_path, monkeypatch, capsys):
+    """The README's Library example, run on two corpora that agree on three
+    of four part-of-speech labels, prints the output its comment shows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"\n## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    for annotator, last_pos in (("annotator_a", "NN"), ("annotator_b", "VV")):
+        corpus = tmp_path / annotator
+        corpus.mkdir()
+        (corpus / "d1.txt").write_text("发热咳嗽", encoding="utf-8")
+        (corpus / "d1.tok").write_text(
+            f"0\t1\t发\tNN\n1\t2\t热\tNN\n2\t3\t咳\tVV\n3\t4\t嗽\t{last_pos}\n",
+            encoding="utf-8",
+        )
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    shown = "".join(line[2:] + "\n" for line in code.splitlines() if line.startswith("# P="))
+    assert capsys.readouterr().out == shown == "P=0.750 R=0.750 F=0.750\n"

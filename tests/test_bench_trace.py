@@ -39,8 +39,8 @@ def test_entity_agreement_parses_only_the_entity_layer(tmp_path):
 
 
 def test_tree_agreement_records_the_scoring_spans(tmp_path):
-    # tree_counts reaches score_corpus through agreement's module globals,
-    # where the tracer patches it.
+    # corpus_agreement reaches score_corpus through agreement's module
+    # globals, where the tracer patches it.
     names = _traced_span_names(tmp_path, "iaa", "--layer", "tree", "CORPUS", "CORPUS")
     assert {"agreement.corpus_agreement", "parseval.score_corpus", "annio.parse_ptb"} <= names
 

@@ -9,6 +9,7 @@ parent must read only its own slice, one document at a time, and no worker
 may outlive the command, however it ends."""
 import os
 import random
+import re
 import signal
 import threading
 
@@ -313,16 +314,47 @@ def test_worker_that_ends_without_a_result(tmp_path, monkeypatch, capsys, cpus):
 
 def test_other_worker_exceptions_end_the_run_as_serially(tmp_path, monkeypatch, capsys, cpus):
     a, b = _corpus_pair(tmp_path)
+    load_document = annio.load_document
 
-    def fail():
-        raise ZeroDivisionError("boom")
+    def load(paths, layers=annio.BUNDLE_FILES):
+        if paths.doc_id == "m4":
+            raise ZeroDivisionError("boom")
+        return load_document(paths, layers)
 
-    monkeypatch.setattr(annio, "load_document", _in_worker_for("m4", fail))
+    monkeypatch.setattr(annio, "load_document", load)
+    argv = ["iaa", "--layer", "seg", a, b]
+    cpus(1)
+    want = _run(capsys, argv)
+    assert want[:2] == (2, "")
+    assert re.fullmatch(r"error: ZeroDivisionError: boom \(annio\.py:\d+\)\n", want[2])
+    forks = cpus(2)
+    assert _run(capsys, argv) == want
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("where", ["parent", "worker"])
+def test_a_bug_in_a_step_exits_2_with_one_located_line(
+    tmp_path, monkeypatch, capsys, cpus, where
+):
+    """A bug in the length report's tally, in the parent's slice or in a
+    worker's: exit 2 and one line naming the exception and the innermost
+    clincorp frame it passed through, never a traceback."""
+    a, _ = _corpus_pair(tmp_path)
+    parent, counts = os.getpid(), stats.token_and_sentence_counts
+
+    def tally(docs):
+        if (os.getpid() == parent) == (where == "parent"):
+            return 1 // 0
+        return counts(docs)
+
+    monkeypatch.setattr(stats, "token_and_sentence_counts", tally)
     cpus(2)
-    failed = r"(?s)documents m3 to only_b failed:.*ZeroDivisionError: boom"
-    with pytest.raises(RuntimeError, match=failed):
-        main(["iaa", "--layer", "seg", str(a), str(b)])
-    _no_child_left()
+    code, out, err = _run(capsys, ["stats", "--report", "length", a])
+    assert (code, out) == (2, "")
+    assert re.fullmatch(
+        r"error: ZeroDivisionError: integer division or modulo by zero "
+        r"\(stats\.py:\d+\)\n", err,
+    )
 
 
 def test_an_interrupt_in_the_parent_reaps_every_worker(tmp_path, monkeypatch, capsys, cpus):

@@ -245,9 +245,7 @@ def test_match_keys_is_the_multiset_intersection(data, unique_a, unique_b):
 def test_length_mismatch_reported_and_excluded():
     a = [parse_tree("(IP (NN a) (NN b))"), parse_tree("(IP (NN a))")]
     b = [parse_tree("(IP (NN a) (NN b))"), parse_tree("(IP (NN a) (NN b))")]
-    score = score_corpus(a, b)
-    assert score.excluded == [1]
-    assert (score.agreed, score.count_a, score.count_b) == (1, 1, 1)
+    assert score_corpus(a, b) == ((1, 1, 1), [1])
     with pytest.raises(LengthMismatchError):
         score_corpus(a, [])
 

@@ -1,7 +1,9 @@
 """Writers against their readers: each serializer, and save_state, refuses
 what its reader refuses or reads back changed.  The properties draw values
-in the form the reader gives back (sentences anchored at their first token,
-canonical labels) and check that every other value reads back equal."""
+in the form the reader gives back (canonical labels), and some that are not
+(a sentence not anchored at its first token, records keyed by another id),
+and check that each writer refuses exactly those and the values whose
+fields it cannot write, and that every other value reads back equal."""
 from functools import partial
 
 import pytest
@@ -43,6 +45,20 @@ def _ann(member="T1", arg2="T3"):
     return ann
 
 
+def _rekeyed(ann: DocAnnotations, table: str, **new_keys) -> DocAnnotations:
+    """`ann` with the records of one of its tables keyed as `new_keys` says."""
+    records = getattr(ann, table)
+    setattr(ann, table, {new_keys.get(k, k): r for k, r in records.items()})
+    return ann
+
+
+def _two_groups():
+    """_ann() with a second group of T1, G2, of another type than G1."""
+    ann = _ann()
+    ann.groups["G2"] = EntityGroup("G2", EntityType.DISEASE, ("T1",))
+    return ann
+
+
 REFUSED = [
     pytest.param("tok", [Sentence(0, (Token(0, 2, "发热", "XX"),))], id="tok-pos-XX"),
     pytest.param("tok", [Sentence(0, (Token(0, 1.5, "发热", "NN"),))], id="tok-offset-1.5"),
@@ -52,6 +68,9 @@ REFUSED = [
     # to the same bytes.
     pytest.param("tok", [Sentence(0, (Token(0, 2, "发热", "NN\n5\t7\t咳嗽\tNN"),))],
                  id="tok-pos-line-feed"),
+    # Written as "6\t8\tab\tNN", which reads back as Sentence(6, (Token(0, 2, ...),)).
+    pytest.param("tok", [Sentence(5, (Token(1, 3, "ab", "NN"),))],
+                 id="tok-sentence-not-anchored-at-its-first-token"),
     pytest.param("ptb", [ParseTree("XP", (_leaf(),))], id="ptb-label-XP"),
     pytest.param("ptb", [ParseTree("IP", (_leaf("a", "QQ"),))], id="ptb-pos-QQ"),
     pytest.param("ptb", [ParseTree("IP", (_leaf(), ParseTree("NP", ())))],
@@ -67,6 +86,15 @@ REFUSED = [
     pytest.param("ann", _ann(member="T7"), id="ann-member-names-nothing"),
     pytest.param("ann", _ann(arg2="X2"), id="ann-argument-X2"),
     pytest.param("ann", _ann(member="T1 T2"), id="ann-member-holding-a-space"),
+    # The text holds only ids: G1's member T1 would read back as the entity
+    # written with the id T1, the one keyed T2, and R1's first argument G1
+    # as the group written with the id G1, the one keyed G2.
+    pytest.param("ann", _rekeyed(_ann(), "entities", T1="T2", T2="T1"),
+                 id="ann-entity-keyed-by-another-id"),
+    pytest.param("ann", _rekeyed(_two_groups(), "groups", G1="G2", G2="G1"),
+                 id="ann-group-keyed-by-another-id"),
+    pytest.param("ann", _rekeyed(_ann(), "relations", R1="R5"),
+                 id="ann-relation-keyed-by-another-id"),
     pytest.param("state", RoundState(pool=["d1", "d2", "d1"]), id="state-repeated-pool-id"),
     pytest.param("state", RoundState(pool=["d1"], iaa_history={"seg": [1.5]}),
                  id="state-history-1.5"),
@@ -113,10 +141,10 @@ _TEXT = st.text(st.characters(), max_size=4)
 
 @st.composite
 def _sentences(draw):
-    """Sentences anchored at their first token, with monotonic spans."""
+    """Sentences with monotonic spans, most anchored at their first token."""
     sentences, cursor = [], draw(st.integers(0, 3))
     for _ in range(draw(st.integers(0, 3))):
-        tokens, rel = [], 0
+        tokens, rel = [], draw(st.sampled_from((0, 0, 0, 1)))
         for _ in range(draw(st.integers(1, 3))):
             width = draw(st.integers(1, 3))
             pos = draw(st.none() | st.sampled_from(POS_TAGS))
@@ -132,7 +160,7 @@ def _sentences(draw):
 def test_serialize_tok_writes_back_or_refuses(sentences):
     writable = not any(
         _holds_field_break(t.surface) for s in sentences for t in s.tokens
-    )
+    ) and all(s.tokens[0].start == 0 for s in sentences)
     _writes_back(serialize_tok, parse_tok, sentences, writable)
 
 
@@ -174,7 +202,8 @@ def test_serialize_chk_writes_back_or_refuses(blocks):
 
 @st.composite
 def _annotations(draw):
-    """Entities, groups and relations whose references all resolve."""
+    """Entities, groups and relations whose references all resolve, each
+    keyed by its own id, or one table's keys rotated by one place."""
     ann = DocAnnotations("d", "")
     for i in range(1, draw(st.integers(1, 4)) + 1):
         start = draw(st.integers(0, 6))
@@ -193,11 +222,26 @@ def _annotations(draw):
         ann.relations[f"R{i}"] = Relation(
             f"R{i}", draw(st.sampled_from(RelationType)), draw(refs), draw(refs)
         )
+    table = draw(st.sampled_from((None, None, "entities", "groups", "relations")))
+    if table is not None:
+        records = getattr(ann, table)
+        keys = list(records)
+        setattr(ann, table, dict(zip(keys[1:] + keys[:1], records.values())))
     return ann
+
+
+def _keyed_by_own_ids(ann: DocAnnotations) -> bool:
+    return (
+        all(k == e.eid for k, e in ann.entities.items())
+        and all(k == g.gid for k, g in ann.groups.items())
+        and all(k == r.rid for k, r in ann.relations.items())
+    )
 
 
 @settings(max_examples=100, deadline=None)
 @given(_annotations())
 def test_serialize_ann_writes_back_or_refuses(ann):
-    writable = not any(_holds_field_break(e.surface) for e in ann.entities.values())
+    writable = not any(
+        _holds_field_break(e.surface) for e in ann.entities.values()
+    ) and _keyed_by_own_ids(ann)
     _writes_back(serialize_ann, partial(parse_ann, doc_id="d"), ann, writable)

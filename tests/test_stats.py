@@ -5,7 +5,7 @@ import random
 import pytest
 
 from clincorp import refdata
-from clincorp.annio import iter_documents, serialize_ptb
+from clincorp.annio import load_corpus, serialize_ptb
 from clincorp.cli import main
 from clincorp.errors import InputError
 from clincorp.model import (
@@ -319,7 +319,7 @@ def test_each_table_function_prints_what_the_cli_prints(tmp_path, capsys, monkey
             doc = Document(doc_id, "", annotations=DocAnnotations(doc_id=doc_id, text=""))
         stem = write_bundle(root, doc)
         stem.with_suffix(".ptb").write_text(serialize_ptb(doc.trees), encoding="utf-8")
-    docs = list(iter_documents(root))
+    docs = list(load_corpus(root).values())
     for report in ("pos", "syn", "entity", "relation", "length"):
         code = main(["stats", "--report", report, str(root)])
         out, err = capsys.readouterr()

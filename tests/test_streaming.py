@@ -78,13 +78,13 @@ def _per_id_reference(a, b, layer: str):
     return per_doc, excluded_docs, excluded_sentences
 
 
-def test_iter_documents_reads_in_doc_id_order(tmp_path):
+def test_load_corpus_reads_in_doc_id_order(tmp_path):
     a, _ = _corpus_pair(tmp_path)
     assert list(annio.discover(a))[:3] == ["a", "a-b", "a/z"]
-    assert [d.doc_id for d in annio.iter_documents(a)] == IDS_A
-    bundles = annio.discover(a)
-    assert [d.doc_id for d in annio.iter_documents(bundles, ("tok",))] == IDS_A
-    assert list(annio.load_corpus(a)) == IDS_A
+    corpus = annio.load_corpus(a)
+    assert list(corpus) == IDS_A
+    assert [d.doc_id for d in corpus.values()] == IDS_A
+    assert [d.doc_id for d in annio.load_corpus(a, ("tok",)).values()] == IDS_A
 
 
 def test_directory_listing_order_does_not_show(tmp_path, capsys, monkeypatch):

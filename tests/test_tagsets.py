@@ -5,6 +5,7 @@ from clincorp.tagsets import (
     POS_TAG_SET,
     POS_TAGS,
     RELATION_PAIRS,
+    SYN_CANONICAL,
     SYN_TAG_SET,
     SYN_TAGS,
     VALID_ASSERTIONS,
@@ -12,7 +13,6 @@ from clincorp.tagsets import (
     EntityType,
     RelationType,
     assertion_valid,
-    normalize_syn_tag,
     parse_assertion_type,
     parse_entity_type,
     parse_relation_type,
@@ -39,10 +39,10 @@ def test_core_labels_present():
 
 
 def test_alias_normalization():
-    assert normalize_syn_tag("VS") == "VSB"
-    assert normalize_syn_tag("VSB") == "VSB"
-    assert normalize_syn_tag("NP") == "NP"
-    assert normalize_syn_tag("XX") is None
+    assert SYN_CANONICAL.get("VS") == "VSB"
+    assert SYN_CANONICAL.get("VSB") == "VSB"
+    assert SYN_CANONICAL.get("NP") == "NP"
+    assert SYN_CANONICAL.get("XX") is None
 
 
 def test_assertion_matrix_counts():
