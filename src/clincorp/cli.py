@@ -418,7 +418,8 @@ def _round(args: argparse.Namespace, config: dict) -> int:
         sys.stdout.write(state.to_json(indent=2))
         return 0
 
-    state = workflow.load_state(args.state)
+    # Only sample draws from the pool: the other actions leave its file unread.
+    state = workflow.load_state(args.state, pool=args.action == "sample")
 
     if args.action == "sample":
         if args.n is None or args.seed is None:

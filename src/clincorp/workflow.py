@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from itertools import chain
+from itertools import chain, filterfalse
 from pathlib import Path
 from typing import BinaryIO
 
@@ -62,9 +62,15 @@ def seeded_shuffle(items: list, seed: int) -> list:
 # ----------------------------------------------------------------- rounds ---
 
 class RoundState(Record):
-    """Progress of the iterative annotation process."""
+    """Progress of the iterative annotation process.
 
-    __slots__ = ("round_index", "pool", "assignments", "iaa_history")
+    `pool` lists the documents not drawn yet, in the order `round new` was
+    given them, or is None in a state loaded without its pool (see
+    load_state)."""
+
+    __slots__ = ("round_index", "pool", "assignments", "iaa_history", "_pool_file")
+    # Where the pool is kept is not part of the state: equality leaves it out.
+    _fields = ("round_index", "pool", "assignments", "iaa_history")
     __hash__ = None
 
     def __init__(
@@ -78,49 +84,75 @@ class RoundState(Record):
         self.pool = [] if pool is None else pool
         self.assignments = {} if assignments is None else assignments
         self.iaa_history = {} if iaa_history is None else iaa_history
+        # (path, pin, ids) of the pool file the state was loaded from or
+        # saved with, ids None if the file was not read; see save_state.
+        self._pool_file: tuple | None = None
 
     def to_json(self, indent: int | None = None) -> str:
-        """The state as JSON with sorted keys and a final newline: compact,
-        as the state file holds it, or with `indent`, for people to read
-        (the C encoder writes the compact form, the slower pure-Python one
-        any indent).  InputError if from_json would refuse or change it."""
-        data = {key: getattr(self, key) for key in self.__slots__}
+        """The state as JSON with its pool inline, as `round new` prints it
+        and as state files held it before the pool file: sorted keys and a
+        final newline, compact, or with `indent` for people to read.
+        InputError if from_json would refuse or change it."""
+        data = {key: getattr(self, key) for key in self._fields}
         problem = _state_problem(data)
         if problem is not None:
             raise InputError(f"cannot write the round state: {problem}")
-        return json.dumps(
-            data, ensure_ascii=False, indent=indent, sort_keys=True,
-            separators=(",", ":") if indent is None else None,
-        ) + "\n"
+        return _dumps(data, indent)
 
     @classmethod
     def from_json(cls, content: str, *, path: str | None = None) -> "RoundState":
-        try:
-            data = json.loads(content)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+        """The state a state file holds.  If the file pins a pool file, the
+        state's pool is None: load_state reads it."""
+        data = _loads(content, path)
         problem = _state_problem(data)
         if problem is not None:
             raise ParseError(problem, path=path)
         data["iaa_history"] = {k: list(map(float, v)) for k, v in data["iaa_history"].items()}
-        return cls(**data)
+        state = cls(**data)
+        if type(state.pool) is dict:
+            state._pool_file, state.pool = (None, state.pool, None), None
+        return state
+
+
+def _loads(content: str, path: str | None):
+    try:
+        return json.loads(content)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
+
+
+def _dumps(data, indent: int | None = None) -> str:
+    # The C encoder writes the compact form, the slower pure-Python one any indent.
+    return json.dumps(
+        data, ensure_ascii=False, indent=indent, sort_keys=True,
+        separators=(",", ":") if indent is None else None,
+    ) + "\n"
 
 
 def _state_problem(data) -> str | None:
     """Why `data`, read from a state file or to be written to one, is not a
-    state that reads back unchanged, or None.  Types are exact, as json.loads
-    gives them: a tuple would read back as a list, an integer key as a string."""
-    keys = sorted(RoundState.__slots__)
+    state that reads back unchanged, or None.  Its `pool` is the pin of its
+    pool file or, as `round new` prints it and as state files held it before
+    the pool file, the list itself.  Types are exact, as json.loads gives
+    them: a tuple would read back as a list, an integer key as a string."""
+    keys = sorted(RoundState._fields)
     if not isinstance(data, dict) or sorted(data) != keys:
         return f"state file must hold exactly the keys {keys}"
     round_index, pool = data["round_index"], data["pool"]
     if type(round_index) is not int or round_index < 1:
         return "round_index must be an integer >= 1"
-    if type(pool) is not list or not set(map(type, pool)) <= {str}:
-        return "pool must be a list of strings"
-    repeat = first_repeat(pool)
-    if repeat is not None:
-        return f"pool repeats document id {repeat!r}"
+    if type(pool) is dict:
+        if sorted(pool) != ["count", "crc32"] or set(map(type, pool.values())) != {int} or not (
+            0 <= min(pool.values()) and max(pool.values()) < 1 << 32
+        ):
+            return ('pool must pin the pool file as {"count": N, "crc32": H}, '
+                    "unsigned 32-bit integers")
+    else:
+        if type(pool) is not list or not set(map(type, pool)) <= {str}:
+            return "pool must be a list of strings"
+        repeat = first_repeat(pool)
+        if repeat is not None:
+            return f"pool repeats document id {repeat!r}"
     for key, what, item_types, item_ok in (
         ("assignments", "lists of strings", {str}, None),
         # A number in [0, 1] is finite: NaN and the infinities fail the test.
@@ -137,6 +169,11 @@ def _state_problem(data) -> str | None:
     for task in data["iaa_history"]:
         if not is_task_name(task):
             return f"iaa_history task {task!r} must {TASK_NAME}"
+    if type(pool) is list:
+        # The pool file's ids less the assigned ones are the pool.
+        assigned = next(filter(data["assignments"].__contains__, pool), None)
+        if assigned is not None:
+            return f"pool holds assigned document id {assigned!r}"
     return None
 
 
@@ -183,19 +220,82 @@ def lock_state(path: str | Path) -> BinaryIO:
         f.close()
 
 
-def load_state(path: str | Path) -> RoundState:
-    return RoundState.from_json(read_text_file(path), path=str(path))
+def load_state(path: str | Path, *, pool: bool = True) -> RoundState:
+    """The state saved at `path`.  If the state file pins a pool file, the
+    pool is the ids in `<path>.pool`, checked against the pin, less the
+    assigned ones; without `pool`, that file is not opened and the pool is
+    None.  A state file from before the pool file holds its pool itself."""
+    state = RoundState.from_json(read_text_file(path), path=str(path))
+    if state._pool_file is not None:
+        pool_path, pin = f"{path}.pool", state._pool_file[1]
+        ids = _read_pool(pool_path, pin) if pool else None
+        state._pool_file = (pool_path, pin, ids)
+        if ids is not None:
+            state.pool = list(filterfalse(state.assignments.__contains__, ids))
+    return state
+
+
+def _read_pool(path: str, pin: dict) -> list[str]:
+    """The ids in the pool file at `path`, which must be the file `pin`
+    describes."""
+    import zlib
+
+    text = read_text_file(path)
+    ids = _loads(text, path)
+    if (
+        type(ids) is not list or not set(map(type, ids)) <= {str}
+        or first_repeat(ids) is not None
+        or pin != {"count": len(ids), "crc32": zlib.crc32(text.encode("utf-8"))}
+    ):
+        raise ParseError(
+            "pool file is not the list of distinct ids its state file pins: it was "
+            "edited, or replaced after the state file was written", path=path)
+    return ids
 
 
 def save_state(state: RoundState, path: str | Path) -> None:
-    """Write the state next to `path` and rename it over `path`, so a failed
-    write leaves the old file whole.  The temporary file's name holds the
-    process id, so two writers never rename each other's half-written file,
-    and it is removed when the write or the rename fails.  No fsync: this
-    guards against a crash of the process, not of the machine."""
+    """Write the state to the state file at `path`, which pins the pool
+    file `<path>.pool` by its id count and CRC-32.
+
+    The pool file is written first, holding the state's pool, unless it
+    holds it already: when the state was loaded from `path` or saved to it,
+    and its pool is still that file's ids less the assigned ones.  So
+    `record-iaa`, and `sample`, which assigns every drawn document, write the
+    state file alone.  A state loaded without its pool (None) saves only to
+    the path it came from.
+
+    Nothing is written for a state that would read back changed.  Each file
+    is written next to its path and renamed over it, so a failed write
+    leaves the old file whole.  The temporary file's name holds the process
+    id, so two writers never rename each other's half-written file, and it
+    is removed when the write or the rename fails.  No fsync: this guards
+    against a crash of the process, not of the machine."""
+    pool_path = f"{path}.pool"
+    data = {key: getattr(state, key) for key in RoundState._fields}
+    where, pin, ids = state._pool_file or (None, None, None)
+    if state.pool is None and where == pool_path:
+        data["pool"] = pin  # loaded without its pool, which stays as it is
+    problem = _state_problem(data)
+    if problem is not None:
+        raise InputError(f"cannot write the round state: {problem}")
+    if data["pool"] is not pin and (where != pool_path or ids is None or state.pool != list(
+        filterfalse(state.assignments.__contains__, ids)
+    )):
+        import zlib
+
+        text = _dumps(state.pool)
+        pin = {"count": len(state.pool), "crc32": zlib.crc32(text.encode("utf-8"))}
+        ids = list(state.pool)
+        _replace(pool_path, text)
+    _replace(path, _dumps({**data, "pool": pin}))
+    state._pool_file = pool_path, pin, ids
+
+
+def _replace(path: str | Path, text: str) -> None:
+    """Write `text` to a temporary file and rename it over `path`."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        Path(tmp).write_text(state.to_json(), encoding="utf-8")
+        Path(tmp).write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -211,7 +311,9 @@ def sample_round(
     """Draw n documents from the pool without replacement.
 
     Returns a new state (the input is untouched) with the drawn documents
-    removed and the round counter advanced, plus the sample itself.
+    removed and the round counter advanced, plus the sample itself.  The
+    new state keeps the input's pool file, so once every drawn document is
+    assigned, save_state leaves that file as it is; else it writes it anew.
     """
     if n < 0 or n > len(state.pool):
         raise InputError(
@@ -226,6 +328,7 @@ def sample_round(
         assignments=dict(state.assignments),
         iaa_history={k: list(v) for k, v in state.iaa_history.items()},
     )
+    new_state._pool_file = state._pool_file
     return new_state, sampled
 
 

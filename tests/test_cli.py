@@ -1,14 +1,17 @@
 """End-to-end command-line behavior: outputs, exit codes, configuration."""
 import hashlib
 import json
+import os
 import random
 import re
 import shutil
+import zlib
 
 import pytest
 
 from clincorp.annio import parse_ptb, serialize_ptb
 from clincorp.cli import main
+from clincorp.workflow import RoundState, load_state
 from helpers import random_document, write_bundle
 
 
@@ -412,8 +415,10 @@ def test_round_lifecycle(tmp_path, capsys):
 
     state_data = json.loads(state.read_text(encoding="utf-8"))
     assert state_data["round_index"] == 2
-    assert len(state_data["pool"]) == 3
+    assert state_data["pool"]["count"] == 6  # the pool file `round new` wrote
     assert state_data["iaa_history"]["entity"] == [0.97, 0.98, 0.99]
+    pool = load_state(state).pool
+    assert sorted(pool + sample_out["sampled"]) == docs
 
 
 def test_round_status_empty_history_unconverged(tmp_path, capsys):
@@ -909,7 +914,144 @@ def test_record_iaa_ignores_a_directory_at_the_shared_temp_name(tmp_path, capsys
     assert main(argv) == 0
     assert capsys.readouterr().err == ""
     assert json.loads(state.read_text(encoding="utf-8"))["iaa_history"] == {"seg": [0.5]}
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.tmp"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "state.json", "state.json.pool", "state.json.tmp"]
+
+
+# A state file as versions before the pool file wrote it, and what those
+# versions print for it (and do to it).
+OLD_STATE = {"round_index": 2, "pool": ["d1", "d2", "d3", "d4", "d5", "病历6"],
+             "assignments": {"d0": ["AG1"]}, "iaa_history": {"seg": [0.5]}}
+OLD_STATE_PRINTS = (
+    (["status"], 1, "task\trounds\tthreshold\tconverged\nseg\t1\t0.900\tfalse\n"),
+    (["record-iaa", "--task", "seg", "--value", "0.75"], 0,
+     '{"task": "seg", "history": [0.5, 0.75]}\n'),
+    (["sample", "--n", "2", "--seed", "7"], 0, json.dumps(
+        {"assignments": {"d2": ["AG1", "AG2"], "病历6": ["AG1"]}, "round_index": 3,
+         "sampled": ["d2", "病历6"]}, ensure_ascii=False, indent=2) + "\n"),
+    (["sample", "--n", "2", "--seed", "8"], 0, json.dumps(
+        {"assignments": {"d1": ["AG1"], "d3": ["AG1", "AG2"]}, "round_index": 4,
+         "sampled": ["d1", "d3"]}, ensure_ascii=False, indent=2) + "\n"),
+)
+
+
+def _round(state, argv, capsys):
+    code = main(["round", *argv, "--state", str(state)])
+    return code, *capsys.readouterr()
+
+
+def test_round_reads_a_state_file_from_before_the_pool_file(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    pool_file = tmp_path / "state.json.pool"
+    old = json.dumps(OLD_STATE, ensure_ascii=False, indent=2) + "\n"
+    for argv, code, out in OLD_STATE_PRINTS[:3]:
+        state.write_text(old, encoding="utf-8")
+        pool_file.unlink(missing_ok=True)
+        assert _round(state, argv, capsys) == (code, out, "")
+    # The first save writes the pool file from the state's pool, after the
+    # draw for a sample, and then the state file that pins it.
+    assert json.loads(pool_file.read_text(encoding="utf-8")) == ["d1", "d3", "d4", "d5"]
+    assert _round(state, OLD_STATE_PRINTS[3][0], capsys) == (0, OLD_STATE_PRINTS[3][2], "")
+    assert load_state(state).pool == ["d4", "d5"]
+    state.write_text(old, encoding="utf-8")
+    assert _round(state, OLD_STATE_PRINTS[1][0], capsys)[0] == 0
+    assert pool_file.read_text(encoding="utf-8") == '["d1","d2","d3","d4","d5","病历6"]\n'
+    assert json.loads(state.read_text(encoding="utf-8"))["pool"]["count"] == 6
+    assert load_state(state) == RoundState(
+        2, ["d1", "d2", "d3", "d4", "d5", "病历6"], {"d0": ["AG1"]}, {"seg": [0.5, 0.75]})
+    assert load_state(state, pool=False).pool is None
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.pool"]
+
+
+def test_round_commands_leave_the_pool_file_alone(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    pool_file = tmp_path / "state.json.pool"
+    assert _round(state, ["new", "--pool", "d1", "d2", "d3"], capsys)[0] == 0
+    before = pool_file.read_bytes(), pool_file.stat().st_ino
+    assert before[0] == b'["d1","d2","d3"]\n'
+    for argv in (["sample", "--n", "1", "--seed", "1"],
+                 ["record-iaa", "--task", "seg", "--value", "0.5"], ["status"]):
+        assert _round(state, argv, capsys)[0] in (0, 1)
+        assert (pool_file.read_bytes(), pool_file.stat().st_ino) == before
+
+
+def test_record_iaa_and_status_do_not_read_the_pool_file(tmp_path, capsys):
+    state = tmp_path / "state.json"
+    assert _round(state, ["new", "--pool", "d1", "d2"], capsys)[0] == 0
+    (tmp_path / "state.json.pool").unlink()
+    assert _round(state, ["record-iaa", "--task", "seg", "--value", "1"], capsys) == (
+        0, '{"task": "seg", "history": [1.0]}\n', "")
+    assert _round(state, ["status", "--window", "1"], capsys) == (
+        0, "task\trounds\tthreshold\tconverged\nseg\t1\t0.900\ttrue\n", "")
+    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+
+NOT_PINNED = ("pool file is not the list of distinct ids its state file pins: it was "
+              "edited, or replaced after the state file was written\n")
+
+
+def _edit_pool_file(state, monkeypatch):
+    pool_file = state.parent / "state.json.pool"
+    pool_file.write_bytes(pool_file.read_bytes().replace(b'"d1","d2"', b'"d2","d1"'))
+    return f"{pool_file}: {NOT_PINNED}"
+
+
+def _remove_pool_file(state, monkeypatch):
+    (state.parent / "state.json.pool").unlink()
+    return f"[Errno 2] No such file or directory: '{state}.pool'"
+
+
+def _half_run_round_new(state, monkeypatch):
+    # The pool file is renamed into place, the state file's rename fails.
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.fspath(dst) == str(state):
+            raise OSError(28, "No space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    assert main(["round", "new", "--state", str(state), "--pool", "x1", "x2"]) == 2
+    monkeypatch.undo()
+    return f"{state}.pool: {NOT_PINNED}"
+
+
+def _miscount_pool_file(state, monkeypatch):
+    data = json.loads(state.read_text(encoding="utf-8"))
+    data["pool"]["count"] += 1
+    state.write_text(json.dumps(data), encoding="utf-8")
+    return f"{state}.pool: {NOT_PINNED}"
+
+
+def _repeat_in_pool_file(state, monkeypatch):
+    # A pool file that repeats an id, with a pin that matches it.
+    pool_bytes = b'["d1","d2","d1"]\n'
+    (state.parent / "state.json.pool").write_bytes(pool_bytes)
+    data = json.loads(state.read_text(encoding="utf-8"))
+    data["pool"] = {"count": 3, "crc32": zlib.crc32(pool_bytes)}
+    state.write_text(json.dumps(data), encoding="utf-8")
+    return f"{state}.pool: {NOT_PINNED}"
+
+
+@pytest.mark.parametrize("spoil", [
+    _edit_pool_file, _remove_pool_file, _half_run_round_new, _miscount_pool_file,
+    _repeat_in_pool_file,
+])
+def test_round_sample_refuses_a_pool_file_its_state_does_not_pin(
+    tmp_path, capsys, monkeypatch, spoil
+):
+    state = tmp_path / "state.json"
+    assert _round(state, ["new", "--pool", "d1", "d2", "d3"], capsys)[0] == 0
+    message = spoil(state, monkeypatch)
+    capsys.readouterr()
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    code, out, err = _round(state, ["sample", "--n", "1", "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+    # The commands that do not draw go on with the state as it is.
+    assert _round(state, ["record-iaa", "--task", "seg", "--value", "1"], capsys)[0] == 0
+    assert _round(state, ["status", "--window", "1"], capsys)[0] == 0
 
 
 def test_round_rejects_mistyped_state_file(tmp_path, capsys):

@@ -104,6 +104,8 @@ REFUSED = [
     # json.dumps writes the key 1 as "1", which reads back as a string.
     pytest.param("state", RoundState(pool=["d1"], assignments={1: ["AG1"]}),
                  id="state-integer-key"),
+    pytest.param("state", RoundState(pool=["d1"], assignments={"d1": ["AG1"]}),
+                 id="state-pool-holding-an-assigned-id"),
 ]
 
 

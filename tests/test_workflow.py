@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -131,7 +132,15 @@ def test_state_file_is_compact_and_the_indented_form_still_loads(tmp_path):
     state = load_state(path)
     assert state == RoundState(3, ["d3", "病历1"], {"d2": ["AG1", "AG2"]}, {"entity": [0.8]})
     save_state(state, path)
-    assert path.read_text(encoding="utf-8") == state.to_json() == compact
+    # The pool moves to the pool file; the state file pins it.
+    pool_bytes = '["d3","病历1"]\n'.encode("utf-8")
+    assert Path(f"{path}.pool").read_bytes() == pool_bytes
+    pin = {"count": 2, "crc32": zlib.crc32(pool_bytes)}
+    assert path.read_text(encoding="utf-8") == json.dumps(
+        {**data, "pool": pin}, ensure_ascii=False, separators=(",", ":")) + "\n"
+    assert load_state(path) == state
+    # The inline form is what `round new` prints.
+    assert state.to_json() == compact
     assert state.to_json(indent=2) == indented
 
 
@@ -177,6 +186,12 @@ VALID_STATE = {"round_index": 1, "pool": ["d1"], "assignments": {}, "iaa_history
         ("iaa_history", {"seg": [True]}),
         ("iaa_history", {"seg": [0.9, None]}),
         ("iaa_history", {"seg": [10 ** 400]}),
+        ("pool", {"count": 1}),
+        ("pool", {"count": 1, "crc32": 0, "ids": 1}),
+        ("pool", {"count": True, "crc32": 0}),
+        ("pool", {"count": 1, "crc32": -1}),
+        ("pool", {"count": 1, "crc32": 1 << 32}),
+        ("pool", {"count": 1, "crc32": "0"}),
     ],
 )
 def test_round_state_checks_field_types(tmp_path, field, value):
@@ -194,6 +209,83 @@ def test_round_state_rejects_a_repeated_pool_id(tmp_path):
     with pytest.raises(ParseError) as err:
         load_state(path)
     assert str(err.value) == f"{path}: pool repeats document id 'a'"
+
+
+def test_round_state_rejects_an_assigned_pool_id(tmp_path):
+    # The pool is the pool file's ids less the assigned ones, so an assigned
+    # id in a state file from before the pool file would not read back.
+    path = tmp_path / "state.json"
+    data = {**VALID_STATE, "pool": ["d1", "d2"], "assignments": {"d2": ["AG1"]}}
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_state(path)
+    assert str(err.value) == f"{path}: pool holds assigned document id 'd2'"
+
+
+def _files(directory):
+    return sorted((p.name, p.read_bytes(), p.stat().st_ino) for p in directory.iterdir())
+
+
+def test_save_state_writes_the_pool_file_only_when_the_pool_changes(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(RoundState(pool=["d1", "d2", "d3"]), path)
+    before = _files(tmp_path)
+    # Drawn documents leave the pool as they are assigned: the pool file stays.
+    state, sampled = sample_round(load_state(path), 2, seed=1)
+    state.assignments.update((d, ["AG1"]) for d in sampled)
+    save_state(state, path)
+    assert _files(tmp_path)[1] == before[1]
+    assert load_state(path) == state and len(state.pool) == 1
+    # A record-iaa-style save of a state loaded without its pool, too.
+    unread = load_state(path, pool=False)
+    unread.iaa_history["seg"] = [0.5]
+    save_state(unread, path)
+    assert _files(tmp_path)[1] == before[1]
+    assert load_state(path).iaa_history == {"seg": [0.5]}
+    # Any other pool is written to the pool file anew, and reads back.
+    for change in (lambda s: s.pool.reverse(),
+                   lambda s: s.assignments.clear(),
+                   lambda s: s.pool.pop()):
+        state = load_state(path)
+        change(state)
+        save_state(state, path)
+        assert load_state(path) == state
+    assert load_state(path).pool == []
+    # A state loaded without its pool, given one.
+    state = load_state(path, pool=False)
+    state.pool = ["d9"]
+    save_state(state, path)
+    assert load_state(path).pool == ["d9"]
+
+
+def test_save_state_writes_a_sample_whose_drawn_ids_are_not_assigned(tmp_path):
+    path = tmp_path / "state.json"
+    save_state(RoundState(pool=["d1", "d2", "d3"]), path)
+    pool_bytes = Path(f"{path}.pool").read_bytes()
+    state, sampled = sample_round(load_state(path), 2, seed=1)
+    save_state(state, path)
+    # The drawn ids are in neither the pool nor the assignments, so the
+    # pool file holds the pool that is left.
+    assert load_state(path) == state and state.assignments == {}
+    assert json.loads(Path(f"{path}.pool").read_bytes()) == state.pool != json.loads(pool_bytes)
+
+
+def test_save_state_to_another_path_writes_its_pool_file(tmp_path):
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_state(RoundState(pool=["d1", "d2", "d3"], assignments={"d0": ["AG1"]}), first)
+    # b.json first pins the pool file of another state: the save replaces both.
+    save_state(RoundState(pool=["x"]), second)
+    save_state(load_state(first), second)
+    assert load_state(second) == load_state(first)
+    assert Path(f"{second}.pool").read_bytes() == Path(f"{first}.pool").read_bytes()
+    state, sampled = sample_round(load_state(second), 3, seed=2)
+    assert sorted(sampled) == ["d1", "d2", "d3"]
+    # A state loaded without its pool has none to write elsewhere.
+    before = _files(tmp_path)
+    with pytest.raises(InputError) as err:
+        save_state(load_state(first, pool=False), tmp_path / "c.json")
+    assert str(err.value) == "cannot write the round state: pool must be a list of strings"
+    assert _files(tmp_path) == before
 
 
 @pytest.mark.parametrize("ids, repeat", [
@@ -248,42 +340,47 @@ def test_save_state_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "state.json"
     old = RoundState(pool=["d1", "d2"], iaa_history={"seg": [0.5]})
     save_state(old, path)
-    before = path.read_bytes()
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
     real_write_text = Path.write_text
 
     def write_half_then_fail(self, data, *args, **kwargs):
         real_write_text(self, data[: len(data) // 2], *args, **kwargs)
         raise OSError(28, "No space left on device")
 
+    loaded = load_state(path)
+    loaded.iaa_history["seg"].append(0.75)
     monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-    with pytest.raises(OSError):
-        save_state(RoundState(round_index=2, pool=["d2"]), path)
+    # A saved state writes the state file alone, a new one the pool file first.
+    for state in (loaded, RoundState(round_index=2, pool=["d2"])):
+        with pytest.raises(OSError):
+            save_state(state, path)
     monkeypatch.undo()
-    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
-    assert path.read_bytes() == before
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
     assert load_state(path) == old
     save_state(RoundState(round_index=2, pool=["d2"]), path)
     assert load_state(path) == RoundState(round_index=2, pool=["d2"])
-    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.pool"]
 
 
 def test_save_state_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
     path = tmp_path / "state.json"
     save_state(RoundState(pool=["d1"]), path)
-    before = path.read_bytes()
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
     renamed = []
 
     def fail_replace(src, dst):
         renamed.append(Path(src).name)
         raise OSError(18, "Invalid cross-device link")
 
-    monkeypatch.setattr(os, "replace", fail_replace)
-    with pytest.raises(OSError):
-        save_state(RoundState(round_index=2, pool=[]), path)
-    monkeypatch.undo()
-    assert renamed == [f"state.json.{os.getpid()}.tmp"]
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+    # A saved state renames the state file alone, a new one the pool file first.
+    for state, tmp in ((load_state(path), "state.json"), (RoundState(pool=["d2"]), "state.json.pool")):
+        state.round_index = 2
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError):
+            save_state(state, path)
+        monkeypatch.undo()
+        assert renamed.pop() == f"{tmp}.{os.getpid()}.tmp" and not renamed
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -294,15 +391,30 @@ state, value, n = sys.argv[1:]
 argv = ["round", "record-iaa", "--state", state, "--task", "seg", "--value", value]
 sys.exit(max(main(argv) for _ in range(int(n))))
 """
+SAMPLER = """
+import contextlib, io, json, sys
+from clincorp.cli import main
+state, n = sys.argv[1:]
+sampled = []
+for seed in range(int(n)):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["round", "sample", "--state", state, "--n", "5", "--seed", str(seed)])
+    if code:
+        sys.exit(code)
+    sampled += json.loads(out.getvalue())["sampled"]
+print(json.dumps(sampled))
+"""
 
 
 def test_concurrent_record_iaa_loses_no_update(tmp_path):
-    # Three processes each record N values on one state file at once.  Each
-    # command loads, appends and saves; without the state lock a process
-    # that loads between another's load and save drops that one's value.
+    # Three processes each record N values on one state file at once, while
+    # a fourth samples M rounds.  Each command loads, changes and saves;
+    # without the state lock a process that loads between another's load
+    # and save drops that one's update.
     path = tmp_path / "state.json"
-    save_state(RoundState(pool=["d1"]), path)
-    n = 60
+    pool = [f"d{i:03}" for i in range(300)]
+    save_state(RoundState(pool=pool), path)
+    n, m = 60, 20
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     values = ("0.25", "0.5", "0.75")
     procs = [
@@ -310,17 +422,25 @@ def test_concurrent_record_iaa_loses_no_update(tmp_path):
                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
         for value in values
     ]
+    procs.append(subprocess.Popen([sys.executable, "-c", SAMPLER, str(path), str(m)],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env))
     try:
-        errors = [proc.communicate(timeout=30)[1] for proc in procs]
+        outputs = [proc.communicate(timeout=30) for proc in procs]
     finally:
         for proc in procs:
             proc.kill()
             proc.wait(timeout=10)
-    assert [proc.returncode for proc in procs] == [0, 0, 0], errors
-    history = load_state(path).iaa_history["seg"]
+    assert [proc.returncode for proc in procs] == [0, 0, 0, 0], [err for _, err in outputs]
+    state = load_state(path)
+    history = state.iaa_history["seg"]
     assert len(history) == 3 * n
     assert sorted(history) == sorted(float(v) for v in values for _ in range(n))
-    assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+    sampled = json.loads(outputs[-1][0])
+    assert len(set(sampled)) == 5 * m
+    assert state.round_index == 1 + m
+    assert sorted(state.assignments) == sorted(sampled)
+    assert state.pool == [d for d in pool if d not in set(sampled)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.pool"]
 
 
 def test_kfold_sizes_and_partition():
