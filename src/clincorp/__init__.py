@@ -37,16 +37,16 @@ _EXPORTS = {
     ),
     "numfmt": ("fmt_metric", "fmt_percent", "round_half_up"),
     "parseval": (
-        "EvalParams", "ParseTree", "brackets", "match_counts", "parse_tree",
-        "score_corpus",
+        "EvalParams", "ParseTree", "match_counts", "parse_tree", "score_corpus",
     ),
+    "refdata": ("Deviation", "compare_reference", "reference_column"),
     "segadvice": (
         "SegDecision", "TermEntry", "advise", "advise_chain", "load_lexicon",
     ),
     "stats": (
-        "CrossRow", "Deviation", "DistributionRow", "assertion_cross_table",
-        "avg_sentence_length", "compare_reference", "distribution",
-        "reference_column", "relation_table", "token_and_sentence_counts",
+        "CrossRow", "DistributionRow", "assertion_cross_table",
+        "avg_sentence_length", "distribution", "relation_table",
+        "token_and_sentence_counts",
     ),
     "tagsets": (
         "LAYERS", "POS_TAGS", "SYN_TAGS", "VALID_ASSERTIONS", "AssertionType",

@@ -89,6 +89,11 @@ def _load_config(explicit: str | None) -> dict:
         raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
     if not isinstance(data, dict):
         raise InputError(f"config {path} must hold a JSON object")
+    known = sorted({*_OPTIONS, "tau"})  # a mistyped key must not pass unnoticed
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise InputError(f"config key {unknown[0]!r} is unknown; the known keys "
+                         f"are {', '.join(known)}")
     return data
 
 

@@ -306,23 +306,15 @@ class EvalParams(Record):
 Bracket = tuple  # (label, first, last_exclusive) or (first, last_exclusive)
 
 
-def brackets(tree: ParseTree, params: EvalParams = EvalParams()) -> Counter:
-    """Multiset of internal brackets over filtered token indices.
-
-    Punctuation leaves are deleted before indices are assigned, so both
-    annotators' trees collapse to the same index space whenever they agree on
-    the non-punctuation tokens.  Zero-width constituents (all punctuation)
-    vanish along with their leaves.
-    """
-    return Counter(_brackets(tree, params)[0])
-
-
 def _brackets(tree: ParseTree, params: EvalParams) -> tuple[list[Bracket], int]:
-    """The brackets of brackets(tree, params), as a list in the order their
-    nodes close, and the number of leaves left after filtering, from one
-    walk without recursion.  `stack` holds the open nodes, each with an
-    iterator over its remaining children and its first leaf index; a node
-    spans from that index to the leaf count when it closes."""
+    """The internal brackets over filtered token indices, in the order their
+    nodes close, and the number of leaves left, from one walk without
+    recursion.  Punctuation leaves are deleted before indices are assigned,
+    so both annotators' trees collapse to the same index space whenever they
+    agree on the non-punctuation tokens; zero-width constituents (all
+    punctuation) vanish with their leaves.  `stack` holds the open nodes,
+    each with an iterator over its remaining children and its first leaf
+    index; a node spans from that index to the leaf count when it closes."""
     out: list[Bracket] = []
     labeled, include_root = params.labeled, params.include_root
     skip = PUNCT_POS if params.ignore_punct else None

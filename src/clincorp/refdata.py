@@ -1,4 +1,4 @@
-"""Published distribution tables bundled as regression fixtures.
+"""Published distribution tables, and the check of computed tables against them.
 
 These are transcriptions of the corpus release's published annotation
 distribution tables, kept verbatim so recomputed statistics can be checked
@@ -16,7 +16,15 @@ table prints it as VS; the by-document-type table prints VSB).
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Sequence
+
+from .errors import InputError
+from .model import DOC_TYPES
 from .numfmt import round_half_up
+from .record import Record
+
+if TYPE_CHECKING:
+    from .stats import CrossRow, DistributionRow
 
 # ------------------------------------------------------- headline figures ---
 
@@ -234,3 +242,68 @@ def matches_display(computed: float, display: str, tol: float) -> bool:
     if display.startswith("<"):
         return 0.0 <= computed < float(display[1:])
     return abs(round_half_up(computed, 2) - float(display)) <= tol + 1e-12
+
+
+class Deviation(Record):
+    """One disagreement between a computed table and a reference table."""
+
+    __slots__ = ("label", "field", "computed", "expected")
+
+    def __init__(self, label: str, field: str, computed: float | int, expected: str | int):
+        self.label = label
+        self.field = field
+        self.computed = computed
+        self.expected = expected
+
+    def render(self) -> str:
+        return f"{self.label}\t{self.field}\tcomputed={self.computed}\texpected={self.expected}"
+
+
+def compare_reference(
+    rows: Sequence[DistributionRow | CrossRow], reference: Sequence[tuple],
+    tol_pct: float = 0.01,
+) -> list[Deviation]:
+    """Check computed rows against a reference table, matching by label.
+
+    Reference rows may be (label, count, pct), (label, count, pct_within,
+    pct_all), or percentage-only (label, pct).  A reference label with no
+    computed row counts as zero; a computed label missing from the reference
+    is a hard mismatch since references are complete inventories.
+    """
+    by_label = {r.label: r for r in rows}
+    extra = sorted(set(by_label) - {ref[0] for ref in reference})
+    if extra:
+        raise InputError(f"labels not in the reference table: {', '.join(extra)}")
+
+    out: list[Deviation] = []
+
+    def check_pct(label: str, field: str, computed: float, display: str) -> None:
+        if not matches_display(computed, display, tol_pct):
+            out.append(Deviation(label, field, computed, display))
+
+    for ref in reference:
+        label = ref[0]
+        row = by_label.get(label)
+        if len(ref) == 2:
+            check_pct(label, "pct", getattr(row, "pct", 0.0), ref[1])
+            continue
+        count = row.count if row else 0
+        if ref[1] != count:
+            out.append(Deviation(label, "count", count, ref[1]))
+        if len(ref) == 3:
+            check_pct(label, "pct", row.pct if row else 0.0, ref[2])
+        else:
+            check_pct(label, "pct_within", row.pct_within if row else 0.0, ref[2])
+            check_pct(label, "pct_all", row.pct_all if row else 0.0, ref[3])
+    return out
+
+
+def reference_column(
+    table: Sequence[tuple[str, str, str]], doc_type: str
+) -> list[tuple[str, str]]:
+    """Project a by-document-type reference table onto one document type,
+    yielding (label, pct) rows for compare_reference."""
+    if doc_type not in DOC_TYPES:
+        raise InputError(f"unknown document type {doc_type!r}")
+    col = 1 if doc_type == DOC_TYPES[0] else 2
+    return [(label, values[col - 1]) for label, *values in table]

@@ -1,4 +1,4 @@
-"""Descriptive corpus statistics and regression against reference tables.
+"""Descriptive corpus statistics.
 
 All percentages round half away from zero to two decimals.  Tables
 list observed labels only (a label never annotated simply has no row), sorted
@@ -8,11 +8,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InputError
 from .groups import expand_all
-from .model import DOC_TYPES, Document
+from .model import Document
 from .numfmt import round_half_up
 from .record import Record
 from .tagsets import (
@@ -240,73 +240,3 @@ REPORTS = {
     "relation": (relation_tally, relation_rows, CrossRow),
     "length": (length_tally, length_values, None),
 }
-
-
-class Deviation(Record):
-    """One disagreement between a computed table and a reference table."""
-
-    __slots__ = ("label", "field", "computed", "expected")
-
-    def __init__(self, label: str, field: str, computed: float | int, expected: str | int):
-        self.label = label
-        self.field = field
-        self.computed = computed
-        self.expected = expected
-
-    def render(self) -> str:
-        return f"{self.label}\t{self.field}\tcomputed={self.computed}\texpected={self.expected}"
-
-
-def compare_reference(
-    rows: Sequence[DistributionRow | CrossRow],
-    reference: Sequence[tuple],
-    tol_pct: float = 0.01,
-) -> list[Deviation]:
-    """Check computed rows against a reference table, matching by label.
-
-    Reference rows may be (label, count, pct), (label, count, pct_within,
-    pct_all), or percentage-only (label, pct).  A reference label with no
-    computed row counts as zero; a computed label missing from the reference
-    is a hard mismatch since references are complete inventories.
-    """
-    from .refdata import matches_display
-
-    by_label = {r.label: r for r in rows}
-    known = {ref[0] for ref in reference}
-    extra = sorted(set(by_label) - known)
-    if extra:
-        raise InputError(f"labels not in the reference table: {', '.join(extra)}")
-
-    out: list[Deviation] = []
-
-    def check_pct(label: str, field: str, computed: float, display: str) -> None:
-        if not matches_display(computed, display, tol_pct):
-            out.append(Deviation(label, field, computed, display))
-
-    for ref in reference:
-        label = ref[0]
-        row = by_label.get(label)
-        if len(ref) == 2:
-            computed_pct = getattr(row, "pct", 0.0) if row else 0.0
-            check_pct(label, "pct", computed_pct, ref[1])
-            continue
-        count = row.count if row else 0
-        if ref[1] != count:
-            out.append(Deviation(label, "count", count, ref[1]))
-        if len(ref) == 3:
-            check_pct(label, "pct", row.pct if row else 0.0, ref[2])
-        else:
-            check_pct(label, "pct_within", row.pct_within if row else 0.0, ref[2])
-            check_pct(label, "pct_all", row.pct_all if row else 0.0, ref[3])
-    return out
-
-
-def reference_column(
-    table: Sequence[tuple[str, str, str]], doc_type: str
-) -> list[tuple[str, str]]:
-    """Project a by-document-type reference table onto one document type,
-    yielding (label, pct) rows for compare_reference."""
-    if doc_type not in DOC_TYPES:
-        raise InputError(f"unknown document type {doc_type!r}")
-    col = 1 if doc_type == DOC_TYPES[0] else 2
-    return [(label, values[col - 1]) for label, *values in table]

@@ -54,12 +54,12 @@ from clincorp.refdata import (
     TOTAL_ENTITIES,
     TOTAL_SENTENCES,
     TOTAL_TOKENS,
+    compare_reference,
     matches_display,
 )
 from clincorp.stats import (
     DistributionRow,
     avg_sentence_length,
-    compare_reference,
     token_and_sentence_counts,
 )
 from clincorp.tagsets import (

@@ -640,6 +640,34 @@ def test_record_iaa_checks_task_name(tmp_path, capsys, task):
     )
 
 
+KNOWN_CONFIG_KEYS = ("beta, default_tau, duplicate_fraction, format, ignore_punct, "
+                     "include_root, labeled, mode, policy, tau, window")
+
+
+def test_round_commands_refuse_a_mistyped_config_key(tmp_path, capsys):
+    # Read as the defaults, this config's window and threshold would let
+    # status print `converged` `true` at 0.900.
+    state = _round_with_history(tmp_path, capsys)
+    pool = state.with_name("state.json.pool").read_bytes()
+    message = f"config key 'defualt_tau' is unknown; the known keys are {KNOWN_CONFIG_KEYS}"
+    for argv in (["status"], ["record-iaa", "--task", "seg", "--value", "1"],
+                 ["sample", "--n", "1", "--seed", "1"]):
+        _assert_round_rejects(state, capsys, {"defualt_tau": 0.99, "windw": 10}, argv, message)
+    assert state.with_name("state.json.pool").read_bytes() == pool
+
+
+def test_iaa_refuses_a_mistyped_config_key(tmp_path, capsys):
+    root = make_corpus(tmp_path, "a", seed=11, n_docs=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beta": 2.0, "polcy": "span"}), encoding="utf-8")
+    assert main(["--config", str(cfg), "iaa", "--layer", "entity", str(root), str(root)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: config key 'polcy' is unknown; the known keys are {KNOWN_CONFIG_KEYS}\n"
+    )
+
+
 def test_round_status_accepts_numeric_config(tmp_path, capsys):
     state = _round_with_history(tmp_path, capsys)
     cfg = tmp_path / "cfg.json"

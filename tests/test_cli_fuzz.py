@@ -98,10 +98,54 @@ CONFIG_KEYS = ("policy", "mode", "beta", "labeled", "include_root", "ignore_punc
                "format", "duplicate_fraction", "window", "tau", "default_tau")
 
 
+# Every key a config file may hold, each at its built-in default.
+FULL_CONFIG = {"policy": "span_type", "mode": "one2one", "beta": 1.0, "labeled": True,
+               "include_root": True, "ignore_punct": True, "format": "tsv",
+               "duplicate_fraction": 1 / 3, "window": 3, "tau": {}, "default_tau": 0.9}
+
+
 def test_config_keys_cover_every_option():
     from clincorp import cli
 
-    assert set(CONFIG_KEYS) == set(cli._OPTIONS) | {"tau"}
+    assert set(CONFIG_KEYS) == set(cli._OPTIONS) | {"tau"} == set(FULL_CONFIG)
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_a_config_with_every_known_key_runs_every_subcommand(paths, tmp_path, monkeypatch):
+    # Each run of the sweep starts with `round new`, so both runs see the
+    # same round states.
+    monkeypatch.delenv("CLINCORP_CONFIG", raising=False)
+    cfg = tmp_path / "full.json"
+    cfg.write_text(json.dumps(FULL_CONFIG), encoding="utf-8")
+    commands = [[paths.get(arg, arg) for arg in cmd] for cmd in _sweep_commands()]
+    plain = [_run(argv) for argv in commands]
+    assert all(code in (0, 1) for code, _, _ in plain)
+    assert [_run(["--config", str(cfg), *argv]) for argv in commands] == plain
+
+
+@pytest.mark.parametrize("key", ["windw", "defualt_tau", "Tau", "", "policy "])
+def test_a_mistyped_config_key_stops_every_subcommand(paths, tmp_path, monkeypatch, key):
+    # The config is read before any corpus or state file: the state file
+    # keeps its bytes, and no command writes a file.
+    monkeypatch.delenv("CLINCORP_CONFIG", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**FULL_CONFIG, key: 10}), encoding="utf-8")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(STATE), encoding="utf-8")
+    before = state.read_bytes()
+    message = (f"error: config key {key!r} is unknown; the known keys are "
+               f"{', '.join(sorted(CONFIG_KEYS))}\n")
+    for cmd in _sweep_commands():
+        argv = [str(state) if arg == "STATE" else paths.get(arg, arg) for arg in cmd]
+        assert _run(["--config", str(cfg), *argv]) == (2, "", message), cmd
+        assert state.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "state.json"]
 
 
 def _flags(*names: str):
@@ -145,7 +189,8 @@ ARGVS = st.one_of(
 
 CONFIGS = st.one_of(
     st.none(),
-    st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, max_size=3)
+    st.dictionaries(st.sampled_from((*CONFIG_KEYS, "windw", "Tau", "")), JSON_VALUES,
+                    max_size=3)
     .map(lambda d: json.dumps(d).encode("utf-8")),
     JSON_VALUES.map(lambda v: json.dumps(v).encode("utf-8")),
     st.binary(max_size=8),

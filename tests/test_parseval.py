@@ -11,7 +11,7 @@ from clincorp.errors import LengthMismatchError, ParseError
 from clincorp.parseval import (
     EvalParams,
     ParseTree,
-    brackets,
+    _brackets,
     match_counts,
     match_keys,
     parse_tree,
@@ -171,7 +171,7 @@ def test_parse_error_kinds_named():
 
 
 def test_brackets_hand_example():
-    b = brackets(parse_tree(GOLD))
+    b = Counter(_brackets(parse_tree(GOLD), EvalParams())[0])
     assert b == {("IP", 0, 3): 1, ("NP", 0, 2): 1, ("VP", 2, 3): 1}
 
 
@@ -189,6 +189,7 @@ def test_punctuation_removed_from_index_space():
     a = parse_tree("(IP (NP (NN a) (PU ,) (NN b)) (VP (VV c)))")
     b = parse_tree("(IP (NP (NN a) (NN b)) (VP (VV c)))")
     assert match_counts(a, b) == (3, 3, 3)
+    assert _brackets(a, EvalParams()) == _brackets(b, EvalParams())
     # Keeping punctuation makes the leaf counts differ.
     with pytest.raises(LengthMismatchError):
         match_counts(a, b, EvalParams(ignore_punct=False))
@@ -196,8 +197,10 @@ def test_punctuation_removed_from_index_space():
 
 def test_all_punctuation_constituent_vanishes():
     a = parse_tree("(IP (NP (NN a)) (PRN (PU -) (PU -)) (VP (VV c)))")
-    assert ("PRN", 1, 1) not in brackets(a)
-    assert sum(brackets(a).values()) == 3  # IP, NP, VP
+    found, leaves = _brackets(a, EvalParams())
+    assert ("PRN", 1, 1) not in found
+    assert len(found) == 3  # IP, NP, VP
+    assert leaves == 2
 
 
 def test_unlabeled_and_rootless_modes():

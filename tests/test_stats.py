@@ -19,15 +19,13 @@ from clincorp.model import (
 )
 from clincorp.numfmt import fmt_metric, fmt_percent, round_half_up
 from clincorp.parseval import ParseTree
-from clincorp.refdata import matches_display
+from clincorp.refdata import compare_reference, matches_display, reference_column
 from clincorp.stats import (
     CrossRow,
     DistributionRow,
     assertion_cross_table,
     avg_sentence_length,
-    compare_reference,
     distribution,
-    reference_column,
     relation_table,
     token_and_sentence_counts,
 )
