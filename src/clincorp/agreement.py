@@ -208,6 +208,14 @@ class CorpusAgreement(Record):
         self.excluded_sentences.update(excluded_sentences)
 
 
+# The one layer file _doc_counts reads for each layer; the text is never
+# scored, so a corpus command reads that file alone.
+LAYER_FILE = {
+    "seg": "tok", "pos": "tok", "chunk": "chk", "tree": "ptb",
+    "entity": "ann", "relation": "ann",
+}
+
+
 def _doc_counts(
     layer: str, da: Document, db: Document, policy: MatchPolicy,
     mode: RelationMode, params: EvalParams,

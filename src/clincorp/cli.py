@@ -61,21 +61,11 @@ def _library(name: str):
 
 # The agreement flags' choices, spelled out here so that building the parser,
 # which every command does, loads no tagsets; a test pins them to
-# tagsets.LAYERS, the MatchPolicy values and the RelationMode members.
+# tagsets.LAYERS and agreement.LAYER_FILE, the MatchPolicy values and the
+# RelationMode members, and the stats reports to stats.REPORTS.
 _LAYERS = ("seg", "pos", "chunk", "tree", "entity", "relation")
 _POLICIES = ("span", "span_type", "span_type_assertion")
 _MODES = {"group": "GROUP_PRESERVED", "one2one": "ONE_TO_ONE"}
-
-# The one layer file each agreement layer or stats report reads.  No score or
-# table uses the text, so these commands leave the .txt file unread; only
-# validate reads every file of a bundle.
-_LAYER_FILES = {
-    "seg": ("tok",), "pos": ("tok",), "length": ("tok",),
-    "chunk": ("chk",),
-    "tree": ("ptb",), "syn": ("ptb",),
-    "entity": ("ann",), "relation": ("ann",),
-}
-
 
 def _load_config(explicit: str | None) -> dict:
     path = explicit or os.environ.get(CONFIG_ENV)
@@ -206,9 +196,12 @@ def _listing(directory: str) -> dict[str, BundlePaths]:
     return bundles
 
 
-def _has_layer(ext: str, *listings: dict[str, BundlePaths]) -> bool:
-    """Whether any bundle of the listings has the .`ext` layer file."""
-    return any(getattr(bp, ext) for bundles in listings for bp in bundles.values())
+def _need_layer(ext: str, where: str, *listings: dict[str, BundlePaths]) -> None:
+    """Refuse listings in which no bundle has the .`ext` file that iaa, score
+    or stats reads, before any is read: empty files agree vacuously, but
+    absent ones are no evidence at all."""
+    if not any(getattr(bp, ext) for bundles in listings for bp in bundles.values()):
+        raise InputError(f"no .{ext} file {where}")
 
 
 def _cmd_validate(args: argparse.Namespace, config: dict) -> int:
@@ -260,12 +253,13 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     from functools import partial
 
     from . import annio
-    from .agreement import CorpusAgreement
+    from .agreement import LAYER_FILE, CorpusAgreement
     from .fanout import fold_slices
 
     policy, mode, beta, params = _agreement_args(args, config)
-    layers = _LAYER_FILES[args.layer]
+    ext = LAYER_FILE[args.layer]
     bundles_a, bundles_b = _listing(args.dir_a), _listing(args.dir_b)
+    _need_layer(ext, f"under {args.dir_a} or {args.dir_b}", bundles_a, bundles_b)
     corpus_agreement = _library("corpus_agreement")
 
     def step(pairs) -> tuple:
@@ -274,15 +268,10 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
 
     corpus = fold_slices(
         annio.paired_ids(bundles_a, bundles_b),
-        partial(annio.load_pair, bundles_a, bundles_b, layers=layers),
+        partial(annio.load_pair, bundles_a, bundles_b, layers=(ext,)),
         step, CorpusAgreement(args.layer, {}, [], {}), CorpusAgreement.join,
     )
-    report = corpus.report(beta)
-    # Empty layer files agree vacuously; absent ones are no evidence at all.
-    (ext,) = layers
-    if report.vacuous and not _has_layer(ext, bundles_a, bundles_b):
-        raise InputError(f"no .{ext} file under {args.dir_a} or {args.dir_b}")
-    out = _json_object(report.to_dict(), fmt_metric)
+    out = _json_object(corpus.report(beta).to_dict(), fmt_metric)
     if args.details:
         sys.stderr.write(_detail_table(corpus, beta))
     for doc_id in corpus.excluded_docs:
@@ -326,19 +315,18 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
         )
     fmt = _option(args, config, "format")
     bundles = _listing(args.directory)
+    where = f"under {args.directory}"
     if args.doc_type is not None:
         # Bundles of the other type are never read.
         bundles = {k: bp for k, bp in bundles.items() if bp.doc_type == args.doc_type}
         if not bundles:
-            raise InputError(f"no {args.doc_type} bundles under {args.directory}")
-    layers = _LAYER_FILES[args.report]
-    (ext,) = layers
-    if not _has_layer(ext, bundles):
-        raise InputError(f"no .{ext} file under {args.directory}")
+            raise InputError(f"no {args.doc_type} bundles {where}")
+        where = f"in the {args.doc_type} bundles {where}"
+    ext, tally_of, table_of, row_type = stats.REPORTS[args.report]
+    _need_layer(ext, where, bundles)
     # Only a slice's tally crosses the pipe; the table is made here.
-    tally_of, table_of, row_type = stats.REPORTS[args.report]
     table = table_of(fold_slices(
-        list(bundles), lambda k: annio.load_document(bundles[k], layers),
+        list(bundles), lambda k: annio.load_document(bundles[k], (ext,)),
         lambda docs: dict(tally_of(docs)), Counter(), Counter.update,
     ))
     if row_type is None:

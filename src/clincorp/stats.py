@@ -224,19 +224,20 @@ def length_values(tally: dict[str, int]) -> dict[str, int | float]:
     }
 
 
-# `clincorp stats --report R` prints REPORTS[R][1] of the sum of
-# REPORTS[R][0]'s tallies over any split of the documents into sets, as rows
-# of type REPORTS[R][2], or for None (length) as one object of named values.
+# `clincorp stats --report R` reads only the REPORTS[R][0] file of each
+# bundle and prints REPORTS[R][2] of the sum of REPORTS[R][1]'s tallies over
+# any split of the documents into sets, as rows of type REPORTS[R][3], or for
+# None (length) as one object of named values.
 REPORTS = {
     "pos": (
-        partial(label_tally, layer="pos"), partial(distribution_rows, layer="pos"),
-        DistributionRow,
+        "tok", partial(label_tally, layer="pos"),
+        partial(distribution_rows, layer="pos"), DistributionRow,
     ),
     "syn": (
-        partial(label_tally, layer="syntactic"),
+        "ptb", partial(label_tally, layer="syntactic"),
         partial(distribution_rows, layer="syntactic"), DistributionRow,
     ),
-    "entity": (assertion_tally, assertion_rows, CrossRow),
-    "relation": (relation_tally, relation_rows, CrossRow),
-    "length": (length_tally, length_values, None),
+    "entity": ("ann", assertion_tally, assertion_rows, CrossRow),
+    "relation": ("ann", relation_tally, relation_rows, CrossRow),
+    "length": ("tok", length_tally, length_values, None),
 }

@@ -177,6 +177,9 @@ LAYER_EXTENSION = {
     "seg": "tok", "pos": "tok", "chunk": "chk", "tree": "ptb",
     "entity": "ann", "relation": "ann",
 }
+REPORT_EXTENSION = {
+    "pos": "tok", "syn": "ptb", "length": "tok", "entity": "ann", "relation": "ann",
+}
 
 
 def test_iaa_refuses_a_layer_file_missing_on_both_sides(tmp_path, capsys):
@@ -190,6 +193,36 @@ def test_iaa_refuses_a_layer_file_missing_on_both_sides(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"error: no .{ext} file under {a} or {b}\n"
+
+
+def test_a_missing_layer_file_is_refused_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch
+):
+    # The listings alone decide: no layer file is read and no worker forked.
+    from clincorp import annio, fanout
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a layer file was read or a worker forked")
+
+    monkeypatch.setattr(annio, "load_document", unreachable)
+    monkeypatch.setattr(fanout, "fold_slices", unreachable)
+    a, b = tmp_path / "A", tmp_path / "B"
+    for root in (a, b):
+        (root / "progress_note").mkdir(parents=True)
+        (root / "progress_note" / "d.txt").write_text("发热", encoding="utf-8")
+    cases = [
+        ([cmd, "--layer", layer, str(a), str(b)], f".{ext} file under {a} or {b}")
+        for cmd in ("iaa", "score") for layer, ext in LAYER_EXTENSION.items()
+    ]
+    for report, ext in REPORT_EXTENSION.items():
+        cases.append((["stats", "--report", report, str(a)], f".{ext} file under {a}"))
+        cases.append((
+            ["stats", "--report", report, "--doc-type", "progress_note", str(a)],
+            f".{ext} file in the progress_note bundles under {a}",
+        ))
+    for argv, missing in cases:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"error: no {missing}\n"), argv
 
 
 def test_iaa_empty_layer_files_agree_vacuously(tmp_path, capsys):
@@ -342,10 +375,7 @@ def test_stats_doc_type_filter(tmp_path, capsys):
     assert main(["stats", "--report", "length", "--doc-type", "letter", str(root)]) == 2
 
 
-@pytest.mark.parametrize("report, ext", [
-    ("pos", "tok"), ("syn", "ptb"), ("length", "tok"), ("entity", "ann"),
-    ("relation", "ann"),
-])
+@pytest.mark.parametrize("report, ext", REPORT_EXTENSION.items())
 def test_stats_refuses_a_report_without_its_layer_file(tmp_path, capsys, report, ext):
     # Only .txt files, then the report's layer file only under the type that
     # --doc-type does not select: no selected bundle has the file to read.
@@ -357,7 +387,8 @@ def test_stats_refuses_a_report_without_its_layer_file(tmp_path, capsys, report,
         assert main(["stats", "--report", report, *argv, str(root)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: no .{ext} file under {root}\n"
+        where = f"in the {argv[1]} bundles under" if argv else "under"
+        assert captured.err == f"error: no .{ext} file {where} {root}\n"
         (root / "progress_note" / f"d.{ext}").write_text("", encoding="utf-8")
 
 
@@ -468,6 +499,21 @@ def test_agreement_flag_choices_match_the_tagsets():
     assert cli._LAYERS == LAYERS
     assert list(cli._POLICIES) == sorted(p.value for p in MatchPolicy)
     assert sorted(cli._MODES.values()) == sorted(m.name for m in RelationMode)
+
+
+def test_cli_copies_match_their_owners():
+    # The parser is built without importing agreement or stats, so it spells
+    # out their keys; adding a layer or a report there must reach it too.
+    import argparse
+
+    from clincorp import agreement, cli, stats
+
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    (report,) = [action for action in subparsers.choices["stats"]._actions
+                 if action.dest == "report"]
+    assert list(report.choices) == list(stats.REPORTS)
+    assert cli._LAYERS == tuple(agreement.LAYER_FILE)
 
 
 def test_help_shows_every_option_default(capsys):

@@ -16,7 +16,7 @@ import threading
 import pytest
 
 from clincorp import annio, cli, fanout, stats
-from clincorp.cli import _LAYER_FILES, main
+from clincorp.cli import main
 from clincorp.model import DOC_TYPES
 from clincorp.tagsets import LAYERS
 from helpers import random_document
@@ -153,7 +153,7 @@ FIRST, MIDDLE, LAST = "a", "m1", "only_a"
 @pytest.mark.parametrize("report", REPORTS)
 def test_stats_reports_the_first_malformed_file_of_one_slice(tmp_path, capsys, cpus, report):
     a, _ = _corpus_pair(tmp_path)
-    (ext,) = _LAYER_FILES[report]
+    ext = stats.REPORTS[report][0]
     cases = [[FIRST], [MIDDLE], [LAST], [MIDDLE, LAST], [FIRST, MIDDLE, LAST]]
     for broken in cases:
         files = [a / f"{doc_id}.{ext}" for doc_id in broken]

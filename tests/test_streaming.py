@@ -12,8 +12,7 @@ import weakref
 import pytest
 
 from clincorp import annio, corpusdir
-from clincorp.agreement import corpus_agreement, prf
-from clincorp.cli import _LAYER_FILES as LAYER_FILES
+from clincorp.agreement import LAYER_FILE, corpus_agreement, prf
 from clincorp.cli import main
 from clincorp.model import DOC_TYPES, Chunk, Document
 from clincorp.numfmt import fmt_metric
@@ -63,7 +62,7 @@ def _corpus_pair(tmp_path):
 def _per_id_reference(a, b, layer: str):
     """corpus_agreement on each id's pair alone, an absent side empty."""
     bundles_a, bundles_b = annio.discover(a), annio.discover(b)
-    layers = LAYER_FILES[layer]
+    layers = (LAYER_FILE[layer],)
     per_doc, excluded_docs, excluded_sentences = {}, [], {}
     for doc_id in sorted(set(bundles_a) | set(bundles_b)):
         da, db = (
@@ -130,7 +129,7 @@ def test_merge_join_matches_a_per_id_reference(tmp_path, capsys, layer):
         assert "m3" in excluded_sentences
     if layer == "chunk":
         assert "m3" in excluded_docs
-    layers = LAYER_FILES[layer]
+    layers = (LAYER_FILE[layer],)
     for left, right in ((a, b), (b, a)):
         pairs = annio.iter_pairs(annio.discover(left), annio.discover(right), layers)
         corpus = corpus_agreement(pairs, layer)
