@@ -259,6 +259,8 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     policy, mode, beta, params = _agreement_args(args, config)
     ext = LAYER_FILE[args.layer]
     bundles_a, bundles_b = _listing(args.dir_a), _listing(args.dir_b)
+    if bundles_a.keys().isdisjoint(bundles_b):  # else every count is one-sided
+        raise InputError(f"no document id is under both {args.dir_a} and {args.dir_b}")
     _need_layer(ext, f"under {args.dir_a} or {args.dir_b}", bundles_a, bundles_b)
     corpus_agreement = _library("corpus_agreement")
 

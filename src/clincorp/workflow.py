@@ -16,11 +16,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import suppress
 from itertools import chain, filterfalse
 from pathlib import Path
 from typing import BinaryIO
 
-from .errors import InputError, ParseError, read_text_file
+from .errors import ClincorpError, InputError, ParseError, read_text_file
 from .numfmt import in_unit_interval
 from .record import Record
 
@@ -68,7 +69,7 @@ class RoundState(Record):
     given them, or is None in a state loaded without its pool (see
     load_state)."""
 
-    __slots__ = ("round_index", "pool", "assignments", "iaa_history", "_pool_file")
+    __slots__ = ("round_index", "pool", "assignments", "iaa_history", "_pin")
     # Where the pool is kept is not part of the state: equality leaves it out.
     _fields = ("round_index", "pool", "assignments", "iaa_history")
     __hash__ = None
@@ -84,9 +85,7 @@ class RoundState(Record):
         self.pool = [] if pool is None else pool
         self.assignments = {} if assignments is None else assignments
         self.iaa_history = {} if iaa_history is None else iaa_history
-        # (path, pin, ids) of the pool file the state was loaded from or
-        # saved with, ids None if the file was not read; see save_state.
-        self._pool_file: tuple | None = None
+        self._pin: tuple | None = None  # (state file, pin) if read from one; see save_state
 
     def to_json(self, indent: int | None = None) -> str:
         """The state as JSON with its pool inline, as `round new` prints it
@@ -110,7 +109,7 @@ class RoundState(Record):
         data["iaa_history"] = {k: list(map(float, v)) for k, v in data["iaa_history"].items()}
         state = cls(**data)
         if type(state.pool) is dict:
-            state._pool_file, state.pool = (None, state.pool, None), None
+            state._pin, state.pool = (path, state.pool), None
         return state
 
 
@@ -170,7 +169,7 @@ def _state_problem(data) -> str | None:
         if not is_task_name(task):
             return f"iaa_history task {task!r} must {TASK_NAME}"
     if type(pool) is list:
-        # The pool file's ids less the assigned ones are the pool.
+        # An assigned document was drawn from the pool.
         assigned = next(filter(data["assignments"].__contains__, pool), None)
         if assigned is not None:
             return f"pool holds assigned document id {assigned!r}"
@@ -222,73 +221,77 @@ def lock_state(path: str | Path) -> BinaryIO:
 
 def load_state(path: str | Path, *, pool: bool = True) -> RoundState:
     """The state saved at `path`.  If the state file pins a pool file, the
-    pool is the ids in `<path>.pool`, checked against the pin, less the
-    assigned ones; without `pool`, that file is not opened and the pool is
-    None.  A state file from before the pool file holds its pool itself."""
+    pool is that file's ids, checked against the pin, less the assigned ones;
+    without `pool`, the file is not opened and the pool is None.  A state
+    file from before the pool file holds its pool itself."""
     state = RoundState.from_json(read_text_file(path), path=str(path))
-    if state._pool_file is not None:
-        pool_path, pin = f"{path}.pool", state._pool_file[1]
-        ids = _read_pool(pool_path, pin) if pool else None
-        state._pool_file = (pool_path, pin, ids)
-        if ids is not None:
-            state.pool = list(filterfalse(state.assignments.__contains__, ids))
+    if pool and state._pin is not None:
+        import zlib
+
+        pin = state._pin[1]
+        pool_path = _pool_path(path, pin)
+        text = read_text_file(pool_path)
+        ids = _loads(text, pool_path)
+        if (
+            type(ids) is not list or not set(map(type, ids)) <= {str}
+            or first_repeat(ids) is not None
+            or pin != {"count": len(ids), "crc32": zlib.crc32(text.encode("utf-8"))}
+        ):
+            raise ParseError(
+                "pool file is not the list of distinct ids its state file pins: it was "
+                "edited, or replaced after the state file was written", path=pool_path)
+        # Only older pool files hold assigned ids (docs/FORMATS.md).
+        state.pool = list(filterfalse(state.assignments.__contains__, ids))
     return state
 
 
-def _read_pool(path: str, pin: dict) -> list[str]:
-    """The ids in the pool file at `path`, which must be the file `pin`
-    describes."""
-    import zlib
-
-    text = read_text_file(path)
-    ids = _loads(text, path)
-    if (
-        type(ids) is not list or not set(map(type, ids)) <= {str}
-        or first_repeat(ids) is not None
-        or pin != {"count": len(ids), "crc32": zlib.crc32(text.encode("utf-8"))}
-    ):
-        raise ParseError(
-            "pool file is not the list of distinct ids its state file pins: it was "
-            "edited, or replaced after the state file was written", path=path)
-    return ids
+def _pool_path(path: str | Path, pin: dict) -> str:
+    """The pool file `pin` names for the state file at `path`: `<path>.<crc32>.pool`,
+    or where only `<path>.pool` exists, that file, as state files pinned it before."""
+    named, legacy = f"{path}.{pin['crc32']:08x}.pool", f"{path}.pool"
+    return legacy if not os.path.exists(named) and os.path.exists(legacy) else named
 
 
 def save_state(state: RoundState, path: str | Path) -> None:
-    """Write the state to the state file at `path`, which pins the pool
-    file `<path>.pool` by its id count and CRC-32.
+    """Write the state to the state file at `path`.
 
-    The pool file is written first, holding the state's pool, unless it
-    holds it already: when the state was loaded from `path` or saved to it,
-    and its pool is still that file's ids less the assigned ones.  So
-    `record-iaa`, and `sample`, which assigns every drawn document, write the
-    state file alone.  A state loaded without its pool (None) saves only to
-    the path it came from.
+    A loaded pool goes first to `<path>.<crc32>.pool`, named by its bytes'
+    CRC-32, so no file a state pins is written over; then the state file,
+    which pins it by id count and CRC-32, is renamed into place; then the
+    pool file the old state file pinned is removed.  A crash at any step
+    leaves the old state or the new one whole.  A state loaded without its
+    pool (None) keeps its pin, and saves only to the path it came from.
 
     Nothing is written for a state that would read back changed.  Each file
-    is written next to its path and renamed over it, so a failed write
-    leaves the old file whole.  The temporary file's name holds the process
-    id, so two writers never rename each other's half-written file, and it
-    is removed when the write or the rename fails.  No fsync: this guards
+    is written to a temporary file named with the process id, so two writers
+    never rename each other's, then renamed over its path; a failed write
+    removes it and raises an OSError naming `path`.  No fsync: this guards
     against a crash of the process, not of the machine."""
-    pool_path = f"{path}.pool"
     data = {key: getattr(state, key) for key in RoundState._fields}
-    where, pin, ids = state._pool_file or (None, None, None)
-    if state.pool is None and where == pool_path:
-        data["pool"] = pin  # loaded without its pool, which stays as it is
+    if state.pool is None and state._pin is not None and state._pin[0] == str(path):
+        data["pool"] = state._pin[1]
     problem = _state_problem(data)
     if problem is not None:
         raise InputError(f"cannot write the round state: {problem}")
-    if data["pool"] is not pin and (where != pool_path or ids is None or state.pool != list(
-        filterfalse(state.assignments.__contains__, ids)
-    )):
-        import zlib
+    stale = pool_path = None
+    try:
+        if state.pool is not None:
+            import zlib
 
-        text = _dumps(state.pool)
-        pin = {"count": len(state.pool), "crc32": zlib.crc32(text.encode("utf-8"))}
-        ids = list(state.pool)
-        _replace(pool_path, text)
-    _replace(path, _dumps({**data, "pool": pin}))
-    state._pool_file = pool_path, pin, ids
+            with suppress(OSError, ClincorpError):  # else there is no old pool file
+                old = RoundState.from_json(read_text_file(path))._pin
+                stale = old and _pool_path(path, old[1])
+            text = _dumps(state.pool)
+            data["pool"] = {"count": len(state.pool), "crc32": zlib.crc32(text.encode("utf-8"))}
+            pool_path = f"{path}.{data['pool']['crc32']:08x}.pool"
+            _replace(pool_path, text)
+        _replace(path, _dumps(data))
+    except OSError as exc:
+        # The temporary file's name is not one the user gave.
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    if stale not in (None, pool_path):
+        with suppress(OSError):  # no state pins it now
+            os.remove(stale)
 
 
 def _replace(path: str | Path, text: str) -> None:
@@ -298,10 +301,8 @@ def _replace(path: str | Path, text: str) -> None:
         Path(tmp).write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.remove(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -311,9 +312,7 @@ def sample_round(
     """Draw n documents from the pool without replacement.
 
     Returns a new state (the input is untouched) with the drawn documents
-    removed and the round counter advanced, plus the sample itself.  The
-    new state keeps the input's pool file, so once every drawn document is
-    assigned, save_state leaves that file as it is; else it writes it anew.
+    removed and the round counter advanced, plus the sample itself.
     """
     if n < 0 or n > len(state.pool):
         raise InputError(
@@ -328,7 +327,6 @@ def sample_round(
         assignments=dict(state.assignments),
         iaa_history={k: list(v) for k, v in state.iaa_history.items()},
     )
-    new_state._pool_file = state._pool_file
     return new_state, sampled
 
 

@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: outputs, exit codes, configuration."""
+import errno
 import hashlib
 import json
 import os
@@ -6,6 +7,7 @@ import random
 import re
 import shutil
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +225,32 @@ def test_a_missing_layer_file_is_refused_before_any_file_is_read(
     for argv, missing in cases:
         assert main(argv) == 2, argv
         assert capsys.readouterr() == ("", f"error: no {missing}\n"), argv
+
+
+def test_an_agreement_pair_with_no_document_in_common_is_refused(
+    tmp_path, capsys, monkeypatch
+):
+    # Every count would be one-sided: entity read F 0.000 with exit 0, and
+    # tree a vacuous 1.000 with both documents excluded.  The listings alone
+    # decide, as for a missing layer file.
+    from clincorp import annio, fanout
+
+    rng = random.Random(5)
+    a, b = tmp_path / "A", tmp_path / "B"
+    write_bundle(a, random_document(rng, "d1"))
+    write_bundle(b, random_document(rng, "d2"))
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a layer file was read or a worker forked")
+
+    monkeypatch.setattr(annio, "load_document", unreachable)
+    monkeypatch.setattr(fanout, "fold_slices", unreachable)
+    for cmd in ("iaa", "score"):
+        for layer in LAYER_EXTENSION:
+            for left, right in ((a, b), (b, a)):
+                assert main([cmd, "--layer", layer, str(left), str(right)]) == 2
+                assert capsys.readouterr() == (
+                    "", f"error: no document id is under both {left} and {right}\n")
 
 
 def test_iaa_empty_layer_files_agree_vacuously(tmp_path, capsys):
@@ -446,7 +474,7 @@ def test_round_lifecycle(tmp_path, capsys):
 
     state_data = json.loads(state.read_text(encoding="utf-8"))
     assert state_data["round_index"] == 2
-    assert state_data["pool"]["count"] == 6  # the pool file `round new` wrote
+    assert state_data["pool"]["count"] == 3  # the pool the sample left
     assert state_data["iaa_history"]["entity"] == [0.97, 0.98, 0.99]
     pool = load_state(state).pool
     assert sorted(pool + sample_out["sampled"]) == docs
@@ -694,12 +722,12 @@ def test_round_commands_refuse_a_mistyped_config_key(tmp_path, capsys):
     # Read as the defaults, this config's window and threshold would let
     # status print `converged` `true` at 0.900.
     state = _round_with_history(tmp_path, capsys)
-    pool = state.with_name("state.json.pool").read_bytes()
+    pool = _pool_files(tmp_path)
     message = f"config key 'defualt_tau' is unknown; the known keys are {KNOWN_CONFIG_KEYS}"
     for argv in (["status"], ["record-iaa", "--task", "seg", "--value", "1"],
                  ["sample", "--n", "1", "--seed", "1"]):
         _assert_round_rejects(state, capsys, {"defualt_tau": 0.99, "windw": 10}, argv, message)
-    assert state.with_name("state.json.pool").read_bytes() == pool
+    assert _pool_files(tmp_path) == pool
 
 
 def test_iaa_refuses_a_mistyped_config_key(tmp_path, capsys):
@@ -989,7 +1017,16 @@ def test_record_iaa_ignores_a_directory_at_the_shared_temp_name(tmp_path, capsys
     assert capsys.readouterr().err == ""
     assert json.loads(state.read_text(encoding="utf-8"))["iaa_history"] == {"seg": [0.5]}
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "state.json", "state.json.pool", "state.json.tmp"]
+        "state.json", _pool_name(b'["d1"]\n'), "state.json.tmp"]
+
+
+def test_a_failed_state_write_names_the_state_file(tmp_path, capsys):
+    # The temporary file's name, with its process id, is not one the user gave.
+    state = tmp_path / "nodir" / "s.json"
+    assert main(["round", "new", "--state", str(state), "--pool", "a", "b"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: '{state}'\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 # A state file as versions before the pool file wrote it, and what those
@@ -1014,45 +1051,109 @@ def _round(state, argv, capsys):
     return code, *capsys.readouterr()
 
 
+def _pool_name(pool_bytes: bytes) -> str:
+    return f"state.json.{zlib.crc32(pool_bytes):08x}.pool"
+
+
+def _pool_files(directory):
+    return sorted((p.name, p.read_bytes()) for p in directory.glob("*.pool"))
+
+
+def _names(directory):
+    return sorted(p.name for p in directory.iterdir())
+
+
+def _files(directory):
+    return sorted((p.name, p.read_bytes(), p.stat().st_ino) for p in directory.iterdir())
+
+
 def test_round_reads_a_state_file_from_before_the_pool_file(tmp_path, capsys):
     state = tmp_path / "state.json"
-    pool_file = tmp_path / "state.json.pool"
     old = json.dumps(OLD_STATE, ensure_ascii=False, indent=2) + "\n"
     for argv, code, out in OLD_STATE_PRINTS[:3]:
         state.write_text(old, encoding="utf-8")
-        pool_file.unlink(missing_ok=True)
+        for pool_file in tmp_path.glob("*.pool"):
+            pool_file.unlink()
         assert _round(state, argv, capsys) == (code, out, "")
     # The first save writes the pool file from the state's pool, after the
     # draw for a sample, and then the state file that pins it.
-    assert json.loads(pool_file.read_text(encoding="utf-8")) == ["d1", "d3", "d4", "d5"]
+    pool_bytes = '["d1","d3","d4","d5"]\n'.encode("utf-8")
+    assert _pool_files(tmp_path) == [(_pool_name(pool_bytes), pool_bytes)]
     assert _round(state, OLD_STATE_PRINTS[3][0], capsys) == (0, OLD_STATE_PRINTS[3][2], "")
     assert load_state(state).pool == ["d4", "d5"]
+    assert _names(tmp_path) == ["state.json", _pool_name(b'["d4","d5"]\n')]
     state.write_text(old, encoding="utf-8")
     assert _round(state, OLD_STATE_PRINTS[1][0], capsys)[0] == 0
-    assert pool_file.read_text(encoding="utf-8") == '["d1","d2","d3","d4","d5","病历6"]\n'
+    pool_bytes = '["d1","d2","d3","d4","d5","病历6"]\n'.encode("utf-8")
+    assert (tmp_path / _pool_name(pool_bytes)).read_bytes() == pool_bytes
     assert json.loads(state.read_text(encoding="utf-8"))["pool"]["count"] == 6
     assert load_state(state) == RoundState(
         2, ["d1", "d2", "d3", "d4", "d5", "病历6"], {"d0": ["AG1"]}, {"seg": [0.5, 0.75]})
     assert load_state(state, pool=False).pool is None
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.pool"]
 
 
-def test_round_commands_leave_the_pool_file_alone(tmp_path, capsys):
+# OLD_STATE as a state file that pins its pool file `<state>.pool`, which
+# holds the pool `round new` was given, assigned ids included.
+PINNED_POOL = '["d0","d1","d2","d3","d4","d5","病历6"]\n'.encode("utf-8")
+PINNED_STATE = {**OLD_STATE, "pool": {"count": 7, "crc32": zlib.crc32(PINNED_POOL)}}
+
+
+@pytest.mark.parametrize("form", ["inline", "pinned"])
+def test_round_reads_both_older_state_files_through_every_action(tmp_path, capsys, form):
     state = tmp_path / "state.json"
-    pool_file = tmp_path / "state.json.pool"
+
+    def write_older_state():
+        for path in tmp_path.iterdir():
+            path.unlink()
+        if form == "pinned":
+            (tmp_path / "state.json.pool").write_bytes(PINNED_POOL)
+        data = OLD_STATE if form == "inline" else PINNED_STATE
+        state.write_text(json.dumps(data, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+        return _files(tmp_path)
+
+    for argv, code, out in OLD_STATE_PRINTS[:3]:
+        before = write_older_state()
+        assert _round(state, argv, capsys) == (code, out, "")
+        if argv[0] == "status" or (argv[0] == "record-iaa" and form == "pinned"):
+            # No pool file is written or removed.
+            assert [f for f in _files(tmp_path) if f[0] != "state.json"] == before[1:]
+        else:
+            # The first save of a loaded pool writes it to its own file and
+            # removes `<state>.pool`.
+            pool = OLD_STATE["pool"] if argv[0] == "record-iaa" else ["d1", "d3", "d4", "d5"]
+            assert load_state(state).pool == pool
+            pool_bytes = json.dumps(pool, ensure_ascii=False, separators=(",", ":")) + "\n"
+            assert _names(tmp_path) == ["state.json", _pool_name(pool_bytes.encode("utf-8"))]
+    # round new replaces either, `<state>.pool` included.
+    write_older_state()
+    assert _round(state, ["new", "--pool", "x1", "x2"], capsys)[0] == 0
+    assert load_state(state) == RoundState(pool=["x1", "x2"])
+    assert _names(tmp_path) == ["state.json", _pool_name(b'["x1","x2"]\n')]
+
+
+def test_round_commands_keep_one_pool_file(tmp_path, capsys):
+    state = tmp_path / "state.json"
     assert _round(state, ["new", "--pool", "d1", "d2", "d3"], capsys)[0] == 0
-    before = pool_file.read_bytes(), pool_file.stat().st_ino
-    assert before[0] == b'["d1","d2","d3"]\n'
-    for argv in (["sample", "--n", "1", "--seed", "1"],
-                 ["record-iaa", "--task", "seg", "--value", "0.5"], ["status"]):
+    before = _files(tmp_path)
+    assert before[1][:2] == (_pool_name(b'["d1","d2","d3"]\n'), b'["d1","d2","d3"]\n')
+    # record-iaa and status neither write nor remove the pool file.
+    for argv in (["record-iaa", "--task", "seg", "--value", "0.5"], ["status"]):
         assert _round(state, argv, capsys)[0] in (0, 1)
-        assert (pool_file.read_bytes(), pool_file.stat().st_ino) == before
+        assert _files(tmp_path)[1] == before[1]
+    # sample replaces it by the file of the pool it leaves.
+    code, out, _ = _round(state, ["sample", "--n", "1", "--seed", "1"], capsys)
+    left = [d for d in ("d1", "d2", "d3") if d not in json.loads(out)["sampled"]]
+    pool_bytes = json.dumps(left, separators=(",", ":")).encode("utf-8") + b"\n"
+    assert code == 0 and _pool_files(tmp_path) == [(_pool_name(pool_bytes), pool_bytes)]
+    # So does a round new over the state.
+    assert _round(state, ["new", "--pool", "d4"], capsys)[0] == 0
+    assert _pool_files(tmp_path) == [(_pool_name(b'["d4"]\n'), b'["d4"]\n')]
 
 
 def test_record_iaa_and_status_do_not_read_the_pool_file(tmp_path, capsys):
     state = tmp_path / "state.json"
     assert _round(state, ["new", "--pool", "d1", "d2"], capsys)[0] == 0
-    (tmp_path / "state.json.pool").unlink()
+    (tmp_path / _pool_name(b'["d1","d2"]\n')).unlink()
     assert _round(state, ["record-iaa", "--task", "seg", "--value", "1"], capsys) == (
         0, '{"task": "seg", "history": [1.0]}\n', "")
     assert _round(state, ["status", "--window", "1"], capsys) == (
@@ -1060,63 +1161,127 @@ def test_record_iaa_and_status_do_not_read_the_pool_file(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
 
+# Each command that saves, over a state with history: a failure at any
+# write, rename or removal leaves a state that loads and samples.
+CRASH_SETUP = (["new", "--pool", *(f"d{i}" for i in range(8))],
+               ["sample", "--n", "2", "--seed", "1"],
+               ["record-iaa", "--task", "seg", "--value", "0.5"])
+CRASH_STATUS = "task\trounds\tthreshold\tconverged\nseg\t1\t0.900\tfalse\n"
+CRASH_COMMANDS = (["new", "--pool", "x1", "x2", "x3"], ["sample", "--n", "2", "--seed", "3"],
+                  ["record-iaa", "--task", "seg", "--value", "0.75"])
+CRASH_POINTS = ((os, "replace"), (Path, "write_text"), (os, "remove"))
+
+
+@pytest.mark.parametrize("argv", CRASH_COMMANDS, ids=lambda argv: argv[0])
+def test_a_round_command_failing_at_any_step_leaves_a_whole_state(
+    tmp_path, capsys, monkeypatch, argv
+):
+    def run(directory, target=None, name=None, k=0):
+        """Set up a state in `directory` and, if `target` is given, run argv
+        on it with the k-th call of target.name failing: the state file,
+        the command's (code, out, err) and the calls it made of target.name."""
+        directory.mkdir()
+        state = directory / "state.json"
+        for setup in CRASH_SETUP:
+            assert _round(state, setup, capsys)[0] == 0
+        if target is None:
+            return state, None, []
+        calls = []
+        real = getattr(target, name)
+
+        def fail(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == k:
+                raise OSError(errno.EIO, "Input/output error")
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, fail)
+            result = _round(state, argv, capsys)
+        return state, result, calls
+
+    old = load_state(run(tmp_path / "old")[0])
+    done = run(tmp_path / "done")[0]
+    assert _round(done, argv, capsys)[0] == 0
+    done = load_state(done)
+    failed = 0
+    for target, name in CRASH_POINTS:
+        for k in range(1, 10):
+            directory = tmp_path / f"{name}-{k}"
+            state, (code, out, err), calls = run(directory, target, name, k)
+            if len(calls) < k:
+                break
+            if code == 2:
+                # It failed before the state file's rename: the old state is whole.
+                failed += 1
+                assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+                assert load_state(state) == old
+                assert _round(state, ["status"], capsys)[:2] == (1, CRASH_STATUS)
+            else:
+                # Only removing the old pool file may fail unreported: the
+                # new state is in place, and that file is left unpinned.
+                assert (name, code) == ("remove", 0)
+                assert load_state(state) == done
+                assert len(list(directory.glob("*.pool"))) == 2
+            assert _round(state, ["sample", "--n", "1", "--seed", "5"], capsys)[0] == 0
+    # new and sample write and rename two files, record-iaa one.
+    assert failed == (2 if argv[0] == "record-iaa" else 4)
+
+
 NOT_PINNED = ("pool file is not the list of distinct ids its state file pins: it was "
               "edited, or replaced after the state file was written\n")
 
 
-def _edit_pool_file(state, monkeypatch):
-    pool_file = state.parent / "state.json.pool"
+def _pool_file(state):
+    (pool_file,) = state.parent.glob("*.pool")
+    return pool_file
+
+
+def _edit_pool_file(state):
+    pool_file = _pool_file(state)
     pool_file.write_bytes(pool_file.read_bytes().replace(b'"d1","d2"', b'"d2","d1"'))
     return f"{pool_file}: {NOT_PINNED}"
 
 
-def _remove_pool_file(state, monkeypatch):
-    (state.parent / "state.json.pool").unlink()
-    return f"[Errno 2] No such file or directory: '{state}.pool'"
+def _remove_pool_file(state):
+    pool_file = _pool_file(state)
+    pool_file.unlink()
+    return f"[Errno 2] No such file or directory: '{pool_file}'"
 
 
-def _half_run_round_new(state, monkeypatch):
-    # The pool file is renamed into place, the state file's rename fails.
-    real_replace = os.replace
-
-    def replace(src, dst):
-        if os.fspath(dst) == str(state):
-            raise OSError(28, "No space left on device")
-        real_replace(src, dst)
-
-    monkeypatch.setattr(os, "replace", replace)
-    assert main(["round", "new", "--state", str(state), "--pool", "x1", "x2"]) == 2
-    monkeypatch.undo()
+def _replace_by_an_older_pool_file(state):
+    # The pinned file is gone, and `<state>.pool` holds other ids.
+    _pool_file(state).unlink()
+    (state.parent / "state.json.pool").write_bytes(b'["d1","d2"]\n')
     return f"{state}.pool: {NOT_PINNED}"
 
 
-def _miscount_pool_file(state, monkeypatch):
+def _miscount_pool_file(state):
     data = json.loads(state.read_text(encoding="utf-8"))
     data["pool"]["count"] += 1
     state.write_text(json.dumps(data), encoding="utf-8")
-    return f"{state}.pool: {NOT_PINNED}"
+    return f"{_pool_file(state)}: {NOT_PINNED}"
 
 
-def _repeat_in_pool_file(state, monkeypatch):
+def _repeat_in_pool_file(state):
     # A pool file that repeats an id, with a pin that matches it.
     pool_bytes = b'["d1","d2","d1"]\n'
-    (state.parent / "state.json.pool").write_bytes(pool_bytes)
+    _pool_file(state).unlink()
+    (state.parent / _pool_name(pool_bytes)).write_bytes(pool_bytes)
     data = json.loads(state.read_text(encoding="utf-8"))
     data["pool"] = {"count": 3, "crc32": zlib.crc32(pool_bytes)}
     state.write_text(json.dumps(data), encoding="utf-8")
-    return f"{state}.pool: {NOT_PINNED}"
+    return f"{state.parent / _pool_name(pool_bytes)}: {NOT_PINNED}"
 
 
 @pytest.mark.parametrize("spoil", [
-    _edit_pool_file, _remove_pool_file, _half_run_round_new, _miscount_pool_file,
+    _edit_pool_file, _remove_pool_file, _replace_by_an_older_pool_file, _miscount_pool_file,
     _repeat_in_pool_file,
 ])
-def test_round_sample_refuses_a_pool_file_its_state_does_not_pin(
-    tmp_path, capsys, monkeypatch, spoil
-):
+def test_round_sample_refuses_a_pool_file_its_state_does_not_pin(tmp_path, capsys, spoil):
     state = tmp_path / "state.json"
     assert _round(state, ["new", "--pool", "d1", "d2", "d3"], capsys)[0] == 0
-    message = spoil(state, monkeypatch)
+    message = spoil(state)
     capsys.readouterr()
     before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
     code, out, err = _round(state, ["sample", "--n", "1", "--seed", "1"], capsys)

@@ -132,9 +132,9 @@ def test_state_file_is_compact_and_the_indented_form_still_loads(tmp_path):
     state = load_state(path)
     assert state == RoundState(3, ["d3", "病历1"], {"d2": ["AG1", "AG2"]}, {"entity": [0.8]})
     save_state(state, path)
-    # The pool moves to the pool file; the state file pins it.
+    # The pool moves to the pool file named by its CRC-32; the state file pins it.
     pool_bytes = '["d3","病历1"]\n'.encode("utf-8")
-    assert Path(f"{path}.pool").read_bytes() == pool_bytes
+    assert _pool_files(tmp_path) == [(_pool_name(pool_bytes), pool_bytes)]
     pin = {"count": 2, "crc32": zlib.crc32(pool_bytes)}
     assert path.read_text(encoding="utf-8") == json.dumps(
         {**data, "pool": pin}, ensure_ascii=False, separators=(",", ":")) + "\n"
@@ -226,58 +226,95 @@ def _files(directory):
     return sorted((p.name, p.read_bytes(), p.stat().st_ino) for p in directory.iterdir())
 
 
-def test_save_state_writes_the_pool_file_only_when_the_pool_changes(tmp_path):
+def _pool_name(pool_bytes: bytes, state: str = "state.json") -> str:
+    return f"{state}.{zlib.crc32(pool_bytes):08x}.pool"
+
+
+def _pool_files(directory):
+    return sorted((p.name, p.read_bytes()) for p in directory.glob("*.pool"))
+
+
+def _pool_bytes(pool: list[str]) -> bytes:
+    return (json.dumps(pool, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def test_save_state_names_the_pool_file_by_its_pool(tmp_path):
     path = tmp_path / "state.json"
     save_state(RoundState(pool=["d1", "d2", "d3"]), path)
-    before = _files(tmp_path)
-    # Drawn documents leave the pool as they are assigned: the pool file stays.
+    first = _pool_bytes(["d1", "d2", "d3"])
+    assert _pool_files(tmp_path) == [(_pool_name(first), first)]
+    # A sample writes the pool that is left to its own file, renames the
+    # state file into place and then removes the file the old one pinned.
     state, sampled = sample_round(load_state(path), 2, seed=1)
     state.assignments.update((d, ["AG1"]) for d in sampled)
     save_state(state, path)
-    assert _files(tmp_path)[1] == before[1]
+    left = _pool_bytes(state.pool)
+    assert _pool_files(tmp_path) == [(_pool_name(left), left)]
     assert load_state(path) == state and len(state.pool) == 1
-    # A record-iaa-style save of a state loaded without its pool, too.
+    # A record-iaa-style save of a state loaded without its pool writes the
+    # state file alone.
+    before = [f for f in _files(tmp_path) if f[0] != "state.json"]
     unread = load_state(path, pool=False)
     unread.iaa_history["seg"] = [0.5]
     save_state(unread, path)
-    assert _files(tmp_path)[1] == before[1]
+    assert [f for f in _files(tmp_path) if f[0] != "state.json"] == before
     assert load_state(path).iaa_history == {"seg": [0.5]}
-    # Any other pool is written to the pool file anew, and reads back.
-    for change in (lambda s: s.pool.reverse(),
-                   lambda s: s.assignments.clear(),
-                   lambda s: s.pool.pop()):
+    # Any pool, the same one too, reads back from the one file named by it.
+    for change in (lambda s: None, lambda s: s.pool.reverse(),
+                   lambda s: s.assignments.clear(), lambda s: s.pool.pop()):
         state = load_state(path)
         change(state)
         save_state(state, path)
         assert load_state(path) == state
+        pool_bytes = _pool_bytes(state.pool)
+        assert _pool_files(tmp_path) == [(_pool_name(pool_bytes), pool_bytes)]
     assert load_state(path).pool == []
     # A state loaded without its pool, given one.
     state = load_state(path, pool=False)
     state.pool = ["d9"]
     save_state(state, path)
     assert load_state(path).pool == ["d9"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "state.json", _pool_name(_pool_bytes(["d9"]))]
+
+
+def test_a_pool_file_is_read_less_the_assigned_ids(tmp_path):
+    # An older version pins `<state>.pool`, which holds assigned ids, and a
+    # file of the same bytes is named by their CRC-32: this version left it
+    # before the older one rewrote the state.
+    path = tmp_path / "state.json"
+    pool_bytes = _pool_bytes(["d0", "d1", "d2"])
+    for name in ("state.json.pool", _pool_name(pool_bytes)):
+        (tmp_path / name).write_bytes(pool_bytes)
+    pin = {"count": 3, "crc32": zlib.crc32(pool_bytes)}
+    path.write_text(json.dumps({**VALID_STATE, "pool": pin, "assignments": {"d1": ["AG1"]}}),
+                    encoding="utf-8")
+    assert load_state(path).pool == ["d0", "d2"]
 
 
 def test_save_state_writes_a_sample_whose_drawn_ids_are_not_assigned(tmp_path):
     path = tmp_path / "state.json"
     save_state(RoundState(pool=["d1", "d2", "d3"]), path)
-    pool_bytes = Path(f"{path}.pool").read_bytes()
     state, sampled = sample_round(load_state(path), 2, seed=1)
     save_state(state, path)
-    # The drawn ids are in neither the pool nor the assignments, so the
-    # pool file holds the pool that is left.
+    # The drawn ids are in neither the pool nor the assignments: the pool
+    # file holds the pool that is left.
     assert load_state(path) == state and state.assignments == {}
-    assert json.loads(Path(f"{path}.pool").read_bytes()) == state.pool != json.loads(pool_bytes)
+    assert [json.loads(b) for _, b in _pool_files(tmp_path)] == [state.pool]
 
 
 def test_save_state_to_another_path_writes_its_pool_file(tmp_path):
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     save_state(RoundState(pool=["d1", "d2", "d3"], assignments={"d0": ["AG1"]}), first)
-    # b.json first pins the pool file of another state: the save replaces both.
+    firsts = _pool_files(tmp_path)
+    # b.json first pins a pool file of its own: the save replaces both, and
+    # leaves a.json's pool file alone.
     save_state(RoundState(pool=["x"]), second)
     save_state(load_state(first), second)
     assert load_state(second) == load_state(first)
-    assert Path(f"{second}.pool").read_bytes() == Path(f"{first}.pool").read_bytes()
+    pool_bytes = _pool_bytes(["d1", "d2", "d3"])
+    assert _pool_files(tmp_path) == [
+        *firsts, (_pool_name(pool_bytes, "b.json"), pool_bytes)]
     state, sampled = sample_round(load_state(second), 3, seed=2)
     assert sorted(sampled) == ["d1", "d2", "d3"]
     # A state loaded without its pool has none to write elsewhere.
@@ -347,19 +384,23 @@ def test_save_state_failing_midway_keeps_the_old_file(tmp_path, monkeypatch):
         real_write_text(self, data[: len(data) // 2], *args, **kwargs)
         raise OSError(28, "No space left on device")
 
-    loaded = load_state(path)
+    loaded, unread = load_state(path), load_state(path, pool=False)
     loaded.iaa_history["seg"].append(0.75)
+    unread.iaa_history["seg"].append(0.75)
     monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-    # A saved state writes the state file alone, a new one the pool file first.
-    for state in (loaded, RoundState(round_index=2, pool=["d2"])):
-        with pytest.raises(OSError):
+    # A state with its pool writes the pool file first, one without it the
+    # state file alone.  The error names the state file, not the temporary one.
+    for state in (loaded, unread, RoundState(round_index=2, pool=["d2"])):
+        with pytest.raises(OSError) as err:
             save_state(state, path)
+        assert str(err.value) == f"[Errno 28] No space left on device: '{path}'"
     monkeypatch.undo()
     assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
     assert load_state(path) == old
     save_state(RoundState(round_index=2, pool=["d2"]), path)
     assert load_state(path) == RoundState(round_index=2, pool=["d2"])
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.pool"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "state.json", _pool_name(_pool_bytes(["d2"]))]
 
 
 def test_save_state_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
@@ -372,8 +413,10 @@ def test_save_state_removes_its_temp_file_when_the_rename_fails(tmp_path, monkey
         renamed.append(Path(src).name)
         raise OSError(18, "Invalid cross-device link")
 
-    # A saved state renames the state file alone, a new one the pool file first.
-    for state, tmp in ((load_state(path), "state.json"), (RoundState(pool=["d2"]), "state.json.pool")):
+    # A state without its pool renames the state file alone, one with it the
+    # pool file first.
+    for state, tmp in ((load_state(path, pool=False), "state.json"),
+                       (RoundState(pool=["d2"]), _pool_name(_pool_bytes(["d2"])))):
         state.round_index = 2
         monkeypatch.setattr(os, "replace", fail_replace)
         with pytest.raises(OSError):
@@ -440,7 +483,8 @@ def test_concurrent_record_iaa_loses_no_update(tmp_path):
     assert state.round_index == 1 + m
     assert sorted(state.assignments) == sorted(sampled)
     assert state.pool == [d for d in pool if d not in set(sampled)]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.json", "state.json.pool"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "state.json", _pool_name(_pool_bytes(state.pool))]
 
 
 def test_kfold_sizes_and_partition():
