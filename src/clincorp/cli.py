@@ -259,9 +259,17 @@ def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     policy, mode, beta, params = _agreement_args(args, config)
     ext = LAYER_FILE[args.layer]
     bundles_a, bundles_b = _listing(args.dir_a), _listing(args.dir_b)
-    if bundles_a.keys().isdisjoint(bundles_b):  # else every count is one-sided
+    # Unless some id has the layer file on both sides, every count is
+    # one-sided and F measures nothing.
+    shared = bundles_a.keys() & bundles_b.keys()
+    if not shared:
         raise InputError(f"no document id is under both {args.dir_a} and {args.dir_b}")
     _need_layer(ext, f"under {args.dir_a} or {args.dir_b}", bundles_a, bundles_b)
+    if not any(getattr(bundles_a[k], ext) and getattr(bundles_b[k], ext) for k in shared):
+        raise InputError(
+            f"no document id under both {args.dir_a} and {args.dir_b} "
+            f"has its .{ext} file on both sides"
+        )
     corpus_agreement = _library("corpus_agreement")
 
     def step(pairs) -> tuple:

@@ -17,11 +17,6 @@ from clincorp.workflow import RoundState, load_state
 from helpers import random_document, write_bundle
 
 
-@pytest.fixture(autouse=True)
-def no_ambient_config(monkeypatch):
-    monkeypatch.delenv("CLINCORP_CONFIG", raising=False)
-
-
 def make_corpus(tmp_path, name: str, seed: int, n_docs: int = 3):
     rng = random.Random(seed)
     root = tmp_path / name
@@ -197,10 +192,10 @@ def test_iaa_refuses_a_layer_file_missing_on_both_sides(tmp_path, capsys):
             assert captured.err == f"error: no .{ext} file under {a} or {b}\n"
 
 
-def test_a_missing_layer_file_is_refused_before_any_file_is_read(
-    tmp_path, capsys, monkeypatch
-):
-    # The listings alone decide: no layer file is read and no worker forked.
+@pytest.fixture
+def nothing_read(monkeypatch):
+    """Makes reading a layer file or forking a worker fail the test: the
+    refusals that use it are decided from the directory listings alone."""
     from clincorp import annio, fanout
 
     def unreachable(*args, **kwargs):
@@ -208,6 +203,11 @@ def test_a_missing_layer_file_is_refused_before_any_file_is_read(
 
     monkeypatch.setattr(annio, "load_document", unreachable)
     monkeypatch.setattr(fanout, "fold_slices", unreachable)
+
+
+def test_a_missing_layer_file_is_refused_before_any_file_is_read(
+    tmp_path, capsys, nothing_read
+):
     a, b = tmp_path / "A", tmp_path / "B"
     for root in (a, b):
         (root / "progress_note").mkdir(parents=True)
@@ -228,44 +228,52 @@ def test_a_missing_layer_file_is_refused_before_any_file_is_read(
 
 
 def test_an_agreement_pair_with_no_document_in_common_is_refused(
-    tmp_path, capsys, monkeypatch
+    tmp_path, capsys, nothing_read
 ):
     # Every count would be one-sided: entity read F 0.000 with exit 0, and
-    # tree a vacuous 1.000 with both documents excluded.  The listings alone
-    # decide, as for a missing layer file.
-    from clincorp import annio, fanout
-
+    # tree a vacuous 1.000 with both documents excluded.
     rng = random.Random(5)
     a, b = tmp_path / "A", tmp_path / "B"
     write_bundle(a, random_document(rng, "d1"))
     write_bundle(b, random_document(rng, "d2"))
-
-    def unreachable(*args, **kwargs):
-        raise AssertionError("a layer file was read or a worker forked")
-
-    monkeypatch.setattr(annio, "load_document", unreachable)
-    monkeypatch.setattr(fanout, "fold_slices", unreachable)
     for cmd in ("iaa", "score"):
         for layer in LAYER_EXTENSION:
             for left, right in ((a, b), (b, a)):
                 assert main([cmd, "--layer", layer, str(left), str(right)]) == 2
                 assert capsys.readouterr() == (
                     "", f"error: no document id is under both {left} and {right}\n")
+    # Now d1 is under both, but only A's has layer files, and B's are on d2.
+    # Every count is still one-sided: entity read F 0.000 with exit 0.
+    (b / "d1.txt").write_text((a / "d1.txt").read_text(encoding="utf-8"), encoding="utf-8")
+    for cmd in ("iaa", "score"):
+        for layer, ext in LAYER_EXTENSION.items():
+            for left, right in ((a, b), (b, a)):
+                assert main([cmd, "--layer", layer, str(left), str(right)]) == 2
+                assert capsys.readouterr() == ("", (
+                    f"error: no document id under both {left} and {right} "
+                    f"has its .{ext} file on both sides\n"))
 
 
 def test_iaa_empty_layer_files_agree_vacuously(tmp_path, capsys):
-    # Header-only files, on one side or on both: present but empty.
-    a, b = tmp_path / "A", tmp_path / "B"
-    for root in (a, b):
+    # Header-only files on both sides: present but empty.  C has none, so
+    # against it every count would be one-sided, and the pair is refused.
+    a, b, c = tmp_path / "A", tmp_path / "B", tmp_path / "C"
+    for root in (a, b, c):
         root.mkdir()
         (root / "d.txt").write_text("发热", encoding="utf-8")
     for ext in sorted(set(LAYER_EXTENSION.values())):
-        (a / f"d.{ext}").write_text("# empty\n", encoding="utf-8")
-    for layer in LAYER_EXTENSION:
+        for root in (a, b):
+            (root / f"d.{ext}").write_text("# empty\n", encoding="utf-8")
+    for layer, ext in LAYER_EXTENSION.items():
         for left, right in ((a, b), (b, a), (a, a)):
             assert main(["iaa", "--layer", layer, str(left), str(right)]) == 0
             report = json.loads(capsys.readouterr().out)
             assert report["vacuous"] is True and report["f"] == 1.0
+        for left, right in ((a, c), (c, a)):
+            assert main(["iaa", "--layer", layer, str(left), str(right)]) == 2
+            assert capsys.readouterr().err == (
+                f"error: no document id under both {left} and {right} "
+                f"has its .{ext} file on both sides\n")
 
 
 def test_iaa_tree_and_ptb_round_trip_survive_a_deep_tree(tmp_path, capsys):

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clincorp.cli import main
@@ -69,7 +69,6 @@ def _sweep_commands() -> list[list[str]]:
 
 def test_every_subcommand_runs_in_a_fresh_process(paths):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    env.pop("CLINCORP_CONFIG", None)
     for cmd in _sweep_commands():
         argv = [paths.get(arg, arg) for arg in cmd]
         proc = subprocess.run(
@@ -117,10 +116,9 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def test_a_config_with_every_known_key_runs_every_subcommand(paths, tmp_path, monkeypatch):
+def test_a_config_with_every_known_key_runs_every_subcommand(paths, tmp_path):
     # Each run of the sweep starts with `round new`, so both runs see the
     # same round states.
-    monkeypatch.delenv("CLINCORP_CONFIG", raising=False)
     cfg = tmp_path / "full.json"
     cfg.write_text(json.dumps(FULL_CONFIG), encoding="utf-8")
     commands = [[paths.get(arg, arg) for arg in cmd] for cmd in _sweep_commands()]
@@ -130,10 +128,9 @@ def test_a_config_with_every_known_key_runs_every_subcommand(paths, tmp_path, mo
 
 
 @pytest.mark.parametrize("key", ["windw", "defualt_tau", "Tau", "", "policy "])
-def test_a_mistyped_config_key_stops_every_subcommand(paths, tmp_path, monkeypatch, key):
+def test_a_mistyped_config_key_stops_every_subcommand(paths, tmp_path, key):
     # The config is read before any corpus or state file: the state file
     # keeps its bytes, and no command writes a file.
-    monkeypatch.delenv("CLINCORP_CONFIG", raising=False)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({**FULL_CONFIG, key: 10}), encoding="utf-8")
     state = tmp_path / "state.json"
@@ -203,11 +200,9 @@ STATES = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=300, deadline=None)
 @given(argv=ARGVS, config=CONFIGS, state=STATES)
-def test_cli_keeps_the_exit_contract(paths, monkeypatch, argv, config, state):
-    monkeypatch.delenv("CLINCORP_CONFIG", raising=False)
+def test_cli_keeps_the_exit_contract(paths, argv, config, state):
     Path(paths["STATE"]).write_bytes(state)
     argv = [paths.get(arg, arg) for arg in argv]
     if config is not None:

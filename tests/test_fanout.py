@@ -32,11 +32,6 @@ CORPUS_ARGVS = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def no_ambient_config(monkeypatch):
-    monkeypatch.delenv("CLINCORP_CONFIG", raising=False)
-
-
 @pytest.fixture
 def cpus(monkeypatch):
     """Sets how many CPUs the affinity mask holds, with no minimum slice

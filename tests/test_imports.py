@@ -38,7 +38,6 @@ def _loaded_after(code: str) -> set[str]:
         f" if m.startswith('clincorp.') or m in {sorted(SLOW_STDLIB)!r})))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    env.pop("CLINCORP_CONFIG", None)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,14 @@ the one-slice run prints, and each relation must hold in both:
   document lines;
 - `score A B` prints exactly what `iaa A B` prints;
 - `iaa --layer L A A` gives agreed == count_a == count_b and exit 0, for
-  every layer.
+  every layer;
+- for every `stats` report, the whole corpus's counts are the sums of the
+  two `--doc-type` runs' counts, a refused selection counting as zero;
+- `validate --keep-going` finds no `parse-error` in a corpus written
+  through the serializers.
+
+Where a command exits 2, it must print one of the refusals documented for
+such a corpus, so an error from anything else fails the relation.
 """
 from __future__ import annotations
 
@@ -21,6 +28,7 @@ import os
 import random
 import re
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -28,9 +36,11 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from clincorp import fanout
+from clincorp.agreement import LAYER_FILE
 from clincorp.cli import main
-from clincorp.model import Document
+from clincorp.model import DOC_TYPES, Document
 from clincorp.numfmt import fmt_metric
+from clincorp.stats import REPORTS
 from clincorp.tagsets import LAYERS
 from helpers import (
     random_annotations,
@@ -116,6 +126,19 @@ def _excluded(err: str) -> list[str]:
     return [line for line in err.splitlines() if line.startswith("excluded ")]
 
 
+def _refused_only_as_documented(result: tuple[int, str, str], a, b, layer: str) -> None:
+    """`iaa`/`score --layer layer a b` exits 2 only with one of the refusals
+    documented for a pair that shares an id."""
+    code, out, err = result
+    if code == 2:
+        ext = LAYER_FILE[layer]
+        assert (out, err) in {
+            ("", f"error: no .{ext} file under {a} or {b}\n"),
+            ("", f"error: no document id under both {a} and {b} "
+                 f"has its .{ext} file on both sides\n"),
+        }, err
+
+
 @settings(max_examples=20, deadline=None)
 @given(corpus_pairs(), st.sampled_from(LAYERS), st.sampled_from(POLICIES))
 def test_swapping_the_directories_swaps_the_report(pair, layer, policy):
@@ -124,6 +147,7 @@ def test_swapping_the_directories_swaps_the_report(pair, layer, policy):
         flags = ["iaa", "--layer", layer, "--policy", policy]
         code, out, err = _in_both_slicings([*flags, a, b])
         back = _in_both_slicings([*flags, b, a])
+        _refused_only_as_documented((code, out, err), a, b, layer)
         assert (back[0], back[1], _excluded(back[2])) == (code, _swapped(out), _excluded(err))
         if out:
             # B is the response: precision is over B's count.
@@ -138,8 +162,9 @@ def test_swapping_the_directories_swaps_the_report(pair, layer, policy):
 def test_score_prints_what_iaa_prints(pair, layer):
     with tempfile.TemporaryDirectory() as root:
         a, b = _write_pair(Path(root), pair)
-        assert _in_both_slicings(["score", "--layer", layer, a, b]) == _in_both_slicings(
-            ["iaa", "--layer", layer, a, b])
+        result = _in_both_slicings(["score", "--layer", layer, a, b])
+        _refused_only_as_documented(result, a, b, layer)
+        assert result == _in_both_slicings(["iaa", "--layer", layer, a, b])
 
 
 @settings(max_examples=8, deadline=None)
@@ -155,3 +180,55 @@ def test_a_corpus_agrees_with_itself_on_every_layer(pair):
             report = json.loads(out)
             assert (code, err) == (0, ""), layer
             assert report["agreed"] == report["count_a"] == report["count_b"], layer
+
+
+def _write_typed(root: Path, pair) -> Path:
+    """`pair`'s A-side documents less their dropped files, each in a doc-type
+    directory: progress_note for those `pair` puts on B only."""
+    seed, sides, _, drops = pair
+    rng = random.Random(seed)
+    for i, side in enumerate(sides):
+        doc = random_document(rng, f"d{i}")
+        stem = write_bundle(root, doc, subdir=DOC_TYPES[side == "b"])
+        if drops[i] is not None:
+            stem.with_suffix(f".{drops[i]}").unlink()
+    return root
+
+
+def _stats_counts(argv: list, ext: str, where: str) -> Counter:
+    """The nonzero counts `stats` prints, by row label: none when it refuses
+    the selection as holding nothing to count."""
+    code, out, err = _in_both_slicings(argv)
+    if code == 2:
+        assert out == "" and re.fullmatch(
+            rf"error: (no \.{ext} file {re.escape(where)}|no \w+ bundles under \S+"
+            r"|corpus has no \w+ annotations|corpus has no sentences)\n", err), err
+        return Counter()
+    assert (code, err) == (0, "")
+    rows = (line.split("\t") for line in out.splitlines())
+    return Counter({row[0]: int(row[1]) for row in rows if row[1].isdigit() and row[1] != "0"})
+
+
+@settings(max_examples=4, deadline=None)
+@given(corpus_pairs())
+def test_stats_of_a_corpus_are_the_sums_over_its_doc_types(pair):
+    with tempfile.TemporaryDirectory() as root:
+        a = _write_typed(Path(root), pair)
+        for report, (ext, *_) in REPORTS.items():
+            whole = _stats_counts(["stats", "--report", report, a], ext, f"under {a}")
+            parts = Counter()
+            for doc_type in DOC_TYPES:
+                parts += _stats_counts(
+                    ["stats", "--report", report, "--doc-type", doc_type, a], ext,
+                    f"in the {doc_type} bundles under {a}")
+            assert whole == parts, report
+
+
+@settings(max_examples=8, deadline=None)
+@given(corpus_pairs())
+def test_validate_finds_no_parse_error_in_a_corpus_the_serializers_wrote(pair):
+    with tempfile.TemporaryDirectory() as root:
+        for directory in _write_pair(Path(root), pair):
+            code, out, err = _in_both_slicings(["validate", "--keep-going", directory])
+            assert ": parse-error" not in out
+            assert code in (0, 1) and err.endswith(" document(s)\n"), err

@@ -59,28 +59,37 @@ def _two_groups():
     return ann
 
 
+def _members_listed():
+    """_ann() with G1's one member in a list."""
+    ann = _ann()
+    ann.groups["G1"] = EntityGroup("G1", EntityType.SYMPTOM, ["T1"])
+    return ann
+
+
 REFUSED = [
     pytest.param("tok", [Sentence(0, (Token(0, 2, "发热", "XX"),))], id="tok-pos-XX"),
     pytest.param("tok", [Sentence(0, (Token(0, 1.5, "发热", "NN"),))], id="tok-offset-1.5"),
     pytest.param("tok", [Sentence(0, (Token(0, 2, "发热", "NN"),)), Sentence(3, ())],
                  id="tok-empty-sentence"),
-    # A line feed in a field writes a line of its own, which re-serializes
-    # to the same bytes.
+    # A line feed in a field writes a line of its own.
     pytest.param("tok", [Sentence(0, (Token(0, 2, "发热", "NN\n5\t7\t咳嗽\tNN"),))],
                  id="tok-pos-line-feed"),
     # Written as "6\t8\tab\tNN", which reads back as Sentence(6, (Token(0, 2, ...),)).
     pytest.param("tok", [Sentence(5, (Token(1, 3, "ab", "NN"),))],
                  id="tok-sentence-not-anchored-at-its-first-token"),
+    # The reader gives a sequence of records as a tuple: a list in its place
+    # is written to the same bytes, and reads back as another value.
+    pytest.param("tok", [Sentence(0, [Token(0, 2, "发热", "NN")])], id="tok-tokens-in-a-list"),
     pytest.param("ptb", [ParseTree("XP", (_leaf(),))], id="ptb-label-XP"),
     pytest.param("ptb", [ParseTree("IP", (_leaf("a", "QQ"),))], id="ptb-pos-QQ"),
     pytest.param("ptb", [ParseTree("IP", (_leaf(), ParseTree("NP", ())))],
                  id="ptb-childless-node"),
     pytest.param("ptb", [ParseTree("IP", (ParseTree("VS", (_leaf("a", "VV"),)),))],
                  id="ptb-alias-VS"),
-    # "(IP (NN a) (VP (NN b)))" reads back as three nodes more, written to
-    # the same bytes.
+    # "(IP (NN a) (VP (NN b)))" reads back as three nodes more.
     pytest.param("ptb", [ParseTree("IP", (ParseTree("NN a) (VP", (_leaf("b"),)),))],
                  id="ptb-label-holding-brackets"),
+    pytest.param("ptb", [ParseTree("IP", [_leaf()])], id="ptb-children-in-a-list"),
     pytest.param("chk", [[Chunk(0.5, 2, "NP")]], id="chk-index-0.5"),
     pytest.param("chk", [[Chunk(True, 2, "NP")]], id="chk-index-True"),
     pytest.param("ann", _ann(member="T7"), id="ann-member-names-nothing"),
@@ -95,6 +104,7 @@ REFUSED = [
                  id="ann-group-keyed-by-another-id"),
     pytest.param("ann", _rekeyed(_ann(), "relations", R1="R5"),
                  id="ann-relation-keyed-by-another-id"),
+    pytest.param("ann", _members_listed(), id="ann-group-members-in-a-list"),
     pytest.param("state", RoundState(pool=["d1", "d2", "d1"]), id="state-repeated-pool-id"),
     pytest.param("state", RoundState(pool=["d1"], iaa_history={"seg": [1.5]}),
                  id="state-history-1.5"),

@@ -302,10 +302,9 @@ def _sparse_document(doc_id: str) -> Document:
 
 
 @pytest.mark.parametrize("corpus", ["random", "sparse", "empty"])
-def test_each_table_function_prints_what_the_cli_prints(tmp_path, capsys, monkeypatch, corpus):
+def test_each_table_function_prints_what_the_cli_prints(tmp_path, capsys, corpus):
     """The five library functions, rebuilt from a tally and a finishing step,
     give the tables `clincorp stats` prints, zero-count errors included."""
-    monkeypatch.delenv("CLINCORP_CONFIG", raising=False)
     root = tmp_path / corpus
     for i in range(4):
         doc_id = f"d{i}"

@@ -27,11 +27,6 @@ IDS_A = ["a", "a-b", "a/z", "m1", "m3", "m5", "only_a"]
 IDS_B = ["a", "a/z", "m2", "m3", "m4", "only_b"]
 
 
-@pytest.fixture(autouse=True)
-def no_ambient_config(monkeypatch):
-    monkeypatch.delenv("CLINCORP_CONFIG", raising=False)
-
-
 def _write(root, doc: Document, finding: bool = False) -> None:
     subdir, _, _ = doc.doc_id.rpartition("/")
     stem = write_bundle(root, doc, subdir)
