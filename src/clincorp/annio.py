@@ -394,7 +394,7 @@ def serialize_ann(ann: DocAnnotations) -> str:
     lines: list[str] = [HEADERS["ann"]]
     entities = sorted(
         ann.entities.values(),
-        key=lambda e: (e.start, e.end, _id_num(e.eid, "T")),
+        key=lambda e: (e.start, e.end, _id_num(e.eid, "T"), e.eid),
     )
     for e in entities:
         surface = _field(e.surface, "entity surface", "standoff")
@@ -406,7 +406,7 @@ def serialize_ann(ann: DocAnnotations) -> str:
             next_a += 1
     for g in sorted(
         ann.groups.values(),
-        key=lambda g: (_resolved_span(ann, g.gid), _id_num(g.gid, "G")),
+        key=lambda g: (_resolved_span(ann, g.gid), _id_num(g.gid, "G"), g.gid),
     ):
         lines.append(f"{g.gid}\t{g.etype.value}" + "".join(f" {m}" for m in g.members))
     for r in sorted(
@@ -416,6 +416,7 @@ def serialize_ann(ann: DocAnnotations) -> str:
             _resolved_span(ann, r.arg2),
             r.rtype.value,
             _id_num(r.rid, "R"),
+            r.rid,
         ),
     ):
         lines.append(f"{r.rid}\t{r.rtype.value} Arg1:{r.arg1} Arg2:{r.arg2}")

@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import InputError, ParseError, error_line, read_text_file
+from .errors import InputError, ParseError, error_line, parse_json, read_text_file
 from .numfmt import fmt_metric, fmt_percent, in_unit_interval, is_finite_number
 
 if TYPE_CHECKING:
@@ -72,11 +72,9 @@ def _load_config(explicit: str | None) -> dict:
     if not path:
         return {}
     try:
-        data = json.loads(read_text_file(path))
+        data = parse_json(read_text_file(path), path)
     except OSError as exc:
         raise InputError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
     if not isinstance(data, dict):
         raise InputError(f"config {path} must hold a JSON object")
     known = sorted({*_OPTIONS, "tau"})  # a mistyped key must not pass unnoticed
@@ -385,84 +383,68 @@ def _cmd_seg_advise(args: argparse.Namespace, config: dict) -> int:
 
 
 # ------------------------------------------------------------------ round ---
+# Each action checks its flags and config options before it reads the state.
+# Only sample draws from the pool; record-iaa and status leave its file
+# unread.  sample and record-iaa load, change and save the state under
+# lock_state, which keeps a second writer from loading it in between and so
+# losing one update.
 
-def _cmd_round(args: argparse.Namespace, config: dict) -> int:
-    if args.action in ("sample", "record-iaa"):
-        from . import workflow
-
-        # These load, change and save the state: the lock keeps a second
-        # writer from loading it in between, which would lose one update.
-        with workflow.lock_state(args.state):
-            return _round(args, config)
-    return _round(args, config)
-
-
-def _round(args: argparse.Namespace, config: dict) -> int:
+def _cmd_round_new(args: argparse.Namespace, config: dict) -> int:
     from . import workflow
 
-    if args.action == "new":
-        if args.pool_from is not None and args.pool is not None:
-            raise InputError("round new takes --pool-from or --pool, not both")
-        if args.pool_from:
-            from . import corpusdir
+    if args.pool_from is not None:
+        from . import corpusdir
 
-            pool = corpusdir.doc_ids(args.pool_from)
-            if not pool:
-                raise _no_bundles(args.pool_from)
-        else:
-            pool = list(args.pool or [])
-            repeat = workflow.first_repeat(pool)
-            if repeat is not None:
-                raise InputError(f"--pool repeats document id {repeat!r}")
+        pool = corpusdir.doc_ids(args.pool_from)
         if not pool:
-            raise InputError("round new needs --pool-from or --pool")
-        state = workflow.RoundState(round_index=1, pool=pool)
-        workflow.save_state(state, args.state)
-        sys.stdout.write(state.to_json(indent=2))
-        return 0
+            raise _no_bundles(args.pool_from)
+    else:
+        pool = args.pool
+        repeat = workflow.first_repeat(pool)
+        if repeat is not None:
+            raise InputError(f"--pool repeats document id {repeat!r}")
+    state = workflow.RoundState(round_index=1, pool=pool)
+    workflow.save_state(state, args.state)
+    sys.stdout.write(state.to_json(indent=2))
+    return 0
 
-    # Only sample draws from the pool: the other actions leave its file unread.
-    state = workflow.load_state(args.state, pool=args.action == "sample")
 
-    if args.action == "sample":
-        if args.n is None or args.seed is None:
-            raise InputError("round sample needs --n and --seed")
-        _check("--n", args.n, _COUNT)
-        fraction = _option(args, config, "duplicate_fraction")
-        new_state, sampled = workflow.sample_round(state, args.n, args.seed)
-        assignments = workflow.assign_duplicates(sampled, fraction, args.seed)
-        for doc, groups in assignments.items():
-            new_state.assignments[doc] = sorted(groups)
+def _cmd_round_sample(args: argparse.Namespace, config: dict) -> int:
+    from . import workflow
+
+    n = _check("--n", args.n, _COUNT)
+    fraction = _option(args, config, "duplicate_fraction")
+    with workflow.lock_state(args.state):
+        new_state, sampled = workflow.sample_round(
+            workflow.load_state(args.state), n, args.seed)
+        assignments = {doc: sorted(groups) for doc, groups in
+                       workflow.assign_duplicates(sampled, fraction, args.seed).items()}
+        new_state.assignments.update(assignments)
         workflow.save_state(new_state, args.state)
-        sys.stdout.write(
-            json.dumps(
-                {
-                    "round_index": new_state.round_index,
-                    "sampled": sampled,
-                    "assignments": {d: sorted(g) for d, g in assignments.items()},
-                },
-                ensure_ascii=False, indent=2, sort_keys=True,
-            ) + "\n"
-        )
-        return 0
+    report = {"round_index": new_state.round_index, "sampled": sampled,
+              "assignments": assignments}
+    sys.stdout.write(workflow._dumps(report, indent=2))
+    return 0
 
-    if args.action == "record-iaa":
-        if args.task is None or args.value is None:
-            raise InputError("round record-iaa needs --task and --value")
-        _check("--task", args.task, ((workflow.TASK_NAME, workflow.is_task_name),))
-        value = _check("--value", args.value, _UNIT)
+
+def _cmd_round_record_iaa(args: argparse.Namespace, config: dict) -> int:
+    from . import workflow
+
+    _check("--task", args.task, ((workflow.TASK_NAME, workflow.is_task_name),))
+    value = _check("--value", args.value, _UNIT)
+    with workflow.lock_state(args.state):
+        state = workflow.load_state(args.state, pool=False)
         history = state.iaa_history.setdefault(args.task, [])
         history.append(value)
         workflow.save_state(state, args.state)
-        sys.stdout.write(
-            json.dumps(
-                {"task": args.task, "history": history},
-                ensure_ascii=False,
-            ) + "\n"
-        )
-        return 0
+    sys.stdout.write(json.dumps({"task": args.task, "history": history},
+                                ensure_ascii=False) + "\n")
+    return 0
 
-    # status
+
+def _cmd_round_status(args: argparse.Namespace, config: dict) -> int:
+    from . import workflow
+
     window = _option(args, config, "window")
     tau_map = _check("config key 'tau'", config.get("tau", {}), (
         ("map task names to thresholds", lambda v: isinstance(v, dict)),))
@@ -476,6 +458,7 @@ def _round(args: argparse.Namespace, config: dict) -> int:
         tau={k: float(v) for k, v in tau_map.items()},
         default_tau=float(_option(args, config, "default_tau")),
     )
+    state = workflow.load_state(args.state, pool=False)
     lines = ["task\trounds\tthreshold\tconverged"]
     all_converged = bool(state.iaa_history)
     for task in sorted(state.iaa_history):
@@ -562,24 +545,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kfold)
 
     p = subs.add_parser("round", help="manage the iterative annotation process")
-    p.add_argument("action", choices=("new", "sample", "record-iaa", "status"))
-    p.add_argument("--state", required=True, help="state file (JSON)")
-    p.add_argument("--pool-from", default=None,
-                   help="new: fill the pool from a corpus directory")
-    p.add_argument("--pool", nargs="*", default=None,
-                   help="new: fill the pool with explicit document ids")
-    p.add_argument("--n", type=int, default=None, help="sample: documents to draw")
-    p.add_argument("--seed", type=int, default=None, help="sample: shuffle seed")
-    p.add_argument("--duplicate-fraction", type=float, help=_help(
-        "duplicate_fraction", "sample: share assigned to both groups"))
-    p.add_argument("--task", default=None, help="record-iaa: task name")
-    p.add_argument("--value", type=float, default=None,
-                   help="record-iaa: agreement F value")
-    p.add_argument("--window", type=int,
-                   help=_help("window", "status: rounds that must all pass"))
-    p.add_argument("--tau", type=float, dest="default_tau", metavar="TAU",
-                   help=_help("default_tau", "status: default threshold"))
-    p.set_defaults(func=_cmd_round)
+    actions = p.add_subparsers(dest="action", required=True)
+    state = argparse.ArgumentParser(add_help=False)
+    state.add_argument("--state", required=True, help="state file (JSON)")
+
+    a = actions.add_parser("new", parents=[state], help="start a state with a pool")
+    pool = a.add_mutually_exclusive_group(required=True)
+    pool.add_argument("--pool-from", help="fill the pool from a corpus directory")
+    pool.add_argument("--pool", nargs="+", help="fill the pool with explicit document ids")
+    a.set_defaults(func=_cmd_round_new)
+
+    a = actions.add_parser("sample", parents=[state], help="draw the next round")
+    a.add_argument("--n", type=int, required=True, help="documents to draw")
+    a.add_argument("--seed", type=int, required=True, help="shuffle seed")
+    a.add_argument("--duplicate-fraction", type=float, help=_help(
+        "duplicate_fraction", "share assigned to both groups"))
+    a.set_defaults(func=_cmd_round_sample)
+
+    a = actions.add_parser("record-iaa", parents=[state], help="record an agreement value")
+    a.add_argument("--task", required=True, help="task name")
+    a.add_argument("--value", type=float, required=True, help="agreement F value")
+    a.set_defaults(func=_cmd_round_record_iaa)
+
+    a = actions.add_parser("status", parents=[state], help="apply the stop rule")
+    a.add_argument("--window", type=int,
+                   help=_help("window", "rounds that must all pass"))
+    a.add_argument("--tau", type=float, dest="default_tau", metavar="TAU",
+                   help=_help("default_tau", "default threshold"))
+    a.set_defaults(func=_cmd_round_status)
 
     p = subs.add_parser("seg-advise", help="segmentation advice for a lexicon term")
     p.add_argument("--lexicon", required=True, help="term lexicon (TSV)")

@@ -1,9 +1,11 @@
 """Exception hierarchy shared across the toolkit, the one line a command
 prints for any error, the one reader of text files, which turns undecodable
-bytes into a located ParseError, and the one line splitter and comment test
-every line-oriented parser uses."""
+bytes into a located ParseError, the one JSON reader, which does the same
+for malformed JSON, and the one line splitter and comment test every
+line-oriented parser uses."""
 from __future__ import annotations
 
+import json
 import os
 from typing import Iterator
 
@@ -95,6 +97,15 @@ def read_text_file(path: str | os.PathLike) -> str:
         raise ParseError(
             f"invalid UTF-8 at byte offset {exc.start}", path=str(path), line=line
         ) from None
+
+
+def parse_json(content: str, path: str | None = None):
+    """The value the JSON text `content` holds; malformed JSON raises a
+    ParseError that names `path` and the line."""
+    try:
+        return json.loads(content)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
 
 
 def numbered_lines(content: str) -> Iterator[tuple[int, str]]:

@@ -21,7 +21,7 @@ from itertools import chain, filterfalse
 from pathlib import Path
 from typing import BinaryIO
 
-from .errors import ClincorpError, InputError, ParseError, read_text_file
+from .errors import ClincorpError, InputError, ParseError, parse_json, read_text_file
 from .numfmt import in_unit_interval
 from .record import Record
 
@@ -102,7 +102,7 @@ class RoundState(Record):
     def from_json(cls, content: str, *, path: str | None = None) -> "RoundState":
         """The state a state file holds.  If the file pins a pool file, the
         state's pool is None: load_state reads it."""
-        data = _loads(content, path)
+        data = parse_json(content, path)
         problem = _state_problem(data)
         if problem is not None:
             raise ParseError(problem, path=path)
@@ -111,13 +111,6 @@ class RoundState(Record):
         if type(state.pool) is dict:
             state._pin, state.pool = (path, state.pool), None
         return state
-
-
-def _loads(content: str, path: str | None):
-    try:
-        return json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=exc.lineno) from None
 
 
 def _dumps(data, indent: int | None = None) -> str:
@@ -231,7 +224,7 @@ def load_state(path: str | Path, *, pool: bool = True) -> RoundState:
         pin = state._pin[1]
         pool_path = _pool_path(path, pin)
         text = read_text_file(pool_path)
-        ids = _loads(text, pool_path)
+        ids = parse_json(text, pool_path)
         if (
             type(ids) is not list or not set(map(type, ids)) <= {str}
             or first_repeat(ids) is not None

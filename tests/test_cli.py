@@ -524,8 +524,57 @@ def test_round_new_refuses_pool_from_with_pool(tmp_path, capsys, pool):
     assert main([*argv, *pool]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: round new takes --pool-from or --pool, not both\n"
+    # argparse refuses both (and an empty --pool) with its usage error.
+    assert captured.err.startswith("usage: clincorp round new ")
+    assert "\nclincorp round new: error: argument --pool" in captured.err
     assert not state.exists()
+
+
+# Each round action's own flags, each with a value the action accepts.
+ROUND_FLAGS = {
+    "new": [["--pool-from", "."], ["--pool", "x"]],
+    "sample": [["--n", "3"], ["--seed", "3"], ["--duplicate-fraction", "0.5"]],
+    "record-iaa": [["--task", "x"], ["--value", "0.5"]],
+    "status": [["--window", "5"], ["--tau", "0.9"]],
+}
+ROUND_ARGV = {"new": ["new", "--pool", "d9"], "sample": ["sample", "--n", "1", "--seed", "1"],
+              "record-iaa": ["record-iaa", "--task", "seg", "--value", "0.5"],
+              "status": ["status"]}
+
+
+def _stat_files(directory):
+    return sorted((p.name, p.read_bytes(), p.stat().st_ino) for p in directory.iterdir())
+
+
+@pytest.mark.parametrize("action, flag", [
+    pytest.param(action, flag, id=f"{action} {flag[0]}") for action in ROUND_ARGV
+    for other, flags in ROUND_FLAGS.items() if other != action for flag in flags
+])
+def test_a_round_action_refuses_another_actions_flag(tmp_path, capsys, action, flag):
+    # A flag the action does not take is a usage error, not one it ignores.
+    state = _round_with_history(tmp_path, capsys)
+    before = _stat_files(tmp_path)
+    assert main(["round", *ROUND_ARGV[action], "--state", str(state), *flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f": error: unrecognized arguments: {flag[0]}" in captured.err
+    assert "Traceback" not in captured.err
+    assert _stat_files(tmp_path) == before
+
+
+@pytest.mark.parametrize("action, missing", [
+    ("sample", "the following arguments are required: --n, --seed"),
+    ("record-iaa", "the following arguments are required: --task, --value"),
+    ("new", "one of the arguments --pool-from --pool is required"),
+], ids=["sample", "record-iaa", "new"])
+def test_a_round_action_names_its_missing_flags_before_the_state(tmp_path, capsys,
+                                                                   action, missing):
+    state = tmp_path / "missing.json"
+    assert main(["round", action, "--state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"clincorp round {action}: error: {missing}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_agreement_flag_choices_match_the_tagsets():
@@ -558,7 +607,8 @@ def test_help_shows_every_option_default(capsys):
 
     shown = ""
     for cmd in ([], ["validate"], ["iaa"], ["score"], ["expand"], ["stats"],
-                ["kfold"], ["round"], ["seg-advise"]):
+                ["kfold"], ["round"], ["round", "new"], ["round", "sample"],
+                ["round", "record-iaa"], ["round", "status"], ["seg-advise"]):
         assert main([*cmd, "--help"]) == 0
         shown += " ".join(capsys.readouterr().out.split()) + "\n"
     for key, (flag, default, _) in cli._OPTIONS.items():

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clincorp.cli import main
@@ -145,11 +145,34 @@ def test_a_mistyped_config_key_stops_every_subcommand(paths, tmp_path, key):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "state.json"]
 
 
-def _flags(*names: str):
+def _flags(*names: str, max_size: int = 3):
     """Some of the given flags, each followed by a value."""
     return st.lists(
-        st.tuples(st.sampled_from(names), VALUES).map(list), max_size=3
+        st.tuples(st.sampled_from(names), VALUES).map(list), max_size=max_size
     ).map(lambda pairs: [tok for pair in pairs for tok in pair])
+
+
+# Each round action's flags: those it requires, each given a number, and
+# its others.
+ROUND_FLAGS = {
+    "new": ((), ("--pool-from", "--pool")),
+    "sample": (("--n", "--seed"), ("--duplicate-fraction",)),
+    "record-iaa": (("--task", "--value"), ()),
+    "status": ((), ("--window", "--tau")),
+}
+
+
+def _round_argv(action: str):
+    """`round ACTION` with its own flags and, at times, one flag of another
+    action, which argparse refuses."""
+    required, optional = ROUND_FLAGS[action]
+    others = [flag for other, flags in ROUND_FLAGS.items() if other != action
+              for flag in (*flags[0], *flags[1])]
+    return st.tuples(
+        st.just(["round", action, "--state", "STATE"]),
+        *(NUMBERS.map(lambda value, flag=flag: [flag, value]) for flag in required),
+        _flags(*optional) if optional else st.just([]), _flags(*others, max_size=1),
+    )
 
 
 SWITCHES = st.lists(st.sampled_from(
@@ -171,13 +194,7 @@ ARGVS = st.one_of(
         _flags("--doc-type", "--format"), DIRS.map(lambda d: [d]),
     ),
     st.tuples(st.just(["kfold"]), _flags("--k", "--seed"), DIRS.map(lambda d: [d])),
-    st.tuples(
-        st.just(["round"]),
-        st.sampled_from(["new", "sample", "record-iaa", "status"]).map(lambda a: [a]),
-        st.just(["--state", "STATE"]),
-        _flags("--pool-from", "--pool", "--n", "--seed", "--duplicate-fraction",
-               "--task", "--value", "--window", "--tau"),
-    ),
+    *map(_round_argv, ROUND_FLAGS),
     st.tuples(st.just(["seg-advise", "--lexicon"]),
               st.sampled_from(PATH_NAMES).map(lambda p: [p]),
               st.sampled_from(["血常规", "血液常规检查", "不存在", ""]).map(lambda t: [t])),
@@ -200,7 +217,16 @@ STATES = st.one_of(
 )
 
 
+def _each_round_action(test):
+    """`test` run first on the sweep's round commands, so that every round
+    handler is reached whatever the draws."""
+    for argv in _sweep_commands()[:4]:
+        test = example(argv=argv, config=None, state=json.dumps(STATE).encode("utf-8"))(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
+@_each_round_action
 @given(argv=ARGVS, config=CONFIGS, state=STATES)
 def test_cli_keeps_the_exit_contract(paths, argv, config, state):
     Path(paths["STATE"]).write_bytes(state)
