@@ -39,15 +39,7 @@ class AgreementReport(Record):
         self.vacuous = vacuous
 
     def to_dict(self) -> dict:
-        return {
-            "agreed": self.agreed,
-            "count_a": self.count_a,
-            "count_b": self.count_b,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f": self.f,
-            "vacuous": self.vacuous,
-        }
+        return {name: getattr(self, name) for name in self._fields}
 
 
 def prf(agreed: int, count_a: int, count_b: int, beta: float = 1.0) -> AgreementReport:

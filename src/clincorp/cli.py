@@ -18,6 +18,7 @@ import importlib
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -159,22 +160,22 @@ def _json_object(
     return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
+def _tsv(header: tuple, rows, fmt_float=fmt_percent) -> str:
+    """Tab-separated lines of `header`, unless it is empty, and of `rows`,
+    each cell rendered by _text and each line ending in a newline."""
+    table = [header, *rows] if header else rows
+    return "".join("\t".join(_text(v, fmt_float) for v in row) + "\n" for row in table)
+
+
 def _detail_table(corpus: CorpusAgreement, beta: float) -> str:
     from .agreement import macro_average
 
     reports = corpus.doc_reports(beta)
-    lines = ["doc_id\tagreed\tcount_a\tcount_b\tprecision\trecall\tf"]
-    for doc_id in sorted(reports):
-        r = reports[doc_id]
-        lines.append(
-            f"{doc_id}\t{r.agreed}\t{r.count_a}\t{r.count_b}\t"
-            f"{fmt_metric(r.precision)}\t{fmt_metric(r.recall)}\t{fmt_metric(r.f)}"
-        )
-    p, r, f = macro_average(list(reports.values()))
-    lines.append(
-        f"macro\t-\t-\t-\t{fmt_metric(p)}\t{fmt_metric(r)}\t{fmt_metric(f)}"
-    )
-    return "\n".join(lines) + "\n"
+    rows = [(doc_id, r.agreed, r.count_a, r.count_b, r.precision, r.recall, r.f)
+            for doc_id, r in sorted(reports.items())]
+    rows.append(("macro", "-", "-", "-", *macro_average(list(reports.values()))))
+    header = ("doc_id", "agreed", "count_a", "count_b", "precision", "recall", "f")
+    return _tsv(header, rows, fmt_metric)
 
 
 # ------------------------------------------------------------- subcommand ---
@@ -248,8 +249,6 @@ def _agreement_args(args: argparse.Namespace, config: dict):
 def _cmd_agreement(args: argparse.Namespace, config: dict) -> int:
     # For score, gold (dir_a) plays the reference (recall) role and the
     # predictions (dir_b) the response role.
-    from functools import partial
-
     from . import annio
     from .agreement import LAYER_FILE, CorpusAgreement
     from .fanout import fold_slices
@@ -338,18 +337,13 @@ def _cmd_stats(args: argparse.Namespace, config: dict) -> int:
         lambda docs: dict(tally_of(docs)), Counter(), Counter.update,
     ))
     if row_type is None:
-        if fmt == "tsv":
-            out = "".join(f"{k}\t{_text(v)}\n" for k, v in table.items())
-        else:
-            out = _json_object(table)
-        sys.stdout.write(out)
+        sys.stdout.write(_tsv((), table.items()) if fmt == "tsv" else _json_object(table))
         return 0
 
     names = row_type.__slots__
     rows = [{n: getattr(r, n) for n in names} for r in table]
     if fmt == "tsv":
-        lines = ["\t".join(names)] + ["\t".join(map(_text, r.values())) for r in rows]
-        out = "".join(line + "\n" for line in lines)
+        out = _tsv(names, (r.values() for r in rows))
     elif rows:
         objects = ("  " + _json_object(r, one_line=True) for r in rows)
         out = "[\n" + ",\n".join(objects) + "\n]\n"
@@ -459,20 +453,13 @@ def _cmd_round_status(args: argparse.Namespace, config: dict) -> int:
         default_tau=float(_option(args, config, "default_tau")),
     )
     state = workflow.load_state(args.state, pool=False)
-    lines = ["task\trounds\tthreshold\tconverged"]
-    all_converged = bool(state.iaa_history)
-    for task in sorted(state.iaa_history):
-        history = state.iaa_history[task]
-        ok = workflow.check_convergence(history, policy, task)
-        all_converged = all_converged and ok
-        lines.append(
-            f"{task}\t{len(history)}\t{fmt_metric(policy.threshold(task))}\t"
-            f"{'true' if ok else 'false'}"
-        )
-    sys.stdout.write("".join(line + "\n" for line in lines))
-    if not state.iaa_history:
+    rows = [(task, len(history), policy.threshold(task),
+             workflow.check_convergence(history, policy, task))
+            for task, history in sorted(state.iaa_history.items())]
+    sys.stdout.write(_tsv(("task", "rounds", "threshold", "converged"), rows, fmt_metric))
+    if not rows:
         print("no agreement history recorded yet", file=sys.stderr)
-    return 0 if all_converged else 1
+    return 0 if rows and all(converged for *_, converged in rows) else 1
 
 
 # ------------------------------------------------------------------ parser ---
@@ -499,14 +486,19 @@ def _add_agreement_flags(sub: argparse.ArgumentParser) -> None:
                      help="per-document table on the diagnostic stream")
 
 
+# A flag is spelled in full: argparse's prefix matching would let `--st`
+# stand for `--state`, and a mistyped flag pass unnoticed.
+_Parser = partial(argparse.ArgumentParser, allow_abbrev=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clincorp",
         description="Validate, score, and manage multilayer clinical-text annotations.",
     )
     parser.add_argument("--config", default=None,
                         help=f"JSON config file (or set {CONFIG_ENV})")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = subs.add_parser("validate", help="check one annotated corpus directory")
     p.add_argument("--keep-going", action="store_true",
@@ -545,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kfold)
 
     p = subs.add_parser("round", help="manage the iterative annotation process")
-    actions = p.add_subparsers(dest="action", required=True)
+    actions = p.add_subparsers(dest="action", required=True, parser_class=_Parser)
     state = argparse.ArgumentParser(add_help=False)
     state.add_argument("--state", required=True, help="state file (JSON)")
 

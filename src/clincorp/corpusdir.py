@@ -19,7 +19,10 @@ def walk(root: str | Path) -> Iterator[tuple[str, str, str, list[str], set[str]]
     path and `rel` its path relative to the root, each with a trailing slash
     or empty; `names` holds every entry, hidden ones included, and `links`
     those that are symlinks.  A symlinked directory is not entered and an
-    unreadable one is skipped.  A bad `root` raises on the call."""
+    unreadable one is skipped.  A bad `root` raises on the call, an empty one
+    too: Path("") would be the working directory."""
+    if root == "":
+        raise InputError("not a directory: ''")
     root = Path(root)
     if not root.is_dir():
         raise InputError(f"not a directory: {root}")

@@ -60,6 +60,26 @@ def _pct(count: int, total: int) -> float:
     return round_half_up(100.0 * count / total, 2)
 
 
+def _ranked(pairs: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
+    """(label, count) pairs by count descending, then label."""
+    return sorted(pairs, key=lambda kv: (-kv[1], kv[0]))
+
+
+def _cross_rows(groups: list[tuple[str, list[tuple[str, int]]]]) -> list[CrossRow]:
+    """Each (total label, (label, count) pairs) group's ranked rows, then its
+    total row, with percentages within the group and of all groups; a group
+    whose total is zero has no rows."""
+    totals = [sum(c for _, c in pairs) for _, pairs in groups]
+    grand_total = sum(totals)
+    rows: list[CrossRow] = []
+    for (total_label, pairs), total in zip(groups, totals):
+        if total:
+            rows.extend(CrossRow(label, count, _pct(count, total), _pct(count, grand_total))
+                        for label, count in _ranked(pairs))
+            rows.append(CrossRow(total_label, total, 100.0, _pct(total, grand_total)))
+    return rows
+
+
 # Each table is a finishing step over a tally: counts over a set of documents,
 # in a plain dict keyed by str or str tuples, so tallies of disjoint sets add
 # up (Counter.update) to the whole set's, wherever each was taken.
@@ -92,7 +112,7 @@ def distribution_rows(tally: dict[str, int], layer: str) -> list[DistributionRow
         raise InputError(f"corpus has no {layer} annotations")
     return [
         DistributionRow(label, count, _pct(count, total))
-        for label, count in sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
+        for label, count in _ranked(tally.items())
     ]
 
 
@@ -120,29 +140,12 @@ def assertion_tally(docs: Iterable[Document]) -> Counter:
 
 def assertion_rows(tally: dict[tuple[str, str], int]) -> list[CrossRow]:
     """The entity cross-table of an assertion_tally."""
-    grand_total = sum(tally.values())
-    if grand_total == 0:
-        return []
-    rows: list[CrossRow] = []
+    groups = []
     for etype in _CROSS_TYPE_ORDER:
         t = etype.value
-        type_total = sum(c for (k, _), c in tally.items() if k == t)
-        if type_total == 0:
-            continue
-        labels = {a.value for a in VALID_ASSERTIONS[etype]}
-        labels.update(a for (k, a) in tally if k == t)
-        per = sorted(
-            ((a, tally.get((t, a), 0)) for a in labels),
-            key=lambda kv: (-kv[1], kv[0]),
-        )
-        for a, count in per:
-            rows.append(CrossRow(
-                f"{t}:{a}", count, _pct(count, type_total), _pct(count, grand_total),
-            ))
-        rows.append(CrossRow(
-            f"{t}:total", type_total, 100.0, _pct(type_total, grand_total),
-        ))
-    return rows
+        labels = {a.value for a in VALID_ASSERTIONS[etype]} | {a for k, a in tally if k == t}
+        groups.append((f"{t}:total", [(f"{t}:{a}", tally.get((t, a), 0)) for a in labels]))
+    return _cross_rows(groups)
 
 
 def assertion_cross_table(docs: Iterable[Document]) -> list[CrossRow]:
@@ -166,24 +169,11 @@ def relation_tally(docs: Iterable[Document]) -> Counter:
 
 def relation_rows(tally: dict[str, int]) -> list[CrossRow]:
     """The relation table of a relation_tally."""
-    grand_total = sum(tally.values())
-    if grand_total == 0:
-        return []
     pair_of = {rt: frozenset(relation_signature(RelationType(rt))) for rt in tally}
-    rows: list[CrossRow] = []
-    for pair, pair_label in _PAIR_LABELS:
-        members = [(rt, c) for rt, c in tally.items() if pair_of[rt] == pair]
-        pair_total = sum(c for _, c in members)
-        if pair_total == 0:
-            continue
-        for rt, count in sorted(members, key=lambda kv: (-kv[1], kv[0])):
-            rows.append(CrossRow(
-                rt, count, _pct(count, pair_total), _pct(count, grand_total),
-            ))
-        rows.append(CrossRow(
-            pair_label, pair_total, 100.0, _pct(pair_total, grand_total),
-        ))
-    return rows
+    return _cross_rows([
+        (pair_label, [(rt, c) for rt, c in tally.items() if pair_of[rt] == pair])
+        for pair, pair_label in _PAIR_LABELS
+    ])
 
 
 def relation_table(docs: Iterable[Document]) -> list[CrossRow]:

@@ -577,6 +577,50 @@ def test_a_round_action_names_its_missing_flags_before_the_state(tmp_path, capsy
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["round", "status", "--st", "{state}"],
+    ["round", "new", "--state", "{state}", "--pool-f", "{corpus}"],
+    ["stats", "--rep", "length", "{corpus}"],
+    ["iaa", "--lay", "seg", "{corpus}", "{corpus}"],
+    ["--conf", "{config}", "round", "status", "--state", "{state}"],
+], ids=["round status --st", "round new --pool-f", "stats --rep", "iaa --lay", "--conf"])
+def test_an_abbreviated_flag_is_a_usage_error(tmp_path, capsys, argv):
+    # argparse would take a flag's unambiguous prefix for the flag.
+    rounds = tmp_path / "rounds"
+    rounds.mkdir()
+    state = _round_with_history(rounds, capsys)
+    before = _stat_files(rounds)
+    config = tmp_path / "config.json"
+    config.write_text('{"window": 1}', encoding="utf-8")
+    paths = {"state": state, "corpus": make_corpus(tmp_path, "corpus", seed=1),
+             "config": config}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ": error: " in captured.err
+    assert "Traceback" not in captured.err
+    assert _stat_files(rounds) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", ""],
+    ["iaa", "--layer", "seg", "", "."],
+    ["score", "--layer", "seg", ".", ""],
+    ["stats", "--report", "length", ""],
+    ["kfold", "--k", "2", "--seed", "1", ""],
+    ["round", "new", "--state", "{state}", "--pool-from", ""],
+], ids=["validate", "iaa", "score", "stats", "kfold", "round new"])
+def test_an_empty_directory_argument_is_refused(tmp_path, capsys, monkeypatch, argv):
+    # Path("") is the working directory, here one that holds bundles.
+    monkeypatch.chdir(make_corpus(tmp_path, "corpus", seed=1))
+    state = tmp_path / "state.json"
+    assert main([arg.format(state=state) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not a directory: ''\n"
+    assert not state.exists()
+
+
 def test_agreement_flag_choices_match_the_tagsets():
     from clincorp import cli
     from clincorp.tagsets import LAYERS, MatchPolicy, RelationMode
@@ -599,6 +643,26 @@ def test_cli_copies_match_their_owners():
                  if action.dest == "report"]
     assert list(report.choices) == list(stats.REPORTS)
     assert cli._LAYERS == tuple(agreement.LAYER_FILE)
+
+
+def test_cli_defaults_match_the_library_defaults():
+    # _OPTIONS restates the library's defaults so that building the parser
+    # imports neither agreement nor workflow; they must not drift apart.
+    import inspect
+
+    from clincorp import agreement, cli, workflow
+    from clincorp.parseval import EvalParams
+
+    default = {key: value for key, (_, value, _) in cli._OPTIONS.items()}
+    for key in ("labeled", "include_root", "ignore_punct"):
+        assert default[key] == getattr(EvalParams(), key), key
+    params = inspect.signature(agreement.corpus_agreement).parameters
+    assert default["policy"] == params["policy"].default.value
+    assert cli._MODES[default["mode"]] == params["mode"].default.name
+    report = inspect.signature(agreement.CorpusAgreement.report).parameters
+    assert default["beta"] == report["beta"].default
+    policy = workflow.ConvergencePolicy()
+    assert (default["window"], default["default_tau"]) == (policy.window, policy.default_tau)
 
 
 def test_help_shows_every_option_default(capsys):
